@@ -142,8 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="abscatter",
                                 description="Aharonov-Bohm scattering toolkit")
     p.add_argument("--version", action="version", version=f"abscatter {__version__}")
-    p.add_argument("--threads", type=int, default=None,
-                   help="advisory parallelism hint (accepted for compatibility)")
     sub = p.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("wave", help="evaluate a distorted plane wave on a grid")

@@ -58,6 +58,15 @@ DELTA_REGION = 0.1
 _ENVELOPE_CUT = 8.5
 
 
+def _envelope_reach(components, y=(0.0, 0.0)) -> float:
+    """max |center - y| + _ENVELOPE_CUT * width over Gaussian components (0 if none).
+
+    Every component is negligible at distances beyond this from y.
+    """
+    return max((math.hypot(c.center[0] - y[0], c.center[1] - y[1]) + _ENVELOPE_CUT * c.width
+                for c in components), default=0.0)
+
+
 def _pts(x) -> tuple[np.ndarray, bool]:
     a = np.asarray(x, dtype=float)
     if a.ndim == 1:
@@ -187,12 +196,7 @@ class VectorPotential:
 
     def envelope_radius(self) -> float:
         """Distance from the origin beyond which every smooth piece is < ~1e-13."""
-        rad = 0.0
-        comps = [(b.center, b.width) for b in self.bumps]
-        comps += [(c.center, c.width) for c in self.grad_l.components]
-        for center, width in comps:
-            rad = max(rad, math.hypot(*center) + _ENVELOPE_CUT * width)
-        return rad
+        return _envelope_reach(self.bumps + self.grad_l.components)
 
     def to_config(self) -> dict:
         return {
@@ -370,14 +374,7 @@ def _check_region(sign: int, x: np.ndarray, xi: np.ndarray) -> None:
 
 def _smooth_ray_cut(pot: VectorPotential, x: np.ndarray, xi: np.ndarray) -> float:
     """Ray parameter beyond which all smooth components of A' are negligible."""
-    cut = 0.1
-    nxi = float(np.hypot(*xi))
-    comps = [(b.center, b.width) for b in pot.bumps]
-    comps += [(c.center, c.width) for c in pot.grad_l.components]
-    for center, width in comps:
-        d = math.hypot(x[0] - center[0], x[1] - center[1])
-        cut = max(cut, (d + _ENVELOPE_CUT * width) / nxi)
-    return cut
+    return max(0.1, _envelope_reach(pot.bumps + pot.grad_l.components, x) / float(np.hypot(*xi)))
 
 
 def eikonal_phase(phase: EikonalPhase, x, xi) -> float:

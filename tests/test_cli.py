@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,3 +131,25 @@ def test_radon_command(tmp_path):
     assert rc == 0
     raw = load_sinogram_csv(a_path)
     assert np.allclose(np.abs(raw.values), 0.5 * math.pi)
+
+
+def test_radon_bad_grid_exit_three(tmp_path):
+    cfg = tmp_path / "pa.json"
+    save_potential_json(VectorPotential(
+        alpha=0.5, v=ScalarMixture((GaussianScalar((3.0, 0.0), 1.0, 0.5),))), cfg)
+    out = tmp_path / "s.csv"
+    assert main(["radon", "--config", str(cfg), "--p-max", "0", "--out", str(out)]) == 3
+    # an odd offset count puts a line through the origin
+    assert main(["radon", "--config", str(cfg), "--quantity", "A", "--n-p", "65",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, abscatter.cli; "
+            "print(','.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    assert out == ""

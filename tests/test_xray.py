@@ -105,11 +105,36 @@ class TestLineIntegralA:
 
 class TestRadonForward:
     def test_matches_adaptive_line_op(self):
+        # independent oracle: adaptive quadrature along each line, over the
+        # component's envelope window
+        from scipy.integrate import quad
+
         pot = gaussian_v((3.0, 0.0), 1.0, 0.5)
         sino = radon_forward(pot, 64, 64, 8.0)
         for i, j in [(5, 7), (40, 33), (63, 0)]:
             ls = LineSpec.parallel_beam(sino.offsets[i], sino.angles[j])
-            assert abs(sino.values[i, j] - line_integral_V(pot, ls)) <= 1e-8
+            x0, omega = np.asarray(ls.x0), np.asarray(ls.omega)
+            sc = float((np.array([3.0, 0.0]) - x0) @ omega)
+            ref, _ = quad(lambda s: float(pot.v(x0 + s * omega)), sc - 4.25, sc + 4.25,
+                          epsabs=1e-10, epsrel=1e-10, limit=200)
+            assert abs(sino.values[i, j] - ref) <= 1e-8
+            assert abs(line_integral_V(pot, ls) - ref) <= 1e-8
+
+    def test_narrow_component_large_p_max(self):
+        # the integration window depends on the potential's reach, not on
+        # p_max: a wide offset range must not thin out the nodes
+        w, d0 = 0.15, 5.5
+        pot = gaussian_v((d0, 0.0), 1.0, w)
+        sino = radon_forward(pot, 128, 180, 50.0)
+        pp, ff = np.meshgrid(sino.offsets, sino.angles, indexing="ij")
+        d = pp + d0 * np.sin(ff)  # signed distance of the center from the line
+        exact = math.sqrt(2.0 * math.pi) * w * np.exp(-d * d / (2.0 * w * w))
+        assert float(np.max(np.abs(sino.values - exact))) <= 1e-8
+
+    @pytest.mark.parametrize("p_max", [0.0, -8.0, math.nan, math.inf])
+    def test_bad_p_max_rejected(self, p_max):
+        with pytest.raises(DomainError, match="p_max"):
+            radon_forward(gaussian_v((0, 0), 1, 1), 64, 64, p_max)
 
     def test_linearity(self):
         p1 = gaussian_v((2.0, 1.0), 0.8, 0.6)
@@ -200,6 +225,40 @@ class TestRadonInvert:
                         values=np.zeros((128, 32)))
         with pytest.warns(UndersampledSinogramWarning):
             radon_invert(sino, 128)
+
+
+class TestALineSinogram:
+    def test_matches_closed_form(self):
+        # bump: sqrt(2 pi) S q / w e^{-q^2/2w^2} with q the signed distance
+        # (x0 - c) x omega; gradient pieces integrate to 0; flux -alpha pi sgn p
+        bump = GaussianBump((1.5, -0.5), 1.2, 0.7)
+        pot = VectorPotential(alpha=0.37, bumps=(bump,),
+                              grad_l=ScalarMixture((GaussianScalar((0.0, 1.0), 0.6, 1.1),)))
+        offsets = np.concatenate([np.linspace(-9.0, -0.5, 12), np.linspace(0.5, 9.0, 12)])
+        angles = np.linspace(0.0, math.pi, 16, endpoint=False)
+        sino = a_line_sinogram(pot, offsets, angles)
+        pp, ff = np.meshgrid(offsets, angles, indexing="ij")
+        cx, cy = bump.center
+        q = cy * np.cos(ff) - cx * np.sin(ff) - pp
+        w = bump.width
+        exact = -pot.alpha * math.pi * np.sign(pp) \
+            + bump.strength * q * math.sqrt(2.0 * math.pi) / w * np.exp(-q * q / (2.0 * w * w))
+        assert float(np.max(np.abs(sino.values - exact))) <= 1e-8
+
+    def test_zero_offset_rejected_before_integrating(self, monkeypatch):
+        def no_integration(self, x):
+            raise AssertionError("integrated before checking the offsets")
+
+        monkeypatch.setattr(VectorPotential, "aprime", no_integration)
+        pot = VectorPotential(alpha=0.5, bumps=(GaussianBump((1.0, 0.0), 0.9, 0.8),))
+        with pytest.raises(DomainError, match="origin"):
+            a_line_sinogram(pot, np.linspace(-8.0, 8.0, 65), np.arange(8) * math.pi / 8)
+
+    @pytest.mark.parametrize("p, phi", [(math.nan, 0.5), (2.0, math.inf)])
+    def test_non_finite_line_rejected(self, p, phi):
+        pot = VectorPotential(alpha=0.5, bumps=(GaussianBump((1.0, 0.0), 0.9, 0.8),))
+        with pytest.raises(DomainError, match="finite"):
+            a_line_sinogram(pot, [p], [phi])
 
 
 class TestParity:

@@ -1,0 +1,90 @@
+"""Property tests: X-ray line integrals against closed forms over random
+Gaussian families and lines, and even-integer flux parity under random gauges."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abscatter.gaugefield import (
+    GaugeElement,
+    GaussianBump,
+    GaussianScalar,
+    ScalarMixture,
+    VectorPotential,
+    gauge_transform,
+)
+from abscatter.xray import a_line_sinogram, flux_parity_test, radon_forward
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+coord = st.floats(-4.0, 4.0)
+strength = st.floats(-2.0, 2.0)
+width = st.floats(0.15, 1.5)
+centers = st.tuples(coord, coord)
+scalars = st.lists(st.builds(GaussianScalar, centers, strength, width), min_size=1, max_size=3)
+bumps = st.lists(st.builds(GaussianBump, centers, strength, width), min_size=0, max_size=3)
+# lines clear of the origin: |p| >= 0.05, any direction angle
+offsets = st.lists(st.floats(0.05, 20.0) | st.floats(-20.0, -0.05),
+                   min_size=1, max_size=6).map(np.array)
+angles = st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=6).map(np.array)
+
+
+def grid(p, phi):
+    pp, ff = np.meshgrid(p, phi, indexing="ij")
+    return pp, np.sin(ff), np.cos(ff)
+
+
+@PROPERTY
+@given(scalars, st.floats(1.0, 60.0))
+def test_v_sinogram_closed_form(comps, p_max):
+    pot = VectorPotential(alpha=0.0, v=ScalarMixture(tuple(comps)))
+    sino = radon_forward(pot, 64, 64, p_max)
+    pp, sn, cs = grid(sino.offsets, sino.angles)
+    exact = np.zeros(pp.shape)
+    for c in comps:
+        d = pp + c.center[0] * sn - c.center[1] * cs
+        exact += c.strength * math.sqrt(2.0 * math.pi) * c.width \
+            * np.exp(-d * d / (2.0 * c.width ** 2))
+    assert float(np.max(np.abs(sino.values - exact))) <= 1e-8
+
+
+@PROPERTY
+@given(st.floats(-3.0, 3.0), bumps, scalars, offsets, angles)
+def test_a_sinogram_closed_form(alpha, bs, ls, p, phi):
+    pot = VectorPotential(alpha=alpha, bumps=tuple(bs), grad_l=ScalarMixture(tuple(ls)))
+    sino = a_line_sinogram(pot, p, phi)
+    pp, sn, cs = grid(p, phi)
+    exact = -alpha * math.pi * np.sign(pp)
+    for b in bs:
+        q = b.center[1] * cs - b.center[0] * sn - pp
+        exact = exact + b.strength * q * math.sqrt(2.0 * math.pi) / b.width \
+            * np.exp(-q * q / (2.0 * b.width ** 2))
+    assert float(np.max(np.abs(sino.values - exact))) <= 1e-8
+
+
+PARITY_OFFSETS = np.concatenate([np.linspace(-8.0, -2.5, 6), np.linspace(2.5, 8.0, 6)])
+PARITY_ANGLES = np.linspace(0.0, math.pi, 6, endpoint=False)
+
+
+def parity(alpha, bs, l_field, winding):
+    base = VectorPotential(alpha=alpha, bumps=tuple(bs))
+    other = gauge_transform(base, GaugeElement(winding=winding,
+                                               l_field=ScalarMixture(tuple(l_field))))
+    return flux_parity_test(a_line_sinogram(base, PARITY_OFFSETS, PARITY_ANGLES),
+                            a_line_sinogram(other, PARITY_OFFSETS, PARITY_ANGLES))
+
+
+@PROPERTY
+@given(st.floats(-2.0, 2.0), bumps, scalars, st.integers(-3, 3))
+def test_even_winding_certificate(alpha, bs, l_field, half_winding):
+    rep = parity(alpha, bs, l_field, 2 * half_winding)
+    assert rep.matched and rep.certificate == 2 * half_winding
+
+
+@PROPERTY
+@given(st.floats(-2.0, 2.0), bumps, scalars, st.integers(-3, 2))
+def test_odd_winding_mismatch(alpha, bs, l_field, half_winding):
+    rep = parity(alpha, bs, l_field, 2 * half_winding + 1)
+    assert not rep.matched and rep.certificate is None
