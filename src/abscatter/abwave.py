@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .io import open_artifact, parse_block, read_table
+from .io import as_complex, read_table, write_table
 from .specfun import bessel_j_ladder
 
 __all__ = [
@@ -70,8 +70,10 @@ class ABWaveSpec:
     truncation: int = 60
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise DomainError(f"energy must be positive, got {self.lam}")
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"flux must be finite, got {self.alpha}")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"energy must be positive and finite, got {self.lam}")
         _unit(self.omega, "omega")
         if self.sign not in (-1, 1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
@@ -81,6 +83,9 @@ class ABWaveSpec:
     @classmethod
     def for_radius(cls, alpha, lam, omega, sign, r_max) -> "ABWaveSpec":
         """Spec whose truncation covers |x| <= r_max at the tail-bound policy."""
+        if not (0.0 < lam < math.inf and math.isfinite(r_max)):
+            raise DomainError(f"energy must be positive and finite and r_max finite, "
+                              f"got {lam} and {r_max}")
         trunc = math.ceil(math.sqrt(lam) * r_max) + TRUNCATION_MARGIN
         return cls(alpha=alpha, lam=lam, omega=tuple(omega), sign=sign, truncation=trunc)
 
@@ -261,14 +266,10 @@ def save_wave_csv(path, points, values) -> None:
     """Grid dump with columns x1,x2,re,im."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=complex)
-    with open_artifact(path) as f:
-        f.write("x1,x2,re,im\n")
-        for (x1, x2), v in zip(points, values):
-            f.write(f"{float(x1)!r},{float(x2)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+    write_table(path, "x1,x2,re,im", [points[:, 0], points[:, 1], values.real, values.imag])
 
 
 def load_wave_csv(path):
     """Inverse of save_wave_csv; returns (points, values)."""
-    _, lines = read_table(path, "x1,x2,re,im")
-    data = parse_block(lines, 4)
-    return data[:, :2].copy(), data[:, 2] + 1j * data[:, 3]
+    _, _, data = read_table(path, ("x1,x2,re,im",))
+    return data[:, :2].copy(), as_complex(data[:, 2:])

@@ -48,6 +48,8 @@ def _floats(text: str) -> list[float]:
 
 
 def _cmd_wave(args) -> None:
+    if args.grid < 2:
+        raise SchemaError(f"--grid must be >= 2, got {args.grid}")
     sign = 1 if args.sign == "plus" else -1
     phi = math.radians(args.omega_deg)
     omega = (math.cos(phi), math.sin(phi))
@@ -68,6 +70,8 @@ def _cmd_wave(args) -> None:
 
 
 def _cmd_kernel(args) -> None:
+    if not 0.0 <= args.perturb < math.inf:
+        raise SchemaError(f"--perturb must be finite and >= 0, got {args.perturb}")
     grid = smatrix.sample_kernel(args.alpha, args.n)
     if args.perturb > 0.0:
         rng = np.random.default_rng(args.seed)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .io import open_artifact, parse_block, read_table
+from .io import grid_columns, read_table, write_table
 
 __all__ = [
     "ceil_index",
@@ -139,6 +139,8 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
     """Kernel grid of the flux-alpha kernel; diagonal zeroed, delta kept exact."""
     if n < 64:
         raise DomainError("grid size must be >= 64")
+    if not math.isfinite(alpha):
+        raise DomainError(f"flux must be finite, got {alpha}")
     tau = 2.0 * math.pi * np.arange(n) / n
     rvals = np.empty(n, dtype=complex)
     rvals[0] = 0.0
@@ -302,28 +304,19 @@ def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
                       alpha_hint=hint)
 
 
+KERNEL_META = {"n": int, "delta_re": float, "delta_im": float,
+               "alpha_hint": lambda text: float(text) if text else None}
+
+
 def save_kernel_csv(grid: KernelGrid, path) -> None:
-    with open_artifact(path) as f:
-        f.write("n,delta_re,delta_im,alpha_hint\n")
-        hint = "" if grid.alpha_hint is None else repr(float(grid.alpha_hint))
-        f.write(f"{grid.n},{float(grid.delta_coeff.real)!r},{float(grid.delta_coeff.imag)!r},{hint}\n")
-        f.write("j,k,re,im\n")
-        for j in range(grid.n):
-            row = grid.values[j]
-            for k in range(grid.n):
-                v = row[k]
-                f.write(f"{j},{k},{float(v.real)!r},{float(v.imag)!r}\n")
+    hint = None if grid.alpha_hint is None else float(grid.alpha_hint)
+    meta = dict(zip(KERNEL_META, (grid.n, float(grid.delta_coeff.real),
+                                  float(grid.delta_coeff.imag), hint)))
+    write_table(path, "j,k,re,im", grid_columns(grid.values), meta)
 
 
 def load_kernel_csv(path) -> KernelGrid:
-    meta, lines = read_table(path, "n,delta_re,delta_im,alpha_hint", meta_rows=1)
-    n = int(meta[0][0])
-    delta = complex(float(meta[0][1]), float(meta[0][2]))
-    hint = None if meta[0][3] == "" else float(meta[0][3])
-    if not lines or lines[0].rstrip("\n") != "j,k,re,im":
-        raise DomainError("malformed kernel CSV: missing j,k,re,im row header")
-    data = parse_block(lines[1:], 4)
-    values = np.zeros((n, n), dtype=complex)
-    jk = data[:, :2].astype(int)
-    values[jk[:, 0], jk[:, 1]] = data[:, 2] + 1j * data[:, 3]
-    return KernelGrid(n=n, values=values, delta_coeff=delta, alpha_hint=hint)
+    meta, _, values = read_table(path, ("j,k,re,im",), KERNEL_META, dims=("n", "n"))
+    return KernelGrid(n=meta["n"], values=values,
+                      delta_coeff=complex(meta["delta_re"], meta["delta_im"]),
+                      alpha_hint=meta["alpha_hint"])

@@ -13,10 +13,6 @@ are combined:
 
 The backward recurrence produces a whole ladder J_{mu}, J_{mu+1}, ... in one
 pass, which `bessel_j_ladder` exposes; the wave evaluator leans on that.
-
-Gamma is a Lanczos-type rational approximation (14 coefficients), good to
-about 1e-14 relative, which keeps the series coefficients well under the
-1e-12 budget.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["log_gamma", "gamma", "bessel_j", "bessel_j_ladder"]
+__all__ = ["bessel_j", "bessel_j_ladder"]
 
 # Largest argument accepted by bessel_j; accuracy is declared for x <= 500.
 X_MAX = 1.0e4
@@ -41,54 +37,12 @@ _SERIES_X_MAX = 12.0
 # I_nu(x) ~ e^(0.87*nu) wipes out double precision.
 _SERIES_SLOPE = 0.6
 
-_LANCZOS_SHIFT = 671.0 / 128.0
-_LANCZOS_COF = (
-    57.1562356658629235,
-    -59.5979603554754912,
-    14.1360979747417471,
-    -0.491913816097620199,
-    0.339946499848118887e-4,
-    0.465236289270485756e-4,
-    -0.983744753048795646e-4,
-    0.158088703224912494e-3,
-    -0.210264441724104883e-3,
-    0.217439618115212643e-3,
-    -0.164318106536763890e-3,
-    0.844182239838527433e-4,
-    -0.261908384015814087e-4,
-    0.368991826595316234e-5,
-)
-_SQRT_2PI = 2.5066282746310005
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, Lanczos-type approximation."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    tmp = x + _LANCZOS_SHIFT
-    tmp = (x + 0.5) * math.log(tmp) - tmp
-    ser = 0.999999999999997092
-    y = x
-    for c in _LANCZOS_COF:
-        y += 1.0
-        ser += c / y
-    return tmp + math.log(_SQRT_2PI * ser / x)
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for x > 0.  Overflows (inf) for x > ~171.6."""
-    lg = log_gamma(x)
-    if lg > 709.0:
-        return math.inf
-    return math.exp(lg)
-
-
 def _series_scalar(nu: float, x: float) -> float:
     """Ascending series, exactly summed term list (math.fsum)."""
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     half = 0.5 * x
-    lead = nu * math.log(half) - log_gamma(nu + 1.0)
+    lead = nu * math.log(half) - math.lgamma(nu + 1.0)
     if lead < -745.0:
         return 0.0
     t = math.exp(lead)
@@ -117,7 +71,7 @@ def _series_ladder(mu: float, count: int, x: np.ndarray) -> np.ndarray:
     logh = np.where(zero, -1.0, np.log(np.where(zero, 1.0, half)))
     for k in range(count):
         nu = mu + k
-        lead = nu * logh - log_gamma(nu + 1.0)
+        lead = nu * logh - math.lgamma(nu + 1.0)
         t = np.where(lead < -745.0, 0.0, np.exp(np.minimum(lead, 700.0)))
         if zero.any():
             t = np.where(zero, 1.0 if nu == 0.0 else 0.0, t)
@@ -151,9 +105,9 @@ def _miller_ladder(mu: float, count: int, x: np.ndarray) -> np.ndarray:
     # Normalization weights (mu + 2j) * Gamma(mu + j) / j! for order mu + 2j.
     n_weights = k_start // 2 + 1
     wfac = np.empty(n_weights)
-    wfac[0] = gamma(mu + 1.0)
+    wfac[0] = math.gamma(mu + 1.0)
     for j in range(1, n_weights):
-        wfac[j] = (mu + 2.0 * j) * math.exp(log_gamma(mu + j) - log_gamma(j + 1.0))
+        wfac[j] = (mu + 2.0 * j) * math.exp(math.lgamma(mu + j) - math.lgamma(j + 1.0))
 
     out = np.zeros((count, n))
     jp = np.zeros(n)              # unnormalized J_{mu+k+1}

@@ -34,7 +34,7 @@ from .errors import (
     UndersampledSinogramWarning,
 )
 from .gaugefield import VectorPotential, _envelope_reach, _leggauss
-from .io import open_artifact, parse_block, read_table
+from .io import grid_columns, read_table, write_table
 
 __all__ = [
     "LineSpec",
@@ -278,6 +278,9 @@ def flux_parity_test(raw1: Sinogram, raw2: Sinogram) -> ParityReport:
                         message=f"phases agree; flux difference certificate {n}")
 
 
+SINOGRAM_META = {"n_p": int, "n_phi": int, "p_max": float}
+
+
 def save_sinogram_csv(sino: Sinogram, path) -> None:
     """CSV form; requires the canonical uniform grids so they reload exactly."""
     n_p, n_phi = sino.values.shape
@@ -285,39 +288,15 @@ def save_sinogram_csv(sino: Sinogram, path) -> None:
     if np.any(sino.offsets != np.linspace(-p_max, p_max, n_p)) \
             or np.any(sino.angles != np.arange(n_phi) * math.pi / n_phi):
         raise SchemaError("CSV sinograms must use the canonical uniform grids")
-    complex_vals = np.iscomplexobj(sino.values)
-    with open_artifact(path) as f:
-        f.write("n_p,n_phi,p_max\n")
-        f.write(f"{n_p},{n_phi},{p_max!r}\n")
-        if complex_vals:
-            f.write("i,j,re,im\n")
-            for i in range(n_p):
-                for j in range(n_phi):
-                    v = sino.values[i, j]
-                    f.write(f"{i},{j},{float(v.real)!r},{float(v.imag)!r}\n")
-        else:
-            f.write("i,j,value\n")
-            for i in range(n_p):
-                for j in range(n_phi):
-                    f.write(f"{i},{j},{float(sino.values[i, j])!r}\n")
+    row_header = "i,j,re,im" if np.iscomplexobj(sino.values) else "i,j,value"
+    write_table(path, row_header, grid_columns(sino.values),
+                dict(zip(SINOGRAM_META, (n_p, n_phi, p_max))))
 
 
 def load_sinogram_csv(path) -> Sinogram:
-    meta, lines = read_table(path, "n_p,n_phi,p_max", meta_rows=1)
-    n_p, n_phi, p_max = int(meta[0][0]), int(meta[0][1]), float(meta[0][2])
-    kind = lines[0].rstrip("\n") if lines else ""
-    if kind == "i,j,value":
-        data = parse_block(lines[1:], 3)
-        values = np.zeros((n_p, n_phi))
-        ij = data[:, :2].astype(int)
-        values[ij[:, 0], ij[:, 1]] = data[:, 2]
-    elif kind == "i,j,re,im":
-        data = parse_block(lines[1:], 4)
-        values = np.zeros((n_p, n_phi), dtype=complex)
-        ij = data[:, :2].astype(int)
-        values[ij[:, 0], ij[:, 1]] = data[:, 2] + 1j * data[:, 3]
-    else:
-        raise SchemaError("malformed sinogram CSV: unknown row header")
+    meta, _, values = read_table(path, ("i,j,value", "i,j,re,im"), SINOGRAM_META,
+                                 dims=("n_p", "n_phi"))
+    n_p, n_phi, p_max = meta.values()
     return Sinogram(offsets=np.linspace(-p_max, p_max, n_p),
                     angles=np.arange(n_phi) * math.pi / n_phi,
                     values=values)

@@ -50,6 +50,14 @@ class TestSpec:
         with pytest.raises(DomainError):
             ABWaveSpec(alpha=0.0, lam=1.0, omega=(1, 0), sign=2)
 
+    @pytest.mark.parametrize("alpha, lam", [(math.nan, 1.0), (math.inf, 1.0),
+                                            (0.5, math.nan), (0.5, math.inf)])
+    def test_non_finite_inputs(self, alpha, lam):
+        with pytest.raises(DomainError):
+            ABWaveSpec(alpha=alpha, lam=lam, omega=(1, 0))
+        with pytest.raises(DomainError):
+            ABWaveSpec.for_radius(alpha, lam, (1.0, 0.0), 1, 10.0)
+
     def test_truncation_policy(self):
         spec = ABWaveSpec.for_radius(0.3, 4.0, (1.0, 0.0), 1, 10.0)
         assert spec.truncation == math.ceil(2.0 * 10.0) + 40

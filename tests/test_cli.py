@@ -153,3 +153,19 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.strip()
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["kernel", "--alpha", "nan"], 3),
+    (["wave", "--alpha", "0.5", "--energy", "nan"], 3),
+    (["wave", "--alpha", "nan"], 3),
+    (["kernel", "--alpha", "0.5", "--perturb", "nan"], 2),
+    (["kernel", "--alpha", "0.5", "--perturb", "inf"], 2),
+    (["kernel", "--alpha", "0.5", "--perturb", "-0.1"], 2),
+    (["wave", "--alpha", "0.5", "--grid", "0"], 2),
+    (["wave", "--alpha", "0.5", "--grid", "1"], 2),
+])
+def test_bad_kernel_and_wave_inputs_write_nothing(tmp_path, argv, code):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == code
+    assert not out.exists()

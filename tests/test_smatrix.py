@@ -85,6 +85,11 @@ class TestModeQuadrature:
 
 
 class TestKernelGrid:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_flux(self, alpha):
+        with pytest.raises(DomainError):
+            sample_kernel(alpha, 64)
+
     def test_zero_flux_grid(self):
         g = sample_kernel(0.0, 64)
         assert np.max(np.abs(g.values)) == 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from abscatter.errors import DomainError
-from abscatter.specfun import bessel_j, bessel_j_ladder, gamma, log_gamma
+from abscatter.specfun import bessel_j, bessel_j_ladder
 
 
 def series_oracle(nu: float, x: float, terms: int = 60) -> float:
@@ -23,21 +23,6 @@ def series_oracle(nu: float, x: float, terms: int = 60) -> float:
         for k in range(terms):
             total += (-1) ** k * half ** (nu_ + 2 * k) / (mp.factorial(k) * mp.gamma(nu_ + k + 1))
         return float(total)
-
-
-class TestGamma:
-    def test_matches_stdlib_to_1e12(self):
-        zs = np.linspace(0.05, 170.0, 2000)
-        rel = [abs(gamma(z) - math.gamma(z)) / math.gamma(z) for z in zs]
-        assert max(rel) <= 1e-12
-
-    def test_log_gamma_large_arguments(self):
-        for z in (250.0, 400.0, 1000.0):
-            assert abs(log_gamma(z) - math.lgamma(z)) <= 1e-12 * abs(math.lgamma(z))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
 
 
 class TestBesselValues:
