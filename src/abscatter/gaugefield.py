@@ -269,8 +269,8 @@ def flux(pot: VectorPotential, radii, nodes: int = 2048) -> FluxResult:
     when the top two radii still differ by more than 1e-3.
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or np.any(np.diff(radii) <= 0.0):
-        raise DomainError("radii must be a nonempty ascending sequence")
+    if radii.size == 0 or not np.all(np.isfinite(radii)) or np.any(np.diff(radii) <= 0.0):
+        raise DomainError("radii must be a nonempty ascending sequence of finite numbers")
     if radii[0] <= pot.obstacle_radius:
         raise DomainError("radii must exceed the obstacle radius")
     if nodes < 1024:

@@ -31,6 +31,7 @@ from .smatrix import (
     KernelGrid,
     PartialWaveSMatrix,
     StripDomain,
+    conjugate_kernel,
     extract_mode,
     strip_integral,
 )
@@ -48,6 +49,9 @@ __all__ = [
 
 # eigenvalue clustering threshold below which flux is declared integral
 _DEGENERATE_TOL = 1e-6
+
+# rows per block of the winding search, which bounds its temporaries
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,8 @@ class ConjugationReport:
 
 
 def _mode_eigenvalues(s, m_max: int | None) -> tuple[np.ndarray, int]:
+    if m_max is not None and m_max < 1:
+        raise DomainError("mode window is empty: m_max must be >= 1")
     if isinstance(s, PartialWaveSMatrix):
         m = s.m_max if m_max is None else min(m_max, s.m_max)
         mid = s.m_max
@@ -86,19 +92,21 @@ def recover_flux_from_modes(s, m_max: int | None = None) -> FluxEstimate:
 
     Works on clean partial-wave data (1e-9 round trips) and on kernel grids
     (eigenvalues first extracted by quadrature).  Raises IntegerFluxError
-    when all eigenvalues coincide: integer flux leaves the integer itself
-    undetermined by this data.
+    when all eigenvalues coincide: integer flux, like a flip ceil(alpha)
+    outside [-m_max, m_max], leaves the flux undetermined by this data.
     """
     eig, m = _mode_eigenvalues(s, m_max)
     modes = np.arange(-m, m + 1)
+    outside = (f"a flux whose flip ceil(alpha) lies outside the mode window "
+               f"[-{m}, {m}] gives the same data as an integer flux")
     w_inf = eig[-1]
     dev = np.abs(eig - w_inf)
-    if float(np.max(dev)) < _DEGENERATE_TOL:
-        raise IntegerFluxError(
-            "all eigenvalues coincide: flux is an integer, undetermined by mode data"
-        )
+    spread = float(np.max(dev))
+    if spread < _DEGENERATE_TOL:
+        raise IntegerFluxError(f"all eigenvalues coincide: flux is an integer, "
+                               f"undetermined by mode data, or {outside}")
     # smallest mode already holding the m -> +inf value
-    flipped = dev < 0.5 * float(np.max(dev))
+    flipped = dev < 0.5 * spread
     idx = int(np.argmax(flipped))  # first True: eigenvalues are two-valued
     ceil_alpha = int(modes[idx])
     if idx == 0:
@@ -110,12 +118,14 @@ def recover_flux_from_modes(s, m_max: int | None = None) -> FluxEstimate:
     frac = (y - (ceil_alpha - 1)) % 2.0
     if not 0.0 < frac < 1.0 + 1e-9:
         raise DataInconsistencyError(
-            f"limit phase {y:.6f}*pi inconsistent with flip index {ceil_alpha}"
-        )
+            f"limit phase {y:.6f}*pi inconsistent with flip index {ceil_alpha}: {outside}")
     alpha = ceil_alpha - 1 + frac
     predicted = np.where(modes >= ceil_alpha, np.exp(1j * math.pi * alpha),
                          np.exp(-1j * math.pi * alpha))
     residual = float(np.max(np.abs(eig - predicted)))
+    if residual > 0.5 * spread:
+        raise DataInconsistencyError(f"eigenvalues are not two-valued (fit residual "
+                                     f"{residual:.3g}, spread {spread:.3g}): {outside}")
     return FluxEstimate(sin_pi_alpha=math.sin(math.pi * alpha), ceil_alpha=ceil_alpha,
                         alpha=alpha, residual=residual)
 
@@ -170,16 +180,20 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
         raise DomainError("kernel grids must have equal size")
     if n_range < 0:
         raise DomainError("n_range must be >= 0")
-    theta = s1.theta
-    dmat = theta[:, None] - theta[None, :]
-    off = ~np.eye(s1.n, dtype=bool)
     best_n, best_res = 0, math.inf
     for n in range(-n_range, n_range + 1):
-        phase = np.exp(1j * n * dmat) * (-1.0) ** n
-        res = float(np.max(np.abs(s2.values[off] - (phase * s1.values)[off])))
-        res = max(res, abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n))
+        sign = (-1.0) ** n
+        u = np.exp(1j * n * s1.theta)
+        res = abs(s2.delta_coeff - s1.delta_coeff * sign)
+        for r0 in range(0, s1.n, _BLOCK_ROWS):
+            rows = slice(r0, r0 + _BLOCK_ROWS)
+            diff = s1.values[rows] * (sign * u[rows])[:, None]
+            diff *= np.conj(u)
+            diff -= s2.values[rows]
+            np.fill_diagonal(diff[:, r0:], 0.0)
+            res = np.maximum(res, np.max(np.abs(diff)))
         if res < best_res:
-            best_n, best_res = n, res
+            best_n, best_res = n, float(res)
     return ConjugationReport(n=best_n, residual=best_res, equivalent=best_res <= 1e-3)
 
 
@@ -200,12 +214,10 @@ def _multiplied_kernel_witness(grid: KernelGrid, strips, m: int = 1) -> bool:
     -2*i*m*sin(pi*alpha)/pi and stay bounded away from 0 exactly when the
     kernel keeps its principal-value singularity (sin(pi*alpha) != 0).
     """
-    theta = grid.theta
-    dmat = theta[:, None] - theta[None, :]
-    mult = KernelGrid(n=grid.n,
-                      values=(np.exp(2j * m * dmat) - 1.0) * grid.values,
-                      delta_coeff=0.0,
-                      alpha_hint=grid.alpha_hint)
+    # e^{i 2m(theta-theta')} * kernel is the gauge conjugation by the even winding 2m
+    values = conjugate_kernel(grid, 2 * m).values
+    values -= grid.values
+    mult = KernelGrid(n=grid.n, values=values, delta_coeff=0.0, alpha_hint=grid.alpha_hint)
     scaled = []
     for st in strips:
         w = strip_integral(mult, st)

@@ -13,10 +13,10 @@ principal-value (regular) part is ever discretized.
 
 Principal values are handled by symmetric pairing: quadrature nodes come in
 +/- pairs around the singularity, whose pair-sums are smooth periodic
-functions, so the trapezoid/midpoint sums converge spectrally.  Where a node
-would sit exactly on the singularity (uniform grids including the diagonal),
-the excluded node is restored as half the analytic pair-limit, extrapolated
-from the two nearest pairs; dropping it silently would cost O(h) accuracy.
+functions, so the trapezoid/midpoint sums converge spectrally.  On uniform
+grids the excluded diagonal node is restored as half the pair limit extrapolated
+from the two nearest pairs (dropping it would cost O(h)), folded into the
+weights: 5h/3 at diagonal offsets +-1, 5h/6 at +-2, h elsewhere (_pv_rows).
 """
 
 from __future__ import annotations
@@ -213,28 +213,23 @@ def strip_integral(grid: KernelGrid, strip: StripDomain, tau_nodes: int = 64) ->
     return complex(np.sum(w_theta[rows][:, None] * w_tau[None, :] * vals))
 
 
-def _pair_limit(grid: KernelGrid, weights: np.ndarray) -> np.ndarray:
-    """Half-weight restored for the excluded diagonal node of a p.v. row sum.
+def _pv_rows(grid: KernelGrid, rows: slice) -> np.ndarray:
+    """Weights W with W[j] @ phi = p.v. int K(theta_j, t) phi(t) dt for smooth phi.
 
-    For row j and a smooth factor phi sampled at the grid (weights[i] =
-    phi(theta_i), or weights[i, k] for a per-column family), the pair function
+    The symmetric-pair sum h * K[j] @ phi misses the diagonal node, restored
+    as (h/2) * G_j(0) for the even pair function
         G_j(tau) = K(theta_j, theta_j - tau) phi(theta_j - tau)
-                 + K(theta_j, theta_j + tau) phi(theta_j + tau)
-    extends evenly and smoothly to tau = 0; quadratic extrapolation from
-    tau = h, 2h recovers G_j(0).  Returns (h/2) * G_j(0) per row.
+                 + K(theta_j, theta_j + tau) phi(theta_j + tau),
+    G_j(0) = (4 G_j(h) - G_j(2h)) / 3 by quadratic extrapolation.  Folded into
+    the weights: 5h/3 at column offsets +-1, 5h/6 at +-2, h elsewhere.
     """
     n = grid.n
-    j = np.arange(n)
-    w = np.asarray(weights)
-
-    def term(off: int):
-        kv = grid.values[j, (j + off) % n]
-        wv = w[(j + off) % n]
-        return kv[:, None] * wv if w.ndim == 2 else kv * wv
-
-    g1 = term(-1) + term(1)
-    g2 = term(-2) + term(2)
-    return 0.5 * grid.spacing * (4.0 * g1 - g2) / 3.0
+    j = np.arange(n)[rows]
+    i = np.arange(j.size)
+    weights = grid.spacing * grid.values[rows]
+    for off, fold in ((1, 5.0 / 3.0), (-1, 5.0 / 3.0), (2, 5.0 / 6.0), (-2, 5.0 / 6.0)):
+        weights[i, (j + off) % n] *= fold
+    return weights
 
 
 def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
@@ -244,24 +239,23 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
         S(theta, omega) = s(theta - omega)
                           - 2*pi*i * [ delta_coeff * F(theta, omega)
                                        + p.v. int s_reg(theta - t) F(t, omega) dt ].
-    The p.v. convolution is the symmetric-pair row sum over the grid plus the
-    restored diagonal half-weight.  Delta part is returned unchanged.
+    The p.v. convolution is one product with the folded weights of _pv_rows.
+    Delta part is returned unchanged.
     """
     n = grid.n
-    theta = grid.theta
-    tt, ww = np.meshgrid(theta, theta, indexing="ij")
+    tt, ww = np.meshgrid(grid.theta, grid.theta, indexing="ij")
     try:
         fmat = np.asarray(amplitude(tt, ww), dtype=complex)
         if fmat.shape != (n, n):
             raise ValueError("amplitude did not broadcast")
     except (TypeError, ValueError):
         fmat = np.asarray(np.vectorize(amplitude)(tt, ww), dtype=complex)
+    del tt, ww  # two n x n grids fewer alive during the product below
 
-    conv = grid.spacing * (grid.values @ fmat)
-    # weights argument indexed [i, k] = F(theta_i, omega_k): broadcasting in
-    # _pair_limit picks row phi-values per output column
-    corr = _pair_limit(grid, fmat)
-    new_vals = grid.values - 2.0j * math.pi * (grid.delta_coeff * fmat + conv + corr)
+    new_vals = _pv_rows(grid, slice(None)) @ fmat
+    new_vals += grid.delta_coeff * fmat
+    new_vals *= -2.0j * math.pi
+    new_vals += grid.values
     np.fill_diagonal(new_vals, 0.0)
     return KernelGrid(n=n, values=new_vals, delta_coeff=grid.delta_coeff,
                       alpha_hint=grid.alpha_hint)
@@ -270,18 +264,14 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
 def extract_mode(grid: KernelGrid, m: int, row_stride: int | None = None) -> complex:
     """Eigenvalue on the angular mode exp(i*m*theta) by grid quadrature.
 
-    Averages the p.v. row sums (with restored diagonal half-weight) over
-    rows, then adds the exact delta coefficient.
+    Averages the p.v. row sums (folded weights of _pv_rows) over rows, then
+    adds the exact delta coefficient.
     """
-    n = grid.n
     if row_stride is None:
-        row_stride = max(1, n // 256)
-    rows = np.arange(0, n, row_stride)
-    theta = grid.theta
-    phase = np.exp(1j * m * theta)
-    sums = grid.spacing * (grid.values[rows] @ phase)
-    corr = _pair_limit(grid, phase)[rows]
-    per_row = (sums + corr) * np.exp(-1j * m * theta[rows])
+        row_stride = max(1, grid.n // 256)
+    rows = slice(0, grid.n, row_stride)
+    phase = np.exp(1j * m * grid.theta)
+    per_row = (_pv_rows(grid, rows) @ phase) * np.conj(phase[rows])
     return complex(grid.delta_coeff + np.mean(per_row))
 
 
@@ -290,17 +280,17 @@ def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
 
     S'(theta, theta') = exp(i*n*theta) S(theta, theta') exp(-i*n*(theta'+pi)),
     i.e. values pick up exp(i*n*(theta-theta'))*(-1)^n and the delta
-    coefficient flips sign for odd n.  For the flux-alpha kernel this lands
-    exactly on the flux-(alpha+n) kernel.
+    coefficient flips sign for odd n (a rank-one row and column scaling).
+    For the flux-alpha kernel this lands exactly on the flux-(alpha+n) kernel.
     """
     winding = int(winding)
-    theta = grid.theta
-    phase = np.exp(1j * winding * (theta[:, None] - theta[None, :])) * (-1.0) ** winding
-    new_vals = grid.values * phase
+    sign = (-1.0) ** winding
+    u = np.exp(1j * winding * grid.theta)
+    new_vals = grid.values * (sign * u)[:, None]
+    new_vals *= np.conj(u)
     np.fill_diagonal(new_vals, 0.0)
     hint = None if grid.alpha_hint is None else grid.alpha_hint + winding
-    return KernelGrid(n=grid.n, values=new_vals,
-                      delta_coeff=grid.delta_coeff * (-1.0) ** winding,
+    return KernelGrid(n=grid.n, values=new_vals, delta_coeff=grid.delta_coeff * sign,
                       alpha_hint=hint)
 
 

@@ -143,29 +143,25 @@ def bessel_j(nu: float, x: float) -> float:
         raise DomainError(f"order must satisfy nu >= 0, got {nu}")
     if not (0.0 <= x <= X_MAX):
         raise DomainError(f"argument must lie in [0, {X_MAX:g}], got {x}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
     if x <= _SERIES_X_MAX or x <= _SERIES_SLOPE * nu:
         return _series_scalar(nu, x)
-    k0 = int(math.floor(nu))
-    mu = nu - k0
-    return float(_miller_ladder(mu, k0 + 1, np.array([x]))[k0, 0])
+    return float(bessel_j_ladder(nu, 1, x)[0])
 
 
 def bessel_j_ladder(mu: float, count: int, x) -> np.ndarray:
     """J_{mu+k}(x) for k = 0..count-1, vectorized over x.
 
     Returns shape (count,) for scalar x, else (count, len(x)).  One backward
-    recurrence per argument batch, so the whole ladder costs about as much
-    as a single order.
+    recurrence per argument batch, normalized at the fractional order
+    mu - floor(mu) (no Gamma(mu + 1) overflow), costs about one order.
     """
-    if not (0.0 <= mu):
-        raise DomainError(f"base order must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"base order must be finite and >= 0, got {mu}")
     if count < 1:
         raise DomainError("count must be >= 1")
     scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa < 0.0) or np.any(xa > X_MAX):
+    if not np.all((xa >= 0.0) & (xa <= X_MAX)):
         raise DomainError(f"arguments must lie in [0, {X_MAX:g}]")
     out = np.zeros((count, xa.size))
     lo = xa <= _SERIES_X_MAX
@@ -173,5 +169,6 @@ def bessel_j_ladder(mu: float, count: int, x) -> np.ndarray:
         out[:, lo] = _series_ladder(mu, count, xa[lo])
     hi = ~lo
     if hi.any():
-        out[:, hi] = _miller_ladder(mu, count, xa[hi])
+        k0 = math.floor(mu)
+        out[:, hi] = _miller_ladder(mu - k0, k0 + count, xa[hi])[k0:]
     return out[:, 0] if scalar else out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,16 @@ def smooth_potential() -> VectorPotential:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def alloc_peak():
+    """Peak bytes that fn() allocates while tracemalloc watches (numpy included)."""
+    def measure(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -39,6 +39,13 @@ def test_flux_command(pot_path, tmp_path, capsys):
     assert abs(json.loads(capsys.readouterr().out)["alpha"] - 0.7) <= 1e-9
 
 
+@pytest.mark.parametrize("radii", ["nan", "5,nan,10", "5,inf"])
+def test_flux_non_finite_radii_exit_three(pot_path, capsys, radii):
+    assert main(["flux", "--config", pot_path, "--radii", radii]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
 def test_kernel_recover_round_trip(tmp_path):
     k = tmp_path / "k.csv"
     v = tmp_path / "v.json"
@@ -76,6 +83,23 @@ def test_exit_code_numeric_domain_error(tmp_path):
     assert main(["recover", "--kernel", str(k), "--strips", "0.2,0.1"]) == 3
     # eps below the grid resolution
     assert main(["strip", "--kernel", str(k), "--eps", "0.01"]) == 3
+
+
+@pytest.mark.parametrize("m_max", ["0", "-2"])
+def test_recover_empty_mode_window_exit_three(tmp_path, capsys, m_max):
+    k = tmp_path / "k.csv"
+    main(["kernel", "--alpha", "0.3", "--n", "256", "--out", str(k)])
+    assert main(["recover", "--kernel", str(k), "--m-max", m_max, "--convex"]) == 3
+    assert "mode window is empty: m_max must be >= 1" in capsys.readouterr().err
+
+
+def test_recover_flip_outside_mode_window_exit_three(tmp_path, capsys):
+    # ceil(8.5) = 9 lies outside the default window [-8, 8]
+    k = tmp_path / "k.csv"
+    main(["kernel", "--alpha", "8.5", "--n", "256", "--out", str(k)])
+    assert main(["recover", "--kernel", str(k), "--convex"]) == 3
+    err = capsys.readouterr().err
+    assert "flip ceil(alpha) lies outside the mode window [-8, 8]" in err
 
 
 def test_exit_code_schema_error(tmp_path):

@@ -66,6 +66,9 @@ class TestFlux:
             flux(pot, [2.0, 5.0])
         with pytest.raises(DomainError):
             flux(pot, [5.0, 4.0])
+        for radii in ([math.nan], [5.0, math.nan, 10.0], [5.0, math.inf]):
+            with pytest.raises(DomainError, match="finite"):
+                flux(pot, radii)
 
 
 class TestWinding:

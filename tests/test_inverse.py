@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from abscatter.errors import DomainError, IntegerFluxError, TooSingularError
+from abscatter.errors import (
+    DataInconsistencyError,
+    DomainError,
+    IntegerFluxError,
+    TooSingularError,
+)
 from abscatter.inverse import (
     detect_conjugation,
     recover_flux,
@@ -65,6 +70,20 @@ class TestModeRecovery:
             recover_flux_from_modes(build_partial_wave(0.0, 8))
         with pytest.raises(IntegerFluxError):
             recover_flux_from_modes(build_partial_wave(2.0, 8))
+
+    def test_empty_mode_window(self):
+        for s in (build_partial_wave(0.3, 8), sample_kernel(0.3, 256)):
+            with pytest.raises(DomainError, match="mode window is empty"):
+                recover_flux_from_modes(s, m_max=0)
+
+    def test_flip_outside_mode_window(self):
+        # exact data: every eigenvalue in [-8, 8] is e^{-i pi 8.5}
+        with pytest.raises(IntegerFluxError, match=r"outside the mode window \[-8, 8\]"):
+            recover_flux_from_modes(build_partial_wave(8.5, 10), m_max=8)
+        # grid quadrature leaves 1e-4 of noise on those equal eigenvalues,
+        # which no two-valued spectrum fits
+        with pytest.raises(DataInconsistencyError, match=r"outside the mode window \[-8, 8\]"):
+            recover_flux_from_modes(sample_kernel(9.3, 256))
 
     def test_round_trip_twenty_random_fluxes(self, rng):
         for a in random_noninteger_fluxes(rng, 20):
@@ -148,6 +167,14 @@ class TestConjugation:
             shifted = sample_kernel(0.5 + n, 256)
             rep = detect_conjugation(g, shifted, 3)
             assert rep.n == n and rep.residual <= 1e-9
+
+    def test_memory_peak_below_one_kernel(self, alloc_peak):
+        # the search walks row blocks with rank-one phases: no n x n temporaries
+        n = 1024
+        g = sample_kernel(0.3, n)
+        shifted = conjugate_kernel(g, 1)
+        peak = alloc_peak(lambda: detect_conjugation(g, shifted, 3))
+        assert peak < n * n * 16
 
     def test_inequivalent_fluxes(self):
         rep = detect_conjugation(sample_kernel(0.5, 256), sample_kernel(0.7, 256), 3)

@@ -194,6 +194,16 @@ class TestCompose:
         assert np.max(np.abs(diff - target)) <= 1e-6
 
 
+    def test_memory_peak(self, alloc_peak):
+        # one product with the folded weights: weights, F and the result are
+        # the only n x n arrays alive at once
+        n = 512
+        g = sample_kernel(0.3, n)
+        peak = alloc_peak(lambda: compose_with_amplitude(
+            g, lambda t, w: 0.01 * np.exp(2j * (t - w))))
+        assert peak <= 4.5 * n * n * 16
+
+
 class TestModeExtraction:
     def test_grid_eigenvalues(self):
         g = sample_kernel(0.5, 1024)

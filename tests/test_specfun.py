@@ -99,3 +99,19 @@ class TestLadder:
             bessel_j_ladder(-0.5, 3, 1.0)
         with pytest.raises(DomainError):
             bessel_j_ladder(0.5, 0, 1.0)
+
+    @pytest.mark.parametrize("mu, x", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                                       (0.5, math.inf), (0.5, [1.0, math.nan, 20.0])])
+    def test_rejects_non_finite(self, mu, x):
+        with pytest.raises(DomainError):
+            bessel_j_ladder(mu, 3, x)
+
+    def test_base_order_past_gamma_overflow(self):
+        # Gamma(mu + 1) overflows a double above mu ~ 171; the ladder must not form it
+        jv = pytest.importorskip("scipy.special").jv
+        ref = jv(200.0, 50.0)
+        assert abs(bessel_j_ladder(200.0, 1, 50.0)[0] - ref) <= 1e-10 * abs(ref)
+        xs = np.array([5.0, 13.0, 50.0, 250.0, 500.0])
+        for mu in (171.5, 200.0):
+            lad = bessel_j_ladder(mu, 3, xs)
+            assert np.max(np.abs(lad - jv(mu + np.arange(3)[:, None], xs))) <= 1e-10
