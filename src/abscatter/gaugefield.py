@@ -76,6 +76,16 @@ def _pts(x) -> tuple[np.ndarray, bool]:
     return a, False
 
 
+def _check_gaussian(c) -> None:
+    """A Gaussian component needs a finite 2-vector center, finite strength and width > 0."""
+    if np.shape(c.center) != (2,) or not np.all(np.isfinite(c.center)):
+        raise DomainError(f"center must be a finite 2-vector, got {c.center!r}")
+    if not math.isfinite(c.strength):
+        raise DomainError(f"strength must be finite, got {c.strength}")
+    if not 0.0 < c.width < math.inf:
+        raise DomainError(f"width must be positive and finite, got {c.width}")
+
+
 @dataclass(frozen=True)
 class GaussianBump:
     """Divergence-free swirl: the curl of a Gaussian stream function."""
@@ -85,8 +95,7 @@ class GaussianBump:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0.0:
-            raise DomainError("bump width must be positive")
+        _check_gaussian(self)
 
     def vector(self, x) -> np.ndarray:
         p, single = _pts(x)
@@ -113,8 +122,7 @@ class GaussianScalar:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0.0:
-            raise DomainError("component width must be positive")
+        _check_gaussian(self)
 
     def value(self, x) -> np.ndarray:
         p, single = _pts(x)
@@ -212,6 +220,9 @@ class VectorPotential:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "VectorPotential":
+        if not isinstance(cfg, dict):
+            raise SchemaError(f"bad potential config: expected a JSON object, "
+                              f"got {type(cfg).__name__}")
         try:
             def gauss(entry):
                 return GaussianScalar(center=tuple(float(t) for t in entry["center"]),
@@ -222,11 +233,14 @@ class VectorPotential:
                                        strength=float(e["strength"]),
                                        width=float(e["width"]))
                           for e in cfg.get("bumps", []))
-            return cls(alpha=float(cfg["alpha"]),
+            alpha, r0 = float(cfg["alpha"]), float(cfg.get("R0", 0.0))
+            if not (math.isfinite(alpha) and math.isfinite(r0)):
+                raise ValueError(f"alpha and R0 must be finite, got {alpha} and {r0}")
+            return cls(alpha=alpha,
                        bumps=bumps,
                        grad_l=ScalarMixture(tuple(gauss(e) for e in cfg.get("gradL", []))),
                        v=ScalarMixture(tuple(gauss(e) for e in cfg.get("V", []))),
-                       obstacle_radius=float(cfg.get("R0", 0.0)))
+                       obstacle_radius=r0)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad potential config: {exc}") from exc
 
@@ -344,13 +358,12 @@ def _gl(f, lo: float, hi: float, nodes: int) -> float:
 class EikonalPhase:
     """Phase-correction integral along forward (+) or backward (-) rays.
 
-    s_max overrides the automatic Gaussian-envelope truncation of the smooth
-    part; nodes sets the Gauss-Legendre order.
+    The smooth part is cut where the Gaussian envelopes vanish; nodes sets
+    the Gauss-Legendre order.
     """
 
     sign: int
     potential: VectorPotential
-    s_max: float | None = None
     nodes: int = 800
 
     def __post_init__(self):
@@ -395,7 +408,7 @@ def eikonal_phase(phase: EikonalPhase, x, xi) -> float:
     val = -s * pot.alpha * cross * ray_int
 
     if pot.bumps or pot.grad_l.components:
-        cut = phase.s_max if phase.s_max is not None else _smooth_ray_cut(pot, x, xi)
+        cut = _smooth_ray_cut(pot, x, xi)
 
         def integrand(t):
             pts = x[None, :] + s * t[:, None] * xi[None, :]

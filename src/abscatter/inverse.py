@@ -31,8 +31,8 @@ from .smatrix import (
     KernelGrid,
     PartialWaveSMatrix,
     StripDomain,
+    _mode_values,
     conjugate_kernel,
-    extract_mode,
     strip_integral,
 )
 
@@ -82,8 +82,7 @@ def _mode_eigenvalues(s, m_max: int | None) -> tuple[np.ndarray, int]:
         return s.eigenvalues[mid - m:mid + m + 1], m
     if isinstance(s, KernelGrid):
         m = 8 if m_max is None else m_max
-        eig = np.array([extract_mode(s, mm) for mm in range(-m, m + 1)])
-        return eig, m
+        return _mode_values(s, np.arange(-m, m + 1)), m
     raise DomainError("expected a PartialWaveSMatrix or KernelGrid")
 
 

@@ -261,18 +261,23 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
                       alpha_hint=grid.alpha_hint)
 
 
-def extract_mode(grid: KernelGrid, m: int, row_stride: int | None = None) -> complex:
-    """Eigenvalue on the angular mode exp(i*m*theta) by grid quadrature.
+def _mode_values(grid: KernelGrid, modes, row_stride: int | None = None) -> np.ndarray:
+    """Eigenvalues on the angular modes exp(i*m*theta), m in modes, by grid quadrature.
 
     Averages the p.v. row sums (folded weights of _pv_rows) over rows, then
-    adds the exact delta coefficient.
+    adds the exact delta coefficient; one product serves every mode.
     """
     if row_stride is None:
         row_stride = max(1, grid.n // 256)
     rows = slice(0, grid.n, row_stride)
-    phase = np.exp(1j * m * grid.theta)
+    phase = np.exp(1j * np.outer(grid.theta, modes))
     per_row = (_pv_rows(grid, rows) @ phase) * np.conj(phase[rows])
-    return complex(grid.delta_coeff + np.mean(per_row))
+    return grid.delta_coeff + per_row.mean(axis=0)
+
+
+def extract_mode(grid: KernelGrid, m: int, row_stride: int | None = None) -> complex:
+    """Eigenvalue on the angular mode exp(i*m*theta) by grid quadrature."""
+    return complex(_mode_values(grid, [m], row_stride)[0])
 
 
 def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:

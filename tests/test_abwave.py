@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abscatter.abwave import (
     ABWaveSpec,
+    _window_sum,
     ab_wave_window,
     asymptotic_decay_check,
     azimuth,
@@ -15,6 +18,7 @@ from abscatter.abwave import (
     save_wave_csv,
 )
 from abscatter.errors import DomainError, PrecisionError
+from abscatter.specfun import bessel_j_ladder
 
 
 class TestAzimuth:
@@ -63,6 +67,10 @@ class TestSpec:
         assert spec.truncation == math.ceil(2.0 * 10.0) + 40
         with pytest.raises(PrecisionError):
             eval_ab_wave(spec, (11.0, 0.0))
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(DomainError):
+            ABWaveSpec.for_radius(0.3, 4.0, (1.0, 0.0), 1, -1.0)
 
 
 class TestWaveValues:
@@ -113,6 +121,61 @@ class TestWaveValues:
             lhs = ab_wave_window(sa2, x, -40, 44)
             rhs = np.exp(2j * g) * ab_wave_window(sa, x, -42, 42)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+    def test_corner_of_certified_square(self):
+        # z = 141 at the corner: the truncation tail must stay below 1e-12 there
+        spec = ABWaveSpec.for_radius(0.0, 100.0, (1.0, 0.0), 1, 10.0 * math.sqrt(2.0))
+        assert abs(eval_ab_wave(spec, (10.0, 10.0)) - np.exp(100.0j)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [20.5, -20.5])
+    def test_tail_at_large_flux(self, alpha):
+        # modes up to L have orders down to L - |alpha|: the policy must pay for that
+        spec = ABWaveSpec.for_radius(alpha, 100.0, (1.0, 0.0), 1, 10.0)
+        wide = ABWaveSpec(alpha=alpha, lam=100.0, omega=(1.0, 0.0), sign=1,
+                          truncation=2 * spec.truncation)
+        pts = np.array([[0.0, 10.0], [-10.0, 0.0], [7.0, 7.14]])
+        diff = eval_ab_wave_grid(spec, pts) - eval_ab_wave_grid(wide, pts)
+        assert np.max(np.abs(diff)) <= 1e-12
+
+    def test_plane_wave_where_series_would_cancel(self):
+        # z = sqrt(lam)*|x| in [11.5, 12.25]: the Bessel values must not lose digits there
+        r, th = np.meshgrid(np.linspace(2.3, 2.45, 16), np.linspace(0.0, 2.0 * math.pi, 64))
+        pts = np.stack([(r * np.cos(th)).ravel(), (r * np.sin(th)).ravel()], axis=1)
+        for omega in ((1.0, 0.0), (0.6, 0.8)):
+            spec = ABWaveSpec.for_radius(0.0, 25.0, omega, 1, 2.45)
+            plane = np.exp(5.0j * (pts @ np.array(omega)))
+            assert np.max(np.abs(eval_ab_wave_grid(spec, pts) - plane)) <= 1e-13
+
+    def test_mode_sum_memory_peak(self, alloc_peak):
+        # the Bessel ladders are the only (modes x points) arrays: no phase matrix
+        axis = np.linspace(-5.0, 5.0, 101)
+        pts = np.stack([a.ravel() for a in np.meshgrid(axis, axis)], axis=1)
+        spec = ABWaveSpec.for_radius(0.5, 25.0, (1.0, 0.0), 1, 5.0 * math.sqrt(2.0))
+        peak = alloc_peak(lambda: eval_ab_wave_grid(spec, pts))
+        assert peak <= 2.5 * (2 * spec.truncation + 1) * len(pts) * 8
+
+
+def dense_window_sum(spec, pts, l_min, l_max):
+    """sum_l exp(s*i*|l-alpha|*pi/2) exp(i*l*gamma) J_{|l-alpha|}(z) with a full phase matrix."""
+    ls = np.arange(l_min, l_max + 1)
+    nu = np.abs(ls - spec.alpha)
+    omega = spec.sign * np.asarray(spec.omega)
+    gam = np.array([azimuth(x, omega) for x in pts])
+    z = math.sqrt(spec.lam) * np.hypot(pts[:, 0], pts[:, 1])
+    jj = np.array([bessel_j_ladder(v, 1, z)[0] for v in nu])
+    coeff = np.exp(1j * spec.sign * nu * (math.pi / 2.0))
+    return (coeff[:, None] * np.exp(1j * np.outer(ls, gam)) * jj).sum(axis=0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 3.0), st.sampled_from([1, -1]), st.floats(0.5, 4.0),
+       st.integers(-40, 10), st.integers(0, 50), st.integers(0, 2**32 - 1))
+def test_window_sum_matches_dense_phase_matrix(alpha, sign, lam, l_min, width, seed):
+    spec = ABWaveSpec(alpha=alpha, lam=lam, omega=(0.6, -0.8), sign=sign)
+    pts = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(40, 2))
+    got = _window_sum(spec, pts, l_min, l_min + width)
+    assert np.max(np.abs(got - dense_window_sum(spec, pts, l_min, l_min + width))) <= 1e-13
 
 
 class TestBoundedness:

@@ -46,6 +46,20 @@ def test_flux_non_finite_radii_exit_three(pot_path, capsys, radii):
     assert captured.out == "" and "finite" in captured.err
 
 
+@pytest.mark.parametrize("config", [
+    "[1, 2]",
+    '{"alpha": 0.5, "bumps": [{"center": [1], "strength": 1.0, "width": 0.5}]}',
+    '{"alpha": NaN}',
+    '{"alpha": 0.5, "bumps": [{"center": [1, 0], "strength": 1.0, "width": Infinity}]}',
+])
+def test_flux_bad_config_exit_two(tmp_path, capsys, config):
+    path = tmp_path / "c.json"
+    path.write_text(config)
+    assert main(["flux", "--config", str(path), "--radii", "5,10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "schema error" in captured.err
+
+
 def test_kernel_recover_round_trip(tmp_path):
     k = tmp_path / "k.csv"
     v = tmp_path / "v.json"

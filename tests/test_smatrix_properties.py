@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from abscatter.inverse import detect_conjugation
 from abscatter.smatrix import (
     KernelGrid,
+    _mode_values,
     compose_with_amplitude,
     conjugate_kernel,
     extract_mode,
@@ -104,6 +105,15 @@ def test_extract_mode_matches_dense_reference(alpha, n, terms, m, stride):
     per_row = pv_reference(g, phase[:, None])[rows, 0] * np.exp(-1j * m * g.theta[rows])
     want = g.delta_coeff + np.mean(per_row)
     assert abs(extract_mode(g, m, row_stride=stride) - want) <= 1e-12 * abs(want)
+
+
+@PROPERTY
+@given(fluxes, sizes, st.lists(st.tuples(coeffs, freqs), max_size=3), st.integers(1, 5))
+def test_batched_modes_match_single_mode_extraction(alpha, n, terms, stride):
+    g = perturbed(alpha, n, terms)
+    modes = np.arange(-8, 9)
+    single = np.array([extract_mode(g, m, row_stride=stride) for m in modes])
+    assert rel_err(_mode_values(g, modes, row_stride=stride), single) <= 1e-14
 
 
 @PROPERTY

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abscatter.errors import DomainError
 from abscatter.specfun import bessel_j, bessel_j_ladder
@@ -115,3 +117,15 @@ class TestLadder:
         for mu in (171.5, 200.0):
             lad = bessel_j_ladder(mu, 3, xs)
             assert np.max(np.abs(lad - jv(mu + np.arange(3)[:, None], xs))) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(0.0, 200.0), st.integers(1, 200),
+       st.lists(st.floats(0.0, 500.0), min_size=1, max_size=6),
+       st.lists(st.floats(9.0, 12.0), min_size=1, max_size=4))
+def test_ladder_matches_scipy(mu, count, xs, near_twelve):
+    # [9, 12] is where an ascending series would lose digits to cancellation
+    jv = pytest.importorskip("scipy.special").jv
+    x = np.array(xs + near_twelve)
+    lad = bessel_j_ladder(mu, count, x)
+    assert np.max(np.abs(lad - jv(mu + np.arange(count)[:, None], x))) <= 1e-13
