@@ -32,7 +32,7 @@ from .smatrix import (
     PartialWaveSMatrix,
     StripDomain,
     _mode_values,
-    conjugate_kernel,
+    _strip_integral,
     strip_integral,
 )
 
@@ -214,13 +214,8 @@ def _multiplied_kernel_witness(grid: KernelGrid, strips, m: int = 1) -> bool:
     kernel keeps its principal-value singularity (sin(pi*alpha) != 0).
     """
     # e^{i 2m(theta-theta')} * kernel is the gauge conjugation by the even winding 2m
-    values = conjugate_kernel(grid, 2 * m).values
-    values -= grid.values
-    mult = KernelGrid(n=grid.n, values=values, delta_coeff=0.0, alpha_hint=grid.alpha_hint)
-    scaled = []
-    for st in strips:
-        w = strip_integral(mult, st)
-        scaled.append(abs(w) / (st.eps * (st.b - st.a)))
+    scaled = [abs(_strip_integral(grid, st, winding=2 * m)) / (st.eps * (st.b - st.a))
+              for st in strips]
     return min(scaled) > 0.05
 
 

@@ -176,6 +176,16 @@ def strip_integral(grid: KernelGrid, strip: StripDomain, tau_nodes: int = 64) ->
     (eps >= 4 * spacing).  For the flux-alpha kernel, -Re of the result
     tends to (b - a) * sin(pi*alpha) * log(2) / pi as eps -> 0.
     """
+    return _strip_integral(grid, strip, tau_nodes)
+
+
+def _strip_integral(grid: KernelGrid, strip: StripDomain, tau_nodes: int = 64,
+                    winding: int = 0) -> complex:
+    """strip_integral of the kernel (winding 0) or of its change under the gauge
+    conjugation by a nonzero winding, conjugate_kernel(grid, winding).values
+    - grid.values, formed with conjugate_kernel's arithmetic on the gathered
+    stencil entries only (no n x n copy).
+    """
     h = grid.spacing
     if strip.eps < 4.0 * h:
         raise ResolutionError(f"eps = {strip.eps} below 4 grid cells ({4.0 * h:.4g})")
@@ -206,10 +216,16 @@ def strip_integral(grid: KernelGrid, strip: StripDomain, tau_nodes: int = 64) ->
     w_0 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
     w_p1 = -(t + 1.0) * t * (t - 2.0) / 2.0
     w_p2 = (t + 1.0) * t * (t - 1.0) / 6.0
+    if winding:
+        sign = (-1.0) ** winding
+        u = np.exp(1j * winding * theta)
     vals = np.zeros((rows.size, tau.size), dtype=complex)
     for off, w in ((-1, w_m1), (0, w_0), (1, w_p1), (2, w_p2)):
         cols = (rows[:, None] - (i0 + off)[None, :]) % grid.n
-        vals += grid.values[rows[:, None], cols] * w[None, :]
+        entries = grid.values[rows[:, None], cols]
+        if winding:
+            entries = entries * (sign * u[rows])[:, None] * np.conj(u)[cols] - entries
+        vals += entries * w[None, :]
     return complex(np.sum(w_theta[rows][:, None] * w_tau[None, :] * vals))
 
 

@@ -193,6 +193,17 @@ def test_cli_import_loads_no_scipy():
     assert out == ""
 
 
+def test_cli_import_loads_no_process_pool():
+    # io imports multiprocessing only when a large table is written or read
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, abscatter.cli; print(','.join(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv, code", [
     (["kernel", "--alpha", "nan"], 3),
     (["wave", "--alpha", "0.5", "--energy", "nan"], 3),

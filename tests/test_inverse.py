@@ -10,6 +10,7 @@ from abscatter.errors import (
     TooSingularError,
 )
 from abscatter.inverse import (
+    _multiplied_kernel_witness,
     detect_conjugation,
     recover_flux,
     recover_flux_from_modes,
@@ -20,8 +21,10 @@ from abscatter.smatrix import (
     KernelGrid,
     StripDomain,
     build_partial_wave,
+    _strip_integral,
     conjugate_kernel,
     sample_kernel,
+    strip_integral,
 )
 
 STRIPS = [StripDomain(0.0, math.pi, e) for e in (0.1, 0.05, 0.025)]
@@ -179,6 +182,29 @@ class TestConjugation:
     def test_inequivalent_fluxes(self):
         rep = detect_conjugation(sample_kernel(0.5, 256), sample_kernel(0.7, 256), 3)
         assert not rep.equivalent and rep.residual > 1e-3
+
+
+class TestWitness:
+    @pytest.mark.parametrize("alpha, m", [(0.3, 1), (1.7, 2), (-0.6, 1)])
+    def test_matches_the_full_multiplied_kernel(self, alpha, m):
+        # the strips of (e^{2im(theta-theta')} - 1) K, formed on the gathered
+        # entries only, against the same strips of the whole multiplied kernel
+        grid = perturbed_kernel(alpha, 1024, sup=0.05, seed=1)
+        full = conjugate_kernel(grid, 2 * m).values
+        full -= grid.values
+        mult = KernelGrid(n=grid.n, values=full, delta_coeff=0.0)
+        for st in STRIPS:
+            ref = strip_integral(mult, st)
+            assert abs(_strip_integral(grid, st, winding=2 * m) - ref) <= 2e-16 * abs(ref)
+
+    def test_verdicts(self):
+        assert _multiplied_kernel_witness(sample_kernel(0.5, 1024), STRIPS)
+        assert not _multiplied_kernel_witness(sample_kernel(2.0, 1024), STRIPS)
+
+    def test_memory_peak_below_one_kernel(self, alloc_peak):
+        n = 1024
+        g = sample_kernel(0.3, n)
+        assert alloc_peak(lambda: _multiplied_kernel_witness(g, STRIPS)) < n * n * 16
 
 
 class TestPipeline:

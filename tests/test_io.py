@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from abscatter import io as artifact_io
 from abscatter.abwave import load_wave_csv, save_wave_csv
 from abscatter.cli import main
 from abscatter.errors import SchemaError
@@ -94,8 +98,8 @@ DAMAGE = {
     "truncated_after_comma": lambda ls: ls[:-1] + [ls[-1][:ls[-1].rindex(",") + 1]],
     "non_numeric_value": lambda ls: _replace_row(ls, 7, ls[7].rsplit(",", 1)[0] + ",zebra"),
     "non_integer_size": lambda ls: _replace_row(ls, 2, "64.5," + ls[2].split(",", 1)[1]),
-    "index_out_of_range": lambda ls: _replace_row(ls, len(ls) - 1,
-                                                  "64," + ls[-1].split(",", 1)[1]),
+    "index_out_of_range": lambda ls: _replace_row(ls, len(ls) - 1, ls[2].split(",", 1)[0]
+                                                  + "," + ls[-1].split(",", 1)[1]),
     "repeated_index": lambda ls: _replace_row(ls, 5, ls[4]),
     "reordered_rows": lambda ls: _swap_rows(ls, 5, 6),
     "extra_row": lambda ls: ls + [ls[-1]],
@@ -139,6 +143,12 @@ def test_truncated_kernel_error_names_row_count(kernel_path, tmp_path, capsys):
     assert "expected 4096 rows for a 64x64 grid, found 2048" in capsys.readouterr().err
 
 
+def test_non_numeric_error_names_line(kernel_path, tmp_path, capsys):
+    bad = str(_damaged(kernel_path, tmp_path, "non_numeric_value"))
+    assert main(["recover", "--kernel", bad, "--convex"]) == 2
+    assert "line 8: '" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 def test_damaged_sinogram_csv_is_rejected(tmp_path, damage, kind):
@@ -147,6 +157,152 @@ def test_damaged_sinogram_csv_is_rejected(tmp_path, damage, kind):
     save_sinogram_csv(canonical_sinogram(values), path)
     with pytest.raises(SchemaError):
         load_sinogram_csv(_damaged(path, tmp_path, damage))
+
+
+# -------------------------------------------------------------- split tables
+
+# sha256 of split_kernel() as the single-process writer wrote it: four write
+# blocks and five read ranges, so up to four processes share the work.
+PINNED_SPLIT = "988737b7895f6d09e4896dcde18be82d2999175a1664f42256ef554c1edb25e6"
+
+
+def split_kernel(n=450, salt=13):
+    return KernelGrid(n=n, values=cpattern((n, n), salt), delta_coeff=complex(-0.5, 0.125),
+                      alpha_hint=2.75)
+
+
+def _range_starts(path):
+    """0-based file line at which each byte range of the reader starts."""
+    data = path.read_bytes()
+    start = 0
+    for _ in range(4):                  # version, meta header, meta row, row header
+        start = data.index(b"\n", start) + 1
+    with open(path, "rb") as f:
+        ranges = artifact_io._ranges(f, start, len(data))
+    return [data.count(b"\n", 0, a) for a, _ in ranges]
+
+
+@pytest.fixture
+def cpus(monkeypatch, request):
+    """Pretend the process may use request.param CPUs; count the processes forked."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    yield request.param, forks
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4], indirect=True)
+def test_split_table_bytes_do_not_depend_on_process_count(tmp_path, cpus):
+    count, forks = cpus
+    grid = split_kernel()
+    path = tmp_path / "k.csv"
+    save_kernel_csv(grid, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT
+    back = load_kernel_csv(path)
+    assert same_bits(back.values, grid.values) and back.alpha_hint == grid.alpha_hint
+    # one worker per CPU for the four blocks, then for the five ranges
+    assert len(_range_starts(path)) == 5
+    assert len(forks) == (0 if count == 1 else 2 * count)
+
+
+def _load_values(path):
+    return load_kernel_csv(path).values
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+def test_split_table_reads_in_a_pool_worker(tmp_path, cpus):
+    # a daemonic pool worker may not fork workers of its own: it parses in process
+    grid = split_kernel(300)
+    save_kernel_csv(grid, tmp_path / "k.csv")
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        values = pool.apply_async(_load_values, (tmp_path / "k.csv",)).get(timeout=120)
+    assert same_bits(values, grid.values)
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+def test_dead_worker_fails_the_read(tmp_path, cpus, monkeypatch):
+    save_kernel_csv(split_kernel(300), tmp_path / "k.csv")
+    monkeypatch.setattr(artifact_io, "_parse_range", lambda *args: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        load_kernel_csv(tmp_path / "k.csv")
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+def test_failing_split_write_leaves_no_workers(tmp_path, cpus, monkeypatch):
+    def fail(cols, fmt, start):
+        raise SchemaError(f"block at row {start}")
+    monkeypatch.setattr(artifact_io, "_format_block", fail)
+    with pytest.raises(SchemaError, match="block at row 0"):
+        save_kernel_csv(split_kernel(300), tmp_path / "k.csv")
+
+
+def _spoil_last_field(line):
+    """line with its last field replaced by as many letters (same byte count)."""
+    head, last = line.rsplit(",", 1)
+    return f"{head},{'z' * len(last)}"
+
+
+# Damage where the reader cuts a split table: (lines, first line of the second
+# range) -> (damaged lines, the damaged line).
+CUT_DAMAGE = {
+    "truncated_row_after_cut": lambda ls, c: (
+        _replace_row(ls, c, ls[c][:ls[c].rindex(",")]), c),
+    "non_numeric_in_last_part": lambda ls, c: (
+        _replace_row(ls, len(ls) - 3, _spoil_last_field(ls[-3])), len(ls) - 3),
+    "rows_swapped_across_cut": lambda ls, c: (_swap_rows(ls, c - 1, c), c),
+}
+
+
+def _damaged_split(path, tmp_path, damage):
+    """Damaged copy of a split table, and the 0-based damaged line of a CUT_DAMAGE case."""
+    lines = path.read_text().splitlines()
+    if damage in DAMAGE:
+        out, line = DAMAGE[damage](lines), None
+    else:
+        out, line = CUT_DAMAGE[damage](lines, _range_starts(path)[1])
+    bad = tmp_path / f"{damage}.csv"
+    bad.write_text("".join(ln + "\n" for ln in out))
+    if line is not None:                # the reader still cuts where the damage sits
+        assert _range_starts(bad) == _range_starts(path)
+    return bad, line
+
+
+@pytest.fixture(scope="module")
+def split_paths(tmp_path_factory):
+    # two ranges each, cut mid-line, so damage next to the cut leaves it in place
+    root = tmp_path_factory.mktemp("split")
+    save_kernel_csv(split_kernel(300, salt=17), root / "k.csv")
+    save_sinogram_csv(canonical_sinogram(cpattern((300, 300), 17)), root / "s.csv")
+    return root / "k.csv", root / "s.csv"
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+@pytest.mark.parametrize("damage", sorted(DAMAGE) + sorted(CUT_DAMAGE))
+def test_damaged_split_kernel_csv_is_rejected(split_paths, tmp_path, damage, cpus, capsys):
+    good = split_paths[0]
+    assert len(_range_starts(good)) == 2
+    bad, line = _damaged_split(good, tmp_path, damage)
+    with pytest.raises(SchemaError):
+        load_kernel_csv(bad)
+    assert main(["recover", "--kernel", str(bad), "--convex"]) == 2
+    assert main(["strip", "--kernel", str(bad), "--eps", "0.2"]) == 2
+    assert main(["gauge-check", "--kernel1", str(good), "--kernel2", str(bad)]) == 2
+    if damage == "non_numeric_in_last_part":
+        assert f"line {line + 1}: '" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+@pytest.mark.parametrize("damage", sorted(DAMAGE) + sorted(CUT_DAMAGE))
+def test_damaged_split_sinogram_csv_is_rejected(split_paths, tmp_path, damage, cpus):
+    good = split_paths[1]
+    assert len(_range_starts(good)) == 2
+    bad, line = _damaged_split(good, tmp_path, damage)
+    with pytest.raises(SchemaError) as err:
+        load_sinogram_csv(bad)
+    if damage == "non_numeric_in_last_part":
+        assert f"line {line + 1}: '" in str(err.value)
 
 
 # ------------------------------------------------------- round-trip properties
