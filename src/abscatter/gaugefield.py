@@ -13,8 +13,14 @@ The eikonal phase of a ray is
     Phi_s(x, xi) = -s * int_0^inf A(x + s*t*xi) . xi dt,       s = +1 or -1,
 defined off the backward cone (s * xhat.xihat >= -1 + delta with delta = 0.1).
 The flux part has the closed form -s*alpha*(x cross xi)*atan2(|x cross xi|,
-s*x.xi)/|x cross xi|; the smooth part is Gauss-Legendre quadrature truncated
-where the Gaussian envelopes drop below 1e-13.
+s*x.xi)/|x cross xi|.
+
+Every integral of a smooth part along a piece of a line (full lines for the
+X-ray data, half rays for the eikonal phases and the ray field integral,
+finite segments in the phase decomposition) goes through one Gauss-Legendre
+rule, _segment_integrals: each segment is clipped to the disk |y| <= R + 1,
+where R is the Gaussian-envelope reach from the origin, and the node count
+depends on R and the narrowest width only.
 """
 
 from __future__ import annotations
@@ -57,14 +63,64 @@ DELTA_REGION = 0.1
 # Gaussian envelopes are treated as zero beyond this many widths.
 _ENVELOPE_CUT = 8.5
 
+# Gauss-Legendre nodes per narrowest width across the integration window.
+_NODES_PER_WIDTH = 6.0
 
-def _envelope_reach(components, y=(0.0, 0.0)) -> float:
-    """max |center - y| + _ENVELOPE_CUT * width over Gaussian components (0 if none).
+# Trapezoid nodes on each circle of the flux functional.
+_CIRCLE_NODES = 2048
 
-    Every component is negligible at distances beyond this from y.
+
+def _envelope_reach(components) -> float:
+    """max |center| + _ENVELOPE_CUT * width over Gaussian components (0 if none).
+
+    Every component is negligible at distances beyond this from the origin.
     """
-    return max((math.hypot(c.center[0] - y[0], c.center[1] - y[1]) + _ENVELOPE_CUT * c.width
-                for c in components), default=0.0)
+    return max((math.hypot(*c.center) + _ENVELOPE_CUT * c.width for c in components),
+               default=0.0)
+
+
+@lru_cache(maxsize=8)
+def _leggauss(nodes: int):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _segment_integrals(field, components, x0, d, lo: float = -math.inf, hi: float = math.inf,
+                       spread: float = 0.0) -> np.ndarray:
+    """int_lo^hi field(x0 + t*d) dt for each base point x0 (a 2-vector or (m, 2) rows).
+
+    field maps (k, 2) points to k values; a vector field (k x 2 values) is
+    integrated as the 1-form field . d.  The field is built from the Gaussian
+    components, each negligible beyond the reach R from the origin; spread
+    widens that reach for a field that averages the components over a segment
+    of that length.  Each segment is clipped to the disk |y| <= H = R + 1 +
+    spread, and one that misses it integrates to 0.  Central nodes of an
+    n-point rule on [-H, H] sit about pi*H/n apart, which integrates a Gaussian
+    of width w to about exp(-2*(n*w/H)**2); one rule with
+    n = _NODES_PER_WIDTH * H / w for the narrowest width serves every segment.
+    n does not depend on x0, so the integrals are smooth in the base point.
+    """
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    d = np.asarray(d, dtype=float)
+    out = np.zeros(x0.shape[0])
+    if not components:
+        return out
+    h = _envelope_reach(components) + 1.0 + spread
+    dd = float(d @ d)
+    mid = -(x0 @ d) / dd
+    cross = x0[:, 0] * d[1] - x0[:, 1] * d[0]
+    half = np.sqrt(np.maximum(h * h - cross * cross / dd, 0.0) / dd)
+    a, b = np.maximum(mid - half, lo), np.minimum(mid + half, hi)
+    hit = b > a
+    if not np.any(hit):
+        return out
+    gx, gw = _leggauss(math.ceil(_NODES_PER_WIDTH * h / min(c.width for c in components)))
+    center, radius = 0.5 * (a[hit] + b[hit]), 0.5 * (b[hit] - a[hit])
+    t = center[:, None] + radius[:, None] * gx
+    vals = np.asarray(field((x0[hit][:, None, :] + t[:, :, None] * d).reshape(-1, 2)))
+    if vals.ndim == 2:
+        vals = vals @ d
+    out[hit] = (vals.reshape(t.shape) @ gw) * radius
+    return out
 
 
 def _pts(x) -> tuple[np.ndarray, bool]:
@@ -202,10 +258,6 @@ class VectorPotential:
     def v_value(self, x):
         return self.v(x)
 
-    def envelope_radius(self) -> float:
-        """Distance from the origin beyond which every smooth piece is < ~1e-13."""
-        return _envelope_reach(self.bumps + self.grad_l.components)
-
     def to_config(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -276,7 +328,7 @@ class FluxResult:
     sequence: tuple[float, ...]
 
 
-def flux(pot: VectorPotential, radii, nodes: int = 2048) -> FluxResult:
+def flux(pot: VectorPotential, radii) -> FluxResult:
     """(1/2pi) * circulation of A over circles |x| = r, reported per radius.
 
     The estimate is the largest-radius value; a FluxConvergenceWarning fires
@@ -287,15 +339,13 @@ def flux(pot: VectorPotential, radii, nodes: int = 2048) -> FluxResult:
         raise DomainError("radii must be a nonempty ascending sequence of finite numbers")
     if radii[0] <= pot.obstacle_radius:
         raise DomainError("radii must exceed the obstacle radius")
-    if nodes < 1024:
-        raise DomainError("flux quadrature needs >= 1024 nodes")
-    th = 2.0 * math.pi * np.arange(nodes) / nodes
+    th = 2.0 * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
     tangent = np.stack([-np.sin(th), np.cos(th)], axis=1)
     seq = []
     for r in radii:
         pts = r * np.stack([np.cos(th), np.sin(th)], axis=1)
         a = pot.a_total(pts)
-        circ = float((a * tangent).sum() * r * (2.0 * math.pi / nodes))
+        circ = float((a * tangent).sum() * r * (2.0 * math.pi / _CIRCLE_NODES))
         seq.append(circ / (2.0 * math.pi))
     if len(seq) >= 2 and abs(seq[-1] - seq[-2]) > 1e-3:
         warnings.warn(
@@ -313,8 +363,11 @@ def winding_number(g, radius: float, samples: int = 1024, max_doublings: int = 8
     margin guards against jumps past pi, which alias back into (-pi, pi] and
     would corrupt the count silently (SamplingError past the refinement cap).
     """
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {radius}")
+    if samples < 1 or max_doublings < 0:
+        raise DomainError(f"need samples >= 1 and max_doublings >= 0, got {samples} and "
+                          f"{max_doublings}")
     n = samples
     for _ in range(max_doublings + 1):
         th = 2.0 * math.pi * np.arange(n + 1) / n
@@ -342,35 +395,36 @@ def gauge_transform(pot: VectorPotential, g: GaugeElement) -> VectorPotential:
                            obstacle_radius=pot.obstacle_radius)
 
 
-@lru_cache(maxsize=8)
-def _leggauss(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
-
-
-def _gl(f, lo: float, hi: float, nodes: int) -> float:
-    x, w = _leggauss(nodes)
-    t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    return float(0.5 * (hi - lo) * np.sum(w * f(t)))
-
-
 @dataclass(frozen=True)
 class EikonalPhase:
-    """Phase-correction integral along forward (+) or backward (-) rays.
-
-    The smooth part is cut where the Gaussian envelopes vanish; nodes sets
-    the Gauss-Legendre order.
-    """
+    """Phase-correction integral along forward (+) or backward (-) rays."""
 
     sign: int
     potential: VectorPotential
-    nodes: int = 800
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise DomainError("sign must be +1 or -1")
-        if self.nodes < 64:
-            raise DomainError("need >= 64 quadrature nodes")
+
+
+def _ray_args(sign: int, x, xi) -> tuple[np.ndarray, np.ndarray]:
+    """(x, xi) as arrays; DomainError unless sign is +1 or -1, x and xi are finite
+    2-vectors and xi is nonzero."""
+    if sign not in (-1, 1):
+        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+    out = []
+    for name, v in (("x", x), ("xi", xi)):
+        try:
+            a = np.asarray(v, dtype=float)
+            ok = a.shape == (2,) and bool(np.all(np.isfinite(a)))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise DomainError(f"{name} must be a finite 2-vector, got {v!r}")
+        out.append(a)
+    if not np.any(out[1]):
+        raise DomainError("xi must be nonzero")
+    return out[0], out[1]
 
 
 def _check_region(sign: int, x: np.ndarray, xi: np.ndarray) -> None:
@@ -385,18 +439,12 @@ def _check_region(sign: int, x: np.ndarray, xi: np.ndarray) -> None:
         )
 
 
-def _smooth_ray_cut(pot: VectorPotential, x: np.ndarray, xi: np.ndarray) -> float:
-    """Ray parameter beyond which all smooth components of A' are negligible."""
-    return max(0.1, _envelope_reach(pot.bumps + pot.grad_l.components, x) / float(np.hypot(*xi)))
-
-
 def eikonal_phase(phase: EikonalPhase, x, xi) -> float:
     """Phi_s(x, xi) = -s * int_0^inf A(x + s*t*xi) . xi dt on the allowed region."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    _check_region(phase.sign, x, xi)
-    pot = phase.potential
     s = phase.sign
+    x, xi = _ray_args(s, x, xi)
+    _check_region(s, x, xi)
+    pot = phase.potential
 
     cross = float(x[0] * xi[1] - x[1] * xi[0])
     dot = float(x @ xi)
@@ -406,22 +454,15 @@ def eikonal_phase(phase: EikonalPhase, x, xi) -> float:
     else:
         ray_int = 1.0 / (s * dot)
     val = -s * pot.alpha * cross * ray_int
-
-    if pot.bumps or pot.grad_l.components:
-        cut = _smooth_ray_cut(pot, x, xi)
-
-        def integrand(t):
-            pts = x[None, :] + s * t[:, None] * xi[None, :]
-            return pot.aprime(pts) @ xi
-
-        val += -s * _gl(integrand, 0.0, cut, phase.nodes)
-    return val
+    # -s * A' . xi = -A' . d along the ray direction d = s*xi
+    comps = pot.bumps + pot.grad_l.components
+    return val - float(_segment_integrals(pot.aprime, comps, x, s * xi, lo=0.0)[0])
 
 
-def phase_gradient(phase: EikonalPhase, x, xi, step: float | None = None) -> np.ndarray:
+def phase_gradient(phase: EikonalPhase, x, xi) -> np.ndarray:
     """Central-difference gradient of the phase in x (step 1e-5 * (1 + |x|))."""
-    x = np.asarray(x, dtype=float)
-    h = step if step is not None else 1e-5 * (1.0 + float(np.hypot(*x)))
+    x, xi = _ray_args(phase.sign, x, xi)
+    h = 1e-5 * (1.0 + float(np.hypot(*x)))
     grad = np.empty(2)
     for i in range(2):
         e = np.zeros(2)
@@ -432,33 +473,22 @@ def phase_gradient(phase: EikonalPhase, x, xi, step: float | None = None) -> np.
 
 def phase_gradient_check(phase: EikonalPhase, x, xi) -> float:
     """|xi . (grad_x Phi - A(x))|; zero for exact phases, <= 1e-6 here."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
+    x, xi = _ray_args(phase.sign, x, xi)
     grad = phase_gradient(phase, x, xi)
     return abs(float(xi @ (grad - phase.potential.a_total(x))))
 
 
-def ray_field_integral(pot: VectorPotential, x, xi, sign: int, nodes: int = 800) -> float:
+def ray_field_integral(pot: VectorPotential, x, xi, sign: int) -> float:
     """int_0^inf B(x + sign*t*xi) dt along the phase ray (smooth part only)."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if not pot.bumps:
-        return 0.0
-    cut = _smooth_ray_cut(pot, x, xi)
-
-    def integrand(t):
-        pts = x[None, :] + sign * t[:, None] * xi[None, :]
-        return pot.b_field(pts)
-
-    return _gl(integrand, 0.0, cut, nodes)
+    x, xi = _ray_args(sign, x, xi)
+    return float(_segment_integrals(pot.b_field, pot.bumps, x, sign * xi, lo=0.0)[0])
 
 
 def gradient_formula(phase: EikonalPhase, x, xi) -> np.ndarray:
     """Closed-form gradient: (-s*xi2*I_B + A1, +s*xi1*I_B + A2), I_B the ray field integral."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
     s = phase.sign
-    ib = ray_field_integral(phase.potential, x, xi, s, nodes=phase.nodes)
+    x, xi = _ray_args(s, x, xi)
+    ib = ray_field_integral(phase.potential, x, xi, s)
     a = phase.potential.a_total(x)
     return np.array([-s * xi[1] * ib + a[0], s * xi[0] * ib + a[1]])
 
@@ -474,41 +504,22 @@ def phase_decomposition(phase: EikonalPhase, x, xi) -> float:
     smooth family (alpha = 0); the singular flux part breaks the boundary
     terms the rearrangement relies on.
     """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    _check_region(phase.sign, x, xi)
+    s = phase.sign
+    x, xi = _ray_args(s, x, xi)
+    _check_region(s, x, xi)
     pot = phase.potential
     if pot.alpha != 0.0:
         raise DomainError("decomposition identity requires a smooth potential (alpha = 0)")
-    s = phase.sign
-    nxi = float(np.hypot(*xi))
+    comps = pot.bumps + pot.grad_l.components
+    origin = np.zeros(2)
 
-    rad = pot.envelope_radius()
-    cut = (float(np.hypot(*x)) + rad) / nxi + 0.1
-    tx, tw = _leggauss(128)
-    tau = 0.5 * tx + 0.5
-    tauw = 0.5 * tw
-
-    def b_slice(t):
-        # int_0^1 B(tau*x + s*t*xi) dtau for each t
-        pts = tau[:, None, None] * x[None, None, :] + s * t[None, :, None] * xi[None, None, :]
-        bb = pot.b_field(pts.reshape(-1, 2)).reshape(tau.size, t.size)
-        return tauw @ bb
+    def b_segments(y):
+        # int_0^1 B(y + tau*x) dtau for each outer point y = s*t*xi
+        return _segment_integrals(pot.b_field, pot.bumps, y, x, 0.0, 1.0)
 
     cross = float(x[0] * xi[1] - x[1] * xi[0])
-    term1 = -s * cross * _gl(b_slice, 0.0, cut, phase.nodes)
-
-    def radial(tauv):
-        pts = tauv[:, None] * x[None, :]
-        return (pot.aprime(pts) * x[None, :]).sum(axis=1)
-
-    term2 = _gl(radial, 0.0, 1.0, 256)
-
-    cut0 = (rad + 0.1) / nxi
-
-    def axis(t):
-        pts = s * t[:, None] * xi[None, :]
-        return pot.aprime(pts) @ xi
-
-    term3 = -s * _gl(axis, 0.0, cut0, phase.nodes)
-    return term1 + term2 + term3
+    term1 = -s * cross * _segment_integrals(b_segments, pot.bumps, origin, s * xi, lo=0.0,
+                                            spread=float(np.hypot(*x)))[0]
+    term2 = _segment_integrals(pot.aprime, comps, origin, x, 0.0, 1.0)[0]
+    term3 = -_segment_integrals(pot.aprime, comps, origin, s * xi, lo=0.0)[0]
+    return float(term1 + term2 + term3)

@@ -11,12 +11,13 @@ values exp(+i*pi*alpha) on angular modes m >= alpha and exp(-i*pi*alpha) on
 m < alpha.  The delta coefficient is always kept as exact data; only the
 principal-value (regular) part is ever discretized.
 
-Principal values are handled by symmetric pairing: quadrature nodes come in
-+/- pairs around the singularity, whose pair-sums are smooth periodic
-functions, so the trapezoid/midpoint sums converge spectrally.  On uniform
-grids the excluded diagonal node is restored as half the pair limit extrapolated
-from the two nearest pairs (dropping it would cost O(h)), folded into the
-weights: 5h/3 at diagonal offsets +-1, 5h/6 at +-2, h elsewhere (_pv_rows).
+Principal values have one quadrature, on the kernel's own uniform grid:
+nodes come in +/- pairs around the singularity, whose pair-sums are smooth
+periodic functions, so the trapezoid sums converge spectrally.  The excluded
+diagonal node is restored as half the pair limit extrapolated from the two
+nearest pairs (dropping it would cost O(h)), folded into the weights: 5h/3 at
+diagonal offsets +-1, 5h/6 at +-2, h elsewhere (_pv_rows).  Composition and
+mode extraction both use these weights.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "KernelGrid",
     "StripDomain",
     "build_partial_wave",
-    "apply_kernel_to_mode",
     "sample_kernel",
     "strip_integral",
     "compose_with_amplitude",
@@ -45,6 +45,10 @@ __all__ = [
     "save_kernel_csv",
     "load_kernel_csv",
 ]
+
+
+# Trapezoid nodes across the strip width eps < tau < 2*eps.
+_TAU_NODES = 64
 
 
 def ceil_index(alpha: float) -> int:
@@ -153,22 +157,7 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
                       alpha_hint=float(alpha))
 
 
-def apply_kernel_to_mode(alpha: float, m: int, n_quad: int = 2048) -> complex:
-    """Quadrature of the kernel against exp(i*m*theta') at theta = 0.
-
-    The principal value uses midpoint nodes symmetric about the singularity;
-    the delta part contributes cos(pi*alpha) analytically.  Matches the exact
-    eigenvalue to quadrature accuracy (well under 1e-6 at n_quad = 2048).
-    """
-    if n_quad < 512 or n_quad % 2 != 0:
-        raise DomainError("n_quad must be even and >= 512")
-    h = 2.0 * math.pi / n_quad
-    nodes = -math.pi + (np.arange(n_quad) + 0.5) * h
-    integrand = kernel_regular(alpha, -nodes) * np.exp(1j * m * nodes)
-    return complex(math.cos(math.pi * alpha) + h * np.sum(integrand))
-
-
-def strip_integral(grid: KernelGrid, strip: StripDomain, tau_nodes: int = 64) -> complex:
+def strip_integral(grid: KernelGrid, strip: StripDomain) -> complex:
     """Integral of the regular kernel part over the strip domain.
 
     Rows supply theta; values along theta' = theta - tau are linearly
@@ -176,11 +165,10 @@ def strip_integral(grid: KernelGrid, strip: StripDomain, tau_nodes: int = 64) ->
     (eps >= 4 * spacing).  For the flux-alpha kernel, -Re of the result
     tends to (b - a) * sin(pi*alpha) * log(2) / pi as eps -> 0.
     """
-    return _strip_integral(grid, strip, tau_nodes)
+    return _strip_integral(grid, strip)
 
 
-def _strip_integral(grid: KernelGrid, strip: StripDomain, tau_nodes: int = 64,
-                    winding: int = 0) -> complex:
+def _strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> complex:
     """strip_integral of the kernel (winding 0) or of its change under the gauge
     conjugation by a nonzero winding, conjugate_kernel(grid, winding).values
     - grid.values, formed with conjugate_kernel's arithmetic on the gathered
@@ -201,8 +189,8 @@ def _strip_integral(grid: KernelGrid, strip: StripDomain, tau_nodes: int = 64,
     if rows.size == 0:
         return 0.0 + 0.0j
 
-    tau = np.linspace(strip.eps, 2.0 * strip.eps, tau_nodes)
-    w_tau = np.full(tau_nodes, tau[1] - tau[0])
+    tau = np.linspace(strip.eps, 2.0 * strip.eps, _TAU_NODES)
+    w_tau = np.full(_TAU_NODES, tau[1] - tau[0])
     w_tau[0] *= 0.5
     w_tau[-1] *= 0.5
 

@@ -9,10 +9,11 @@ exp(i * integral) only sees the flux mod 2: equality of the phase data pins
 down flux differences to even integers, which flux_parity_test certifies
 from the raw integrals.
 
-All line integrals, single lines and whole sinograms alike, go through one
-batched Gauss-Legendre rule over the window |s| <= R + 1, where R is the
-Gaussian-envelope reach of the potential from the origin; the flux part is
-added in closed form.
+All line integrals, single lines and whole sinograms alike, go through the
+one Gauss-Legendre segment rule of gaugefield (the rule the eikonal phases
+use): each line is clipped to the disk |x| <= R + 1, where R is the
+Gaussian-envelope reach of the potential from the origin, and the flux part
+is added in closed form.
 
 Reconstruction is standard FBP: ramp filter with Hann apodization in the
 offset variable (FFT, zero-padded 2x), then back-projection with linear
@@ -33,7 +34,7 @@ from .errors import (
     SchemaError,
     UndersampledSinogramWarning,
 )
-from .gaugefield import VectorPotential, _envelope_reach, _leggauss
+from .gaugefield import VectorPotential, _segment_integrals
 from .io import grid_columns, read_table, write_table
 
 __all__ = [
@@ -50,10 +51,6 @@ __all__ = [
     "save_sinogram_csv",
     "load_sinogram_csv",
 ]
-
-# Gauss-Legendre nodes per narrowest width across the integration window.
-_NODES_PER_WIDTH = 6.0
-
 
 @dataclass(frozen=True)
 class LineSpec:
@@ -97,37 +94,25 @@ def _line_integrals(pot: VectorPotential, offsets: np.ndarray, angles: np.ndarra
                     quantity: str) -> np.ndarray:
     """Full-line integrals of V or A . omega on the (offsets x angles) grid.
 
-    Line (p, phi) is p*(-sin phi, cos phi) + s*(cos phi, sin phi).  Every
-    Gaussian component is negligible beyond the reach R from the origin, and
-    any line meets the disk |x| <= R only where |s| <= R, so one
-    Gauss-Legendre rule on s in [-R-1, R+1] serves every line of the grid.
-    Central nodes of an n-point rule on [-H, H] sit about pi*H/n apart, which
-    integrates a Gaussian of width w to about exp(-2*(n*w/H)**2); the rule
-    takes n = _NODES_PER_WIDTH * H / w for the narrowest width.  The flux part
-    of A . omega adds -alpha*pi*sgn(p) in closed form, so lines through the
-    origin are rejected.
+    Line (p, phi) is p*(-sin phi, cos phi) + s*(cos phi, sin phi); the
+    smooth parts go through gaugefield's segment rule, one angle's offsets
+    per batch.  The flux part of A . omega adds -alpha*pi*sgn(p) in closed
+    form, so lines through the origin are rejected.
     """
     if not (np.all(np.isfinite(offsets)) and np.all(np.isfinite(angles))):
         raise DomainError("line offsets and angles must be finite")
     if quantity == "V":
-        comps = pot.v.components
+        field, comps = pot.v, pot.v.components
         values = np.zeros((offsets.size, angles.size))
     else:
         if np.any(np.abs(offsets) < 1e-12):
             raise DomainError("line passes through the origin (flux part singular)")
-        comps = pot.bumps + pot.grad_l.components
+        field, comps = pot.aprime, pot.bumps + pot.grad_l.components
         values = np.repeat(-pot.alpha * math.pi * np.sign(offsets)[:, None], angles.size, axis=1)
-    if not comps:
-        return values
-    half = _envelope_reach(comps) + 1.0
-    gx, gw = _leggauss(math.ceil(_NODES_PER_WIDTH * half / min(c.width for c in comps)))
-    s_nodes, s_weights = half * gx, half * gw
     for j, phi in enumerate(angles):
-        omega = np.array([math.cos(phi), math.sin(phi)])
         normal = np.array([-math.sin(phi), math.cos(phi)])
-        pts = (offsets[:, None, None] * normal + s_nodes[:, None] * omega).reshape(-1, 2)
-        f = pot.v(pts) if quantity == "V" else pot.aprime(pts) @ omega
-        values[:, j] += f.reshape(offsets.size, s_nodes.size) @ s_weights
+        omega = np.array([math.cos(phi), math.sin(phi)])
+        values[:, j] += _segment_integrals(field, comps, offsets[:, None] * normal, omega)
     return values
 
 

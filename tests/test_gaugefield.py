@@ -91,6 +91,16 @@ class TestWinding:
         g = GaugeElement(winding=600)
         assert winding_number(g, 3.0, samples=1024) == 600
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_radius(self, radius):
+        with pytest.raises(DomainError, match="radius"):
+            winding_number(GaugeElement(winding=1), radius)
+
+    @pytest.mark.parametrize("samples, doublings", [(0, 8), (-4, 8), (64, -1)])
+    def test_bad_sampling_plan(self, samples, doublings):
+        with pytest.raises(DomainError, match="samples"):
+            winding_number(GaugeElement(winding=1), 2.0, samples=samples, max_doublings=doublings)
+
     def test_refinement_cap(self):
         # 5290 = 512*10 + 170 keeps frac(W/n) in [1/4, 3/4] for n = 64..512,
         # so every sampling through three doublings sees jumps >= pi/2
@@ -233,6 +243,36 @@ class TestEikonal:
     def test_ray_field_integral_zero_without_bumps(self):
         pot = VectorPotential(alpha=0.9)
         assert ray_field_integral(pot, (1.0, 0.0), (0.0, 1.0), 1) == 0.0
+
+    BAD_RAYS = [
+        ((math.nan, 1.0), (0.5, 1.0), "x must be a finite 2-vector"),
+        ((1.0, math.inf), (0.5, 1.0), "x must be a finite 2-vector"),
+        ((1.0, 0.2, 0.0), (0.5, 1.0), "x must be a finite 2-vector"),
+        ("ab", (0.5, 1.0), "x must be a finite 2-vector"),
+        ((1.0, 0.2), (math.nan, 1.0), "xi must be a finite 2-vector"),
+        ((1.0, 0.2), (-math.inf, 1.0), "xi must be a finite 2-vector"),
+        ((1.0, 0.2), (0.5,), "xi must be a finite 2-vector"),
+        ((1.0, 0.2), (0.0, 0.0), "xi must be nonzero"),
+    ]
+
+    @pytest.mark.parametrize("x, xi, match", BAD_RAYS)
+    @pytest.mark.parametrize("fn", [eikonal_phase, phase_gradient, phase_gradient_check,
+                                    gradient_formula, phase_decomposition])
+    def test_bad_ray_arguments(self, fn, x, xi, match, smooth_potential):
+        with pytest.raises(DomainError, match=match):
+            fn(EikonalPhase(sign=1, potential=smooth_potential), x, xi)
+
+    @pytest.mark.parametrize("x, xi, match", BAD_RAYS)
+    def test_bad_ray_field_arguments(self, x, xi, match, generic_potential):
+        with pytest.raises(DomainError, match=match):
+            ray_field_integral(generic_potential, x, xi, 1)
+
+    @pytest.mark.parametrize("sign", [0, 2, -1.5, None])
+    def test_bad_sign(self, sign, generic_potential):
+        with pytest.raises(DomainError, match="sign"):
+            ray_field_integral(generic_potential, (1.0, 0.2), (0.5, 1.0), sign)
+        with pytest.raises(DomainError, match="sign"):
+            EikonalPhase(sign=sign, potential=generic_potential)
 
 
 def test_potential_json_round_trip(tmp_path, generic_potential):

@@ -7,12 +7,12 @@ from abscatter.errors import DomainError, ResolutionError
 from abscatter.smatrix import (
     KernelGrid,
     StripDomain,
-    apply_kernel_to_mode,
     build_partial_wave,
     ceil_index,
     compose_with_amplitude,
     conjugate_kernel,
     extract_mode,
+    _mode_values,
     load_kernel_csv,
     sample_kernel,
     save_kernel_csv,
@@ -58,30 +58,26 @@ class TestPartialWave:
 
 class TestModeQuadrature:
     def test_matches_exact_value(self):
-        v = apply_kernel_to_mode(0.5, 2, 2048)
+        v = extract_mode(sample_kernel(0.5, 1024), 2)
         assert abs(v - 1j) <= 1e-6
 
     def test_integer_flux(self):
-        assert abs(apply_kernel_to_mode(1.0, 0) - (-1.0)) <= 1e-12
+        assert abs(extract_mode(sample_kernel(1.0, 1024), 0) - (-1.0)) <= 1e-12
 
     def test_negative_mode(self):
-        v = apply_kernel_to_mode(0.25, -3, 2048)
+        v = extract_mode(sample_kernel(0.25, 1024), -3)
         assert abs(v - np.exp(-1j * math.pi / 4)) <= 1e-6
 
     def test_sweep_against_spectrum(self):
+        modes = np.arange(-8, 9)
         for k in range(1, 20):
             alpha = 0.1 * k
             if abs(alpha - 1.0) < 1e-12:
                 continue
             s = build_partial_wave(alpha, 8)
-            for m in range(-8, 9):
-                assert abs(apply_kernel_to_mode(alpha, m) - s.eigenvalue(m)) <= 1e-6
-
-    def test_quadrature_preconditions(self):
-        with pytest.raises(DomainError):
-            apply_kernel_to_mode(0.5, 0, 511)
-        with pytest.raises(DomainError):
-            apply_kernel_to_mode(0.5, 0, 514 + 1)
+            vals = _mode_values(sample_kernel(alpha, 1024), modes)
+            for m, v in zip(modes, vals):
+                assert abs(v - s.eigenvalue(m)) <= 1e-6
 
 
 class TestKernelGrid:
@@ -189,7 +185,7 @@ class TestCompose:
         # -2*pi*i * (kernel action on the first mode)
         g = sample_kernel(0.5, 512)
         out = compose_with_amplitude(g, lambda t, w: np.exp(1j * t))
-        target = -2j * math.pi * apply_kernel_to_mode(0.5, 1, 2048)
+        target = -2j * math.pi * build_partial_wave(0.5, 1).eigenvalue(1)
         diff = out.values[0, 1:] - g.values[0, 1:]
         assert np.max(np.abs(diff - target)) <= 1e-6
 
