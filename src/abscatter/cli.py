@@ -228,6 +228,9 @@ def main(argv=None) -> int:
     except (AbScatterError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"abscatter: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"abscatter: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 3
     return 0
 
 

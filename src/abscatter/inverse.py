@@ -138,6 +138,16 @@ def recover_flux_from_strip(grid: KernelGrid, strips) -> FluxEstimate:
     singular and TooSingularError is raised.  Only |sin| and its sign are
     recovered: alpha stays None (frac vs 1-frac needs mode phases).
     """
+    return _strip_estimate(grid, strips, winding=0)
+
+
+def _strip_estimate(grid: KernelGrid, strips, winding: int) -> FluxEstimate:
+    """recover_flux_from_strip read in the gauge conjugated by winding.
+
+    The strips of conjugate_kernel(grid, winding), formed on the gathered
+    stencil entries, estimate sin(pi*(alpha + winding)); the estimate is
+    multiplied by (-1)^winding.  Winding 0 is recover_flux_from_strip itself.
+    """
     strips = list(strips)
     if len(strips) < 2:
         raise DomainError("need at least two strip domains")
@@ -151,7 +161,10 @@ def recover_flux_from_strip(grid: KernelGrid, strips) -> FluxEstimate:
         raise DomainError("strip widths must decrease")
 
     norm = (b - a) * math.log(2.0) / math.pi
-    ests = np.array([-strip_integral(grid, st).real / norm for st in strips])
+    values = [strip_integral(grid, st) for st in strips]
+    if winding:
+        values = [v + _strip_integral(grid, st, winding=winding) for v, st in zip(values, strips)]
+    ests = np.array([-v.real / norm for v in values]) * (-1.0) ** winding
 
     # linear-in-eps model: s(eps) ~ s* + C*eps
     eps = np.array(eps)
@@ -225,10 +238,11 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool, strips=None,
 
     The convexity of the obstacle is a data-level hypothesis the kernel
     cannot certify; the caller must assert it.  Modes give ceil(alpha) and
-    the exact phase; strips give an independent sin(pi*alpha) estimate; the
-    witness confirms the near-diagonal singularity survives multiplication
-    by e^{i 2m (theta-theta')} - 1, the mechanism that forces equal fluxes
-    for equal kernels.
+    the exact phase; strips, read in the gauge that brings ceil(alpha) to 1,
+    give an independent sin(pi*alpha) estimate; the witness confirms the
+    near-diagonal singularity survives multiplication by
+    e^{i 2m (theta-theta')} - 1, the mechanism that forces equal fluxes for
+    equal kernels.
     """
     if not obstacle_convex:
         raise DomainError(
@@ -242,7 +256,9 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool, strips=None,
             strips.append(StripDomain(0.0, math.pi, base / 4.0))
 
     modes = recover_flux_from_modes(grid, m_max=m_max)
-    strip_est = recover_flux_from_strip(grid, strips)
+    # the strip bias grows with ceil(alpha): read the strips in the gauge of
+    # flux alpha + 1 - ceil(alpha), which lies in (0, 1]
+    strip_est = _strip_estimate(grid, strips, winding=1 - modes.ceil_alpha)
     witness = _multiplied_kernel_witness(grid, strips)
     residual = max(modes.residual,
                    abs(math.sin(math.pi * modes.alpha) - strip_est.sin_pi_alpha))

@@ -145,11 +145,16 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
         raise DomainError("grid size must be >= 64")
     if not math.isfinite(alpha):
         raise DomainError(f"flux must be finite, got {alpha}")
+    # the grid first, so a size that cannot be held fails before any other work
+    try:
+        values = np.empty((n, n), dtype=complex)
+    except (MemoryError, ValueError):   # ValueError: n * n overflows the index type
+        raise DomainError(f"a {n} x {n} kernel grid needs {16 * n * n / 2**30:.3g} GiB, "
+                          f"more than can be allocated") from None
     tau = 2.0 * math.pi * np.arange(n) / n
     rvals = np.empty(n, dtype=complex)
     rvals[0] = 0.0
     rvals[1:] = kernel_regular(alpha, tau[1:])
-    values = np.empty((n, n), dtype=complex)
     cols = np.arange(n)
     for j in range(n):
         values[j] = rvals[(j - cols) % n]

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from abscatter import smatrix
 from abscatter.cli import main
 from abscatter.gaugefield import (
     GaussianScalar,
@@ -218,3 +220,23 @@ def test_bad_kernel_and_wave_inputs_write_nothing(tmp_path, argv, code):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == code
     assert not out.exists()
+
+
+def test_kernel_grid_too_large_exits_three_at_once(tmp_path, capsys):
+    # 16 * n^2 bytes is about 1.5e8 GiB: the allocation is refused without
+    # touching memory
+    out = tmp_path / "k.csv"
+    start = time.perf_counter()
+    assert main(["kernel", "--alpha", "0.3", "--n", "100000000", "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "100000000 x 100000000" in err and "GiB" in err
+    assert not out.exists()
+
+
+def test_other_memory_errors_exit_three(tmp_path, capsys, monkeypatch):
+    def fail(grid, path):
+        raise MemoryError
+    monkeypatch.setattr(smatrix, "save_kernel_csv", fail)
+    assert main(["kernel", "--alpha", "0.3", "--n", "64", "--out", str(tmp_path / "k.csv")]) == 3
+    assert capsys.readouterr().err == "abscatter: out of memory: an allocation failed\n"

@@ -233,6 +233,23 @@ class TestPipeline:
         verdict = recover_flux(sample_kernel(-0.6, 2048), obstacle_convex=True, strips=STRIPS)
         assert abs(math.sin(math.pi * verdict.alpha) - verdict.sin_pi_alpha) <= 0.05
 
+    @pytest.mark.parametrize("alpha", [2.37, 3.8, -1.3])
+    def test_strips_read_in_the_gauge_of_the_modes(self, alpha):
+        # conjugated by 1 - ceil(alpha), the strips see a flux in (0, 1]:
+        # 6.7e-3, 9.0e-3 and 1.6e-3 off when read in the original gauge
+        verdict = recover_flux(sample_kernel(alpha, 1024), obstacle_convex=True)
+        assert abs(verdict.sin_pi_alpha - math.sin(math.pi * alpha)) <= 1e-3
+
+    def test_strip_reading_is_the_same_in_every_gauge(self):
+        grid = sample_kernel(0.3, 1024)
+        base = recover_flux(grid, obstacle_convex=True, strips=STRIPS)
+        # ceil(alpha) = 1 already: the strips are recover_flux_from_strip's, bit for bit
+        assert base.sin_pi_alpha == recover_flux_from_strip(grid, STRIPS).sin_pi_alpha
+        for w in (-2, -1, 1, 3):
+            shifted = recover_flux(conjugate_kernel(grid, w), obstacle_convex=True, strips=STRIPS)
+            # flux alpha + w: sin(pi*(alpha + w)) = (-1)^w sin(pi*alpha)
+            assert abs(shifted.sin_pi_alpha - (-1) ** w * base.sin_pi_alpha) <= 1e-12
+
     def test_verdict_json_fields(self):
         verdict = recover_flux(sample_kernel(0.5, 1024), obstacle_convex=True)
         import json

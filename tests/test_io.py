@@ -231,7 +231,7 @@ def test_dead_worker_fails_the_read(tmp_path, cpus, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [2], indirect=True)
 def test_failing_split_write_leaves_no_workers(tmp_path, cpus, monkeypatch):
-    def fail(cols, fmt, start):
+    def fail(cols, start):
         raise SchemaError(f"block at row {start}")
     monkeypatch.setattr(artifact_io, "_format_block", fail)
     with pytest.raises(SchemaError, match="block at row 0"):
@@ -303,6 +303,77 @@ def test_damaged_split_sinogram_csv_is_rejected(split_paths, tmp_path, damage, c
         load_sinogram_csv(bad)
     if damage == "non_numeric_in_last_part":
         assert f"line {line + 1}: '" in str(err.value)
+
+
+# ----------------------------------------------- one format per distinct value
+
+def per_element(columns) -> str:
+    """Data rows as a per-element writer formats them: integer columns with str,
+    all others as float64 with repr."""
+    cols = [c.tolist() if c.dtype.kind in "iu" else c.astype(np.float64).tolist()
+            for c in columns]
+    return "".join(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+
+
+def data_text(path, row_header):
+    return path.read_text().split(row_header + "\n", 1)[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4], indirect=True)
+def test_circulant_kernel_matches_per_element_writer(tmp_path, cpus):
+    count, forks = cpus
+    grid = sample_kernel(0.37, 450)     # 202,500 rows: four write blocks
+    assert np.unique(grid.values).size <= 450
+    save_kernel_csv(grid, tmp_path / "k.csv")
+    rows = "".join(f"{j},{k},{v.real!r},{v.imag!r}\n"
+                   for j, row in enumerate(grid.values.tolist()) for k, v in enumerate(row))
+    assert data_text(tmp_path / "k.csv", "j,k,re,im") == rows
+    assert len(forks) == (0 if count == 1 else count)
+
+
+SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308,
+           *np.array([0x7FF8000000000001, 0xFFF0000000000ABC], dtype=np.uint64)
+           .view(np.float64).tolist()]     # NaNs with payloads
+
+
+def test_signed_zeros_nan_inf_and_subnormals_in_one_block(tmp_path):
+    re = np.array(SPECIAL * 3)
+    im = np.roll(re, 5)
+    path = tmp_path / "t.csv"
+    artifact_io.write_table(path, "re,im", [re, im])
+    text = data_text(path, "re,im")
+    assert text == "".join(f"{a!r},{b!r}\n" for a, b in zip(re.tolist(), im.tolist()))
+    assert text.startswith("0.0,5e-324\n-0.0,-5e-324\nnan,1e+308\n")
+
+
+def test_integer_and_narrow_columns(tmp_path):
+    m = 12
+    columns = [np.arange(m, dtype=np.int32) % 5 - 2,        # int32: keyed by value
+               np.full(m, 2**64 - 1, dtype=np.uint64) - np.arange(m, dtype=np.uint64) % 3,
+               np.array([0.1, -0.0, 2.5] * 4, dtype=np.float32),
+               np.arange(m) % 2 == 0]
+    artifact_io.write_table(tmp_path / "t.csv", "a,b,c,d", columns)
+    text = data_text(tmp_path / "t.csv", "a,b,c,d")
+    assert text == per_element(columns)
+    assert text.splitlines()[:2] == ["-2,18446744073709551615,0.10000000149011612,1.0",
+                                     "-1,18446744073709551614,-0.0,0.0"]
+
+
+@st.composite
+def columns_with_repeats(draw):
+    """float64 columns whose rows repeat the special values and a few drawn floats."""
+    pool = [*SPECIAL, *draw(st.lists(st.floats(), max_size=6))]
+    rows = draw(st.integers(1, 50))
+    index = draw(arrays(np.intp, (rows, 3), elements=st.integers(0, len(pool) - 1)))
+    return list(np.array(pool)[index].T)
+
+
+@PROPERTY
+@given(columns_with_repeats())
+def test_columns_with_repeats_match_per_element_writer(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    artifact_io.write_table(path, "a,b,c", columns)
+    assert data_text(path, "a,b,c") == per_element(columns)
 
 
 # ------------------------------------------------------- round-trip properties

@@ -127,6 +127,13 @@ class TestKernelGrid:
         with pytest.raises(DomainError):
             sample_kernel(0.5, 32)
 
+    @pytest.mark.parametrize("n", [10**8, 10**10])
+    def test_grid_too_large_to_hold(self, n):
+        # 1.5e8 GiB, or more than the index type counts: the grid allocation
+        # fails at once, before any per-angle array is built
+        with pytest.raises(DomainError, match=rf"{n} x {n} kernel grid needs .* GiB"):
+            sample_kernel(0.3, n)
+
 
 class TestStripIntegral:
     def test_zero_flux_vanishes(self):
