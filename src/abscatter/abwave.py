@@ -17,7 +17,10 @@ keeps the tail below 1e-13 (measured for z <= 600).
 
 Each of the two Bessel ladders (orders l - alpha for l >= ceil(alpha), alpha - l
 below) is summed by Horner's rule in i^s * exp(+-i*gamma), highest order
-first, so the sum needs no (modes x points) phase matrix.
+first, so the sum needs no (modes x points) phase matrix.  Points are summed
+in consecutive batches of _CHUNK_POINTS, each over the full mode window, so
+the ladders hold (modes x _CHUNK_POINTS) values and memory does not grow with
+the number of points.
 """
 
 from __future__ import annotations
@@ -48,12 +51,15 @@ __all__ = [
 # direction; |xhat + sign*omega| must exceed this.
 DECAY_CONE_WIDTH = 0.5
 
+# Points per batch of the mode sum; bounds the Bessel ladders' memory.
+_CHUNK_POINTS = 8192
+
 
 def _unit(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (2,):
         raise DomainError(f"{name} must be a 2-vector")
-    if abs(float(v @ v) - 1.0) > 1e-12:
+    if not abs(float(v @ v) - 1.0) <= 1e-12:   # NaN fails too
         raise DomainError(f"{name} must be a unit vector, |{name}|^2 = {float(v @ v)!r}")
     return v
 
@@ -117,7 +123,16 @@ def _azimuth_grid(points: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def _window_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> np.ndarray:
-    """Series restricted to modes l in [l_min, l_max], vectorized over points."""
+    """Series restricted to modes l in [l_min, l_max], in batches of _CHUNK_POINTS points."""
+    psi = np.empty(points.shape[0], dtype=complex)
+    for start in range(0, points.shape[0], _CHUNK_POINTS):
+        batch = slice(start, start + _CHUNK_POINTS)
+        psi[batch] = _batch_sum(spec, points[batch], l_min, l_max)
+    return psi
+
+
+def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> np.ndarray:
+    """_window_sum on one batch of points."""
     omega_eff = spec.sign * np.asarray(spec.omega, dtype=float)
     gam = _azimuth_grid(points, omega_eff)
     z = math.sqrt(spec.lam) * np.hypot(points[:, 0], points[:, 1])
@@ -135,6 +150,7 @@ def _window_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) ->
         for row in bessel_j_ladder(mu, count, z)[::-1]:
             acc *= w
             acc += row
+        del row   # a view that would keep this ladder alive while the next is built
         acc *= np.exp(1j * (spec.sign * mu * (math.pi / 2.0) + first * gam))
         psi += acc
     return psi

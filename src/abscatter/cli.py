@@ -50,6 +50,10 @@ def _floats(text: str) -> list[float]:
 def _cmd_wave(args) -> None:
     if args.grid < 2:
         raise SchemaError(f"--grid must be >= 2, got {args.grid}")
+    if not math.isfinite(args.omega_deg):
+        raise SchemaError(f"--omega-deg must be finite, got {args.omega_deg}")
+    if not 0.0 < args.extent < math.inf:
+        raise SchemaError(f"--extent must be finite and > 0, got {args.extent}")
     sign = 1 if args.sign == "plus" else -1
     phi = math.radians(args.omega_deg)
     omega = (math.cos(phi), math.sin(phi))

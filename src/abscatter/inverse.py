@@ -134,9 +134,14 @@ def recover_flux_from_strip(grid: KernelGrid, strips) -> FluxEstimate:
 
     strips must share (a, b) and run over decreasing eps (typically halving).
     Each strip yields -Re(integral) * pi / ((b-a)*log 2); successive linear
-    extrapolations against eps must settle, else the perturbation is too
-    singular and TooSingularError is raised.  Only |sin| and its sign are
-    recovered: alpha stays None (frac vs 1-frac needs mode phases).
+    extrapolations against eps must settle: TooSingularError is raised when
+    the last correction is larger than the one before it and than the
+    quadrature floor h/eps of the narrowest strip (h = 2*pi/n), so
+    quadrature noise alone never trips it.  A |tau|^-1 perturbation shifts
+    every estimate by the same constant, which no extrapolation in eps can
+    see: such kernels, outside the delta < 1 condition, go undetected.  Only
+    |sin| and its sign are recovered: alpha stays None (frac vs 1-frac needs
+    mode phases).
     """
     return _strip_estimate(grid, strips, winding=0)
 
@@ -171,7 +176,8 @@ def _strip_estimate(grid: KernelGrid, strips, winding: int) -> FluxEstimate:
     extr = (ests[1:] * eps[:-1] - ests[:-1] * eps[1:]) / (eps[:-1] - eps[1:])
     if extr.size >= 2:
         corrections = np.abs(np.diff(np.concatenate([ests[:1], extr])))
-        if corrections.size >= 2 and float(corrections[-1]) > float(corrections[-2]) + 1e-4:
+        floor = 2.0 * math.pi / grid.n / eps[-1]
+        if corrections[-1] > max(corrections[-2], floor):
             raise TooSingularError(
                 "extrapolation residuals are not settling; kernel perturbation "
                 "is too singular for the strip estimator"

@@ -10,7 +10,10 @@ one of two methods chosen by the argument alone:
   I_nu(2) <= I_0(2) ~ 2.3, so the alternating sum has no cancellation;
 * x > 2: a normalized backward (Miller) recurrence, seeded high above
   max(order, x) and normalized at the fractional order nu0 = mu - floor(mu)
-  with sum_j (nu0+2j) Gamma(nu0+j)/j! * J_{nu0+2j}(x) = (x/2)^nu0.
+  with sum_j (nu0+2j) Gamma(nu0+j)/j! * J_{nu0+2j}(x) = (x/2)^nu0.  The sweep
+  runs in preallocated buffers; its overflow scan runs only when a scalar
+  bound on the unnormalized values, grown by the recurrence at the smallest
+  argument, passes the rescale threshold.
 
 The scalar `bessel_j` is a one-point `bessel_j_ladder` call.
 """
@@ -59,16 +62,16 @@ def _series_ladder(mu: float, count: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _miller_ladder(mu: float, count: int, x: np.ndarray) -> np.ndarray:
-    """J_{mu+k}(x) for k = 0..count-1 by normalized backward recurrence.
+def _miller_ladder(mu: float, skip: int, count: int, x: np.ndarray) -> np.ndarray:
+    """J_{mu+k}(x) for k = skip..skip+count-1 by normalized backward recurrence.
 
     Vectorized over x (all entries must be > 0); mu must lie in [0, 1).  The
     start order sits far enough above max(order, x) that the seed's
     contamination by the dominant solution is below 1e-15.
     """
     n = x.size
-    xmax = float(np.max(x))
-    top = count - 1
+    xmin, xmax = float(np.min(x)), float(np.max(x))
+    top = skip + count - 1
     k_start = int(math.ceil(max(top, xmax) + 15.0 * xmax ** (1.0 / 3.0))) + 20
     if k_start % 2 == 1:
         k_start += 1
@@ -82,24 +85,42 @@ def _miller_ladder(mu: float, count: int, x: np.ndarray) -> np.ndarray:
     out = np.zeros((count, n))
     jp = np.zeros(n)              # unnormalized J_{mu+k+1}
     jc = np.full(n, 1e-30)        # unnormalized J_{mu+k}
+    jm = np.empty(n)
     ssum = np.zeros(n)
+    # bounds on max|jc| and max|jp|: |jm| <= (2(mu+k)/xmin)|jc| + |jp|, padded
+    # for rounding, so the scan below runs at every step where it can fire
+    bound_c, bound_p = 1e-30, 0.0
     for k in range(k_start, -1, -1):
         if k % 2 == 0:
-            ssum += wfac[k // 2] * jc
-        if k < count:
-            out[k] = jc
-        jm = ((2.0 * (mu + k)) / x) * jc - jp
-        jp = jc
-        jc = jm
-        big = np.abs(jc) > 1e250
-        if big.any():
-            f = np.where(big, 1e-250, 1.0)
-            jc *= f
-            jp *= f
-            ssum *= f
-            out[:, big] *= 1e-250
+            np.multiply(jc, wfac[k // 2], out=jm)
+            ssum += jm
+        if skip <= k <= top:
+            out[k - skip] = jc
+        c = 2.0 * (mu + k)
+        np.divide(c, x, out=jm)
+        jm *= jc
+        jm -= jp
+        jp, jc, jm = jc, jm, jp
+        bound_c, bound_p = (c / xmin * bound_c + bound_p) * (1.0 + 1e-14), bound_c
+        if bound_c > 1e250:
+            big = np.abs(jc) > 1e250
+            if big.any():
+                f = np.where(big, 1e-250, 1.0)
+                jc *= f
+                jp *= f
+                ssum *= f
+                out[:, big] *= 1e-250
+            bound_c, bound_p = float(np.max(np.abs(jc))), float(np.max(np.abs(jp)))
     out *= (0.5 * x) ** mu / ssum
     return out
+
+
+def _magnitude(k: int) -> str:
+    """k in full below 1e9, else to three digits (k may exceed the float range)."""
+    if k < 10**9:
+        return str(k)
+    d = len(str(k)) - 1
+    return f"{k / 10**d:.2f}e{d}"
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -125,12 +146,20 @@ def bessel_j_ladder(mu: float, count: int, x) -> np.ndarray:
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((xa >= 0.0) & (xa <= X_MAX)):
         raise DomainError(f"arguments must lie in [0, {X_MAX:g}]")
-    out = np.empty((count, xa.size))
     lo = xa <= _SERIES_X_MAX
-    if lo.any():
-        out[:, lo] = _series_ladder(mu, count, xa[lo])
-    hi = ~lo
-    if hi.any():
-        k0 = math.floor(mu)
-        out[:, hi] = _miller_ladder(mu - k0, k0 + count, xa[hi])[k0:]
+    try:
+        if lo.all():
+            out = _series_ladder(mu, count, xa)
+        else:
+            # series points ride along at the largest argument; their columns
+            # are then overwritten by the series
+            k0 = math.floor(mu)
+            out = _miller_ladder(mu - k0, k0, count, np.where(lo, np.max(xa), xa))
+            if lo.any():
+                out[:, lo] = _series_ladder(mu, count, xa[lo])
+    except (MemoryError, ValueError, OverflowError) as exc:
+        # ValueError/OverflowError: the shape overflows numpy's index type
+        gib = 8 * (count * xa.size + (math.floor(mu) + count) // 2) >> 30
+        raise DomainError(f"a ladder of {_magnitude(count)} orders at {xa.size} arguments "
+                          f"needs {_magnitude(gib)} GiB and cannot be allocated") from exc
     return out[:, 0] if scalar else out

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abscatter import abwave
 from abscatter.abwave import (
+    _CHUNK_POINTS,
     ABWaveSpec,
     _window_sum,
     ab_wave_window,
@@ -71,6 +73,22 @@ class TestSpec:
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
             ABWaveSpec.for_radius(0.3, 4.0, (1.0, 0.0), 1, -1.0)
+
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, r_max):
+        with pytest.raises(DomainError):
+            ABWaveSpec.for_radius(0.3, 4.0, (1.0, 0.0), 1, r_max)
+
+    @pytest.mark.parametrize("omega", [(math.nan, 0.0), (math.inf, 0.0), (0.6, math.nan)])
+    def test_non_finite_direction_rejected(self, omega):
+        with pytest.raises(DomainError, match="unit vector"):
+            ABWaveSpec(alpha=0.5, lam=1.0, omega=omega)
+
+    @pytest.mark.parametrize("alpha", [1e18, 1e300])
+    def test_window_too_large_to_allocate(self, alpha):
+        spec = ABWaveSpec.for_radius(alpha, 1.0, (1.0, 0.0), 1, 7.0)
+        with pytest.raises(DomainError, match=r"e(18|300) orders .* cannot be allocated"):
+            eval_ab_wave_grid(spec, [[3.0, 4.0], [-5.0, 1.0]])
 
 
 class TestWaveValues:
@@ -148,12 +166,14 @@ class TestWaveValues:
             assert np.max(np.abs(eval_ab_wave_grid(spec, pts) - plane)) <= 1e-13
 
     def test_mode_sum_memory_peak(self, alloc_peak):
-        # the Bessel ladders are the only (modes x points) arrays: no phase matrix
-        axis = np.linspace(-5.0, 5.0, 101)
+        # one batch's Bessel ladder is the only (modes x points) array: no
+        # phase matrix, and nothing of that size over all points
+        axis = np.linspace(-5.0, 5.0, 201)
         pts = np.stack([a.ravel() for a in np.meshgrid(axis, axis)], axis=1)
+        assert len(pts) > 4 * _CHUNK_POINTS
         spec = ABWaveSpec.for_radius(0.5, 25.0, (1.0, 0.0), 1, 5.0 * math.sqrt(2.0))
         peak = alloc_peak(lambda: eval_ab_wave_grid(spec, pts))
-        assert peak <= 2.5 * (2 * spec.truncation + 1) * len(pts) * 8
+        assert peak <= (2 * spec.truncation + 1) * _CHUNK_POINTS * 8 + 32 * len(pts)
 
 
 def dense_window_sum(spec, pts, l_min, l_max):
@@ -176,6 +196,58 @@ def test_window_sum_matches_dense_phase_matrix(alpha, sign, lam, l_min, width, s
     pts = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(40, 2))
     got = _window_sum(spec, pts, l_min, l_min + width)
     assert np.max(np.abs(got - dense_window_sum(spec, pts, l_min, l_min + width))) <= 1e-13
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 3.0), st.sampled_from([1, -1]), st.floats(0.5, 4.0),
+       st.integers(-40, 10), st.integers(0, 50), st.integers(3, 13),
+       st.integers(0, 2**32 - 1))
+def test_window_sum_across_batches(alpha, sign, lam, l_min, width, chunk, seed):
+    # 40 points in batches of at most 13: more than two batches, often a short last one
+    spec = ABWaveSpec(alpha=alpha, lam=lam, omega=(0.6, -0.8), sign=sign)
+    pts = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(40, 2))
+    l_max = l_min + width
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abwave, "_CHUNK_POINTS", chunk)
+        got = _window_sum(spec, pts, l_min, l_max)
+    single = np.array([_window_sum(spec, p[None, :], l_min, l_max)[0] for p in pts])
+    assert np.max(np.abs(got - single)) <= 1e-13
+    assert np.max(np.abs(got - dense_window_sum(spec, pts, l_min, l_max))) <= 1e-13
+
+
+def full_grid(extent, size):
+    axis = np.linspace(-extent, extent, size)
+    pts = np.stack([a.ravel() for a in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    return pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-9]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 3.0), st.integers(-2, 2), st.sampled_from([1, -1]),
+       st.floats(0.5, 9.0), st.floats(0.0, 2.0 * math.pi))
+def test_gauge_shift_on_grid(alpha, n, sign, lam, phi):
+    # psi_{alpha+n}(x) = e^{i n gamma} psi_alpha(x), gamma the angle from s*omega to x
+    omega = (math.cos(phi), math.sin(phi))
+    pts = full_grid(4.0, 41)
+    r_max = 4.0 * math.sqrt(2.0)
+    psi = eval_ab_wave_grid(ABWaveSpec.for_radius(alpha, lam, omega, sign, r_max), pts)
+    shifted = eval_ab_wave_grid(ABWaveSpec.for_radius(alpha + n, lam, omega, sign, r_max), pts)
+    gam = np.array([azimuth(x, (sign * omega[0], sign * omega[1])) for x in pts])
+    assert np.max(np.abs(shifted - np.exp(1j * n * gam) * psi)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 3.0), st.sampled_from([1, -1]), st.floats(0.5, 9.0),
+       st.floats(0.0, 2.0 * math.pi))
+def test_flux_reflection_on_grid(alpha, sign, lam, phi):
+    # alpha -> -alpha is gamma -> -gamma: reflect the points across the omega axis
+    omega = np.array([math.cos(phi), math.sin(phi)])
+    pts = full_grid(4.0, 41)
+    mirrored = 2.0 * (pts @ omega)[:, None] * omega - pts
+    r_max = 4.0 * math.sqrt(2.0) + 1e-9
+    psi = eval_ab_wave_grid(ABWaveSpec.for_radius(alpha, lam, tuple(omega), sign, r_max), pts)
+    reflected = eval_ab_wave_grid(ABWaveSpec.for_radius(-alpha, lam, tuple(omega), sign, r_max),
+                                  mirrored)
+    assert np.max(np.abs(reflected - psi)) <= 1e-12
 
 
 class TestBoundedness:

@@ -222,6 +222,28 @@ def test_bad_kernel_and_wave_inputs_write_nothing(tmp_path, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--omega-deg", "nan"), ("--omega-deg", "inf"),
+                                         ("--extent", "0"), ("--extent", "-5"),
+                                         ("--extent", "inf"), ("--extent", "nan")])
+def test_bad_wave_geometry_exits_two_naming_the_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "w.csv"
+    assert main(["wave", "--alpha", "0.5", "--grid", "11", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e18", "1e300"])
+def test_wave_ladder_too_large_exits_three_at_once(tmp_path, capsys, alpha):
+    out = tmp_path / "w.csv"
+    start = time.perf_counter()
+    assert main(["wave", "--alpha", alpha, "--grid", "11", "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "orders" in err and "GiB" in err
+    assert not out.exists()
+
+
 def test_kernel_grid_too_large_exits_three_at_once(tmp_path, capsys):
     # 16 * n^2 bytes is about 1.5e8 GiB: the allocation is refused without
     # touching memory

@@ -144,6 +144,26 @@ class TestStripRecovery:
             recover_flux_from_strip(gp, [StripDomain(0.0, math.pi, e)
                                          for e in (0.2, 0.1, 0.05, 0.025)])
 
+    @pytest.mark.parametrize("sup", [0.02, 0.05])
+    def test_smooth_perturbations_settle(self, sup):
+        # the `kernel --perturb` recipe, seeds 0-23: quadrature noise of about
+        # 1e-3 in the estimates must not read as a too-singular perturbation
+        g = sample_kernel(0.5, 1024)
+        th = g.theta
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            noise = np.zeros((g.n, g.n), dtype=complex)
+            for _ in range(3):
+                a, b = rng.integers(-3, 4, size=2)
+                c = rng.normal() + 1j * rng.normal()
+                noise += c * np.outer(np.exp(1j * a * th), np.exp(1j * b * th))
+            vals = g.values + noise * (sup / np.max(np.abs(noise)))
+            np.fill_diagonal(vals, 0.0)
+            grid = KernelGrid(n=g.n, values=vals, delta_coeff=g.delta_coeff, alpha_hint=None)
+            verdict = recover_flux(grid, obstacle_convex=True)
+            assert abs(verdict.alpha - 0.5) <= 1e-6
+            assert abs(verdict.sin_pi_alpha - 1.0) <= 5e-3
+
     def test_strip_preconditions(self):
         g = sample_kernel(0.5, 1024)
         with pytest.raises(DomainError):

@@ -129,3 +129,30 @@ def test_ladder_matches_scipy(mu, count, xs, near_twelve):
     x = np.array(xs + near_twelve)
     lad = bessel_j_ladder(mu, count, x)
     assert np.max(np.abs(lad - jv(mu + np.arange(count)[:, None], x))) <= 1e-13
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(0.0, 3.0), st.integers(150, 220),
+       st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+       st.lists(st.floats(2.0, 2.2, exclude_min=True), min_size=1, max_size=4),
+       st.lists(st.floats(20.0, 500.0), min_size=1, max_size=4))
+def test_mixed_batch_matches_per_point_calls(mu, count, small, near_two, large):
+    # arguments just above 2 at orders this high make the unnormalized
+    # recurrence pass 1e250, so the gated rescaling fires
+    jv = pytest.importorskip("scipy.special").jv
+    x = np.array([0.0, *small, *near_two, *large])
+    lad = bessel_j_ladder(mu, count, x)
+    series = x <= 2.0
+    # series columns: the series alone on the same arguments
+    assert np.array_equal(lad[:, series], bessel_j_ladder(mu, count, x[series]))
+    # recurrence columns: one point at a time, at the batch's start order
+    for i in np.flatnonzero(~series):
+        assert np.array_equal(lad[:, i], bessel_j_ladder(mu, count, [x[i], x.max()])[:, 0])
+    assert np.max(np.abs(lad - jv(mu + np.arange(count)[:, None], x))) <= 1e-13
+
+
+def test_ladder_too_large_to_allocate():
+    with pytest.raises(DomainError, match="1.00e18 orders at 1 arguments"):
+        bessel_j_ladder(0.5, 10**18, [3.0])
+    with pytest.raises(DomainError, match="cannot be allocated"):
+        bessel_j_ladder(1e300, 1, 5.0)
