@@ -138,9 +138,14 @@ def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> 
     z = math.sqrt(spec.lam) * np.hypot(points[:, 0], points[:, 1])
     ca = math.ceil(spec.alpha)
     psi = np.zeros(points.shape[0], dtype=complex)
-    # modes from `first` in direction `step` have orders step*(l - alpha) = mu + k
-    for first, last, step in ((max(l_min, ca), l_max, 1), (min(l_max, ca - 1), l_min, -1)):
-        count = step * (last - first) + 1
+    # modes from `first` in direction `step` have orders step*(l - alpha) = mu + k;
+    # the longer ladder goes first, so one too long to allocate fails before any
+    # phase first * gam is formed (it overflows once |alpha| nears the float
+    # maximum); psi, a sum of two terms, is the same in either order
+    windows = ((max(l_min, ca), l_max, 1), (min(l_max, ca - 1), l_min, -1))
+    ladders = sorted(((step * (last - first) + 1, first, step) for first, last, step in windows),
+                     reverse=True)
+    for count, first, step in ladders:
         if count < 1:
             continue
         mu = step * (first - spec.alpha)

@@ -18,6 +18,7 @@ when --perturb is set and is pinned by --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -111,12 +112,13 @@ def _cmd_strip(args) -> None:
 
 def _cmd_recover(args) -> None:
     grid = smatrix.load_kernel_csv(args.kernel)
-    eps_list = _floats(args.strips)
-    strips = [StripDomain(a=args.a, b=args.b, eps=e) for e in eps_list]
+    if args.strips is None:
+        strips = inverse.default_strips(grid.n, args.a, args.b)
+    else:
+        strips = [StripDomain(a=args.a, b=args.b, eps=e) for e in _floats(args.strips)]
     verdict = inverse.recover_flux(grid, obstacle_convex=args.convex,
                                    strips=strips, m_max=args.m_max)
-    payload = json.loads(inverse.verdict_to_json(verdict))
-    _json_out(payload, args.out)
+    _json_out(dataclasses.asdict(verdict), args.out)
 
 
 def _cmd_radon(args) -> None:
@@ -124,9 +126,7 @@ def _cmd_radon(args) -> None:
     if args.quantity == "V":
         sino = xray.radon_forward(pot, args.n_p, args.n_phi, args.p_max)
     else:
-        offsets = np.linspace(-args.p_max, args.p_max, args.n_p)
-        angles = np.arange(args.n_phi) * math.pi / args.n_phi
-        sino = xray.a_line_sinogram(pot, offsets, angles)
+        sino = xray.a_line_sinogram(pot, *xray.sinogram_axes(args.n_p, args.n_phi, args.p_max))
     xray.save_sinogram_csv(sino, args.out)
     if args.invert is not None:
         if args.quantity != "V":
@@ -188,8 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("recover", help="recover the flux from a kernel CSV")
     r.add_argument("--kernel", required=True)
-    r.add_argument("--strips", default="0.1,0.05,0.025",
-                   help="comma-separated decreasing strip widths")
+    r.add_argument("--strips", default=None,
+                   help="comma-separated decreasing strip widths (default: halving "
+                        "from max(0.1, 8h) down to 4h, h = 2*pi/n)")
     r.add_argument("--a", type=float, default=0.0)
     r.add_argument("--b", type=float, default=math.pi)
     r.add_argument("--m-max", type=int, default=8)

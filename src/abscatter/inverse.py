@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "recover_flux_from_modes",
     "recover_flux_from_strip",
     "detect_conjugation",
+    "default_strips",
     "recover_flux",
     "verdict_to_json",
 ]
@@ -238,6 +239,19 @@ def _multiplied_kernel_witness(grid: KernelGrid, strips, m: int = 1) -> bool:
     return min(scaled) > 0.05
 
 
+def default_strips(n: int, a: float, b: float) -> list[StripDomain]:
+    """Halving strip widths from max(0.1, 8h) down to no less than 4h, h = 2*pi/n.
+
+    Two strips on coarse grids, three (0.1, 0.05, 0.025) from n = 1006 on.
+    """
+    h = 2.0 * math.pi / n
+    base = max(0.1, 8.0 * h)
+    strips = [StripDomain(a, b, base), StripDomain(a, b, base / 2.0)]
+    if base / 4.0 >= 4.0 * h:
+        strips.append(StripDomain(a, b, base / 4.0))
+    return strips
+
+
 def recover_flux(grid: KernelGrid, obstacle_convex: bool, strips=None,
                  m_max: int = 8) -> FluxVerdict:
     """End-to-end flux recovery from a sampled kernel.
@@ -255,12 +269,7 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool, strips=None,
             "flux recovery from kernel data requires the convex-obstacle hypothesis"
         )
     if strips is None:
-        h = 2.0 * math.pi / grid.n
-        base = max(0.1, 8.0 * h)
-        strips = [StripDomain(0.0, math.pi, base), StripDomain(0.0, math.pi, base / 2.0)]
-        if base / 4.0 >= 4.0 * h:
-            strips.append(StripDomain(0.0, math.pi, base / 4.0))
-
+        strips = default_strips(grid.n, 0.0, math.pi)
     modes = recover_flux_from_modes(grid, m_max=m_max)
     # the strip bias grows with ceil(alpha): read the strips in the gauge of
     # flux alpha + 1 - ceil(alpha), which lies in (0, 1]
@@ -274,10 +283,4 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool, strips=None,
 
 
 def verdict_to_json(verdict: FluxVerdict) -> str:
-    return json.dumps({
-        "alpha": verdict.alpha,
-        "ceil_alpha": verdict.ceil_alpha,
-        "sin_pi_alpha": verdict.sin_pi_alpha,
-        "residual": verdict.residual,
-        "witness": verdict.witness,
-    }, indent=2) + "\n"
+    return json.dumps(asdict(verdict), indent=2) + "\n"

@@ -2,18 +2,16 @@
 
 The angular-mode series for Aharonov-Bohm waves needs J_nu for fractional
 orders nu = |l - alpha|, evaluated at arguments sqrt(lambda)*r.  Every value
-comes from one ladder J_mu, J_mu+1, ..., J_mu+count-1 per argument batch, by
-one of two methods chosen by the argument alone:
-
-* x <= 2: the ascending power series
-  sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)); every term is bounded by
-  I_nu(2) <= I_0(2) ~ 2.3, so the alternating sum has no cancellation;
-* x > 2: a normalized backward (Miller) recurrence, seeded high above
-  max(order, x) and normalized at the fractional order nu0 = mu - floor(mu)
-  with sum_j (nu0+2j) Gamma(nu0+j)/j! * J_{nu0+2j}(x) = (x/2)^nu0.  The sweep
-  runs in preallocated buffers; its overflow scan runs only when a scalar
-  bound on the unnormalized values, grown by the recurrence at the smallest
-  argument, passes the rescale threshold.
+comes from one ladder J_mu, J_mu+1, ..., J_mu+count-1 per argument batch, by one
+method: a normalized backward (Miller) recurrence, seeded high above
+max(order, x) and normalized at the fractional order nu0 = mu - floor(mu)
+with sum_j (nu0+2j) Gamma(nu0+j)/j! * J_{nu0+2j}(x) = (x/2)^nu0.  Backward
+recurrence for the minimal solution J is stable at every argument, small ones
+included.  The sweep runs in preallocated buffers; its overflow scan runs only
+when a scalar bound on the unnormalized values, grown by the recurrence at the
+smallest argument, passes the rescale threshold.  Arguments below 1e-8 (0
+included) take the leading power-series term (x/2)^nu / Gamma(nu+1), exact to
+rounding there.
 
 The scalar `bessel_j` is a one-point `bessel_j_ladder` call.
 """
@@ -31,35 +29,10 @@ __all__ = ["bessel_j", "bessel_j_ladder"]
 # Largest argument accepted; accuracy is declared for x <= 500.
 X_MAX = 1.0e4
 
-# The ascending series serves x <= _SERIES_X_MAX, the Miller recurrence the rest.
-_SERIES_X_MAX = 2.0
-
-
-def _series_ladder(mu: float, count: int, x: np.ndarray) -> np.ndarray:
-    """J_{mu+k}(x) for k = 0..count-1, per-order ascending series.
-
-    Vectorized over the argument array; intended for x <= _SERIES_X_MAX.
-    """
-    out = np.zeros((count, x.size))
-    half = 0.5 * x
-    q = half * half
-    zero = x == 0.0
-    logh = np.where(zero, -1.0, np.log(np.where(zero, 1.0, half)))
-    for k in range(count):
-        nu = mu + k
-        t = np.exp(nu * logh - math.lgamma(nu + 1.0))
-        if zero.any():
-            t = np.where(zero, 1.0 if nu == 0.0 else 0.0, t)
-        s = t.copy()
-        j = 0
-        while j < 400:
-            j += 1
-            t = -t * q / (j * (nu + j))
-            s += t
-            if j * (nu + j) > np.max(q) and np.max(np.abs(t)) < 1e-20:
-                break
-        out[k] = s
-    return out
+# Below this argument the recurrence's per-step growth 2(mu+k)/x could pass the
+# headroom above its rescale threshold; the leading term of the power series,
+# with relative error x^2/(4(nu+1)) <= 2.5e-17, serves these arguments instead.
+_TINY_X = 1.0e-8
 
 
 def _miller_ladder(mu: float, skip: int, count: int, x: np.ndarray) -> np.ndarray:
@@ -146,17 +119,17 @@ def bessel_j_ladder(mu: float, count: int, x) -> np.ndarray:
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((xa >= 0.0) & (xa <= X_MAX)):
         raise DomainError(f"arguments must lie in [0, {X_MAX:g}]")
-    lo = xa <= _SERIES_X_MAX
+    tiny = xa < _TINY_X
     try:
-        if lo.all():
-            out = _series_ladder(mu, count, xa)
-        else:
-            # series points ride along at the largest argument; their columns
-            # are then overwritten by the series
-            k0 = math.floor(mu)
-            out = _miller_ladder(mu - k0, k0, count, np.where(lo, np.max(xa), xa))
-            if lo.any():
-                out[:, lo] = _series_ladder(mu, count, xa[lo])
+        # tiny arguments ride along at max(x_max, 1); their columns are then
+        # overwritten by the leading term x^nu * 2^-nu / Gamma(nu + 1) (x/2
+        # would lose bits to underflow at subnormal x)
+        k0 = math.floor(mu)
+        out = _miller_ladder(mu - k0, k0, count, np.where(tiny, max(np.max(xa), 1.0), xa))
+        if tiny.any():
+            nu = mu + np.arange(count)
+            scale = np.exp2(-nu) * np.exp([-math.lgamma(v + 1.0) for v in nu])
+            out[:, tiny] = np.power(xa[tiny], nu[:, None]) * scale[:, None]
     except (MemoryError, ValueError, OverflowError) as exc:
         # ValueError/OverflowError: the shape overflows numpy's index type
         gib = 8 * (count * xa.size + (math.floor(mu) + count) // 2) >> 30

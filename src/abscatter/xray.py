@@ -47,6 +47,7 @@ __all__ = [
     "a_line_sinogram",
     "radon_invert",
     "reconstruction_axes",
+    "sinogram_axes",
     "flux_parity_test",
     "save_sinogram_csv",
     "load_sinogram_csv",
@@ -139,6 +140,11 @@ def line_integral_A(pot: VectorPotential, line: LineSpec) -> tuple[float, comple
     return raw, complex(np.exp(1j * raw))
 
 
+def sinogram_axes(n_p: int, n_phi: int, p_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical sinogram grids: n_p offsets across [-p_max, p_max], n_phi angles k*pi/n_phi."""
+    return np.linspace(-p_max, p_max, n_p), np.arange(n_phi) * math.pi / n_phi
+
+
 def radon_forward(pot: VectorPotential, n_p: int, n_phi: int, p_max: float) -> Sinogram:
     """Parallel-beam sinogram of V on uniform offsets/angles grids.
 
@@ -149,8 +155,7 @@ def radon_forward(pot: VectorPotential, n_p: int, n_phi: int, p_max: float) -> S
         raise DomainError("sinogram grid sizes must be >= 64")
     if not (math.isfinite(p_max) and p_max > 0.0):
         raise DomainError(f"p_max must be finite and positive, got {p_max}")
-    offsets = np.linspace(-p_max, p_max, n_p)
-    angles = np.arange(n_phi) * math.pi / n_phi
+    offsets, angles = sinogram_axes(n_p, n_phi, p_max)
     return Sinogram(offsets=offsets, angles=angles,
                     values=_line_integrals(pot, offsets, angles, "V"))
 
@@ -270,8 +275,8 @@ def save_sinogram_csv(sino: Sinogram, path) -> None:
     """CSV form; requires the canonical uniform grids so they reload exactly."""
     n_p, n_phi = sino.values.shape
     p_max = sino.p_max
-    if np.any(sino.offsets != np.linspace(-p_max, p_max, n_p)) \
-            or np.any(sino.angles != np.arange(n_phi) * math.pi / n_phi):
+    offsets, angles = sinogram_axes(n_p, n_phi, p_max)
+    if np.any(sino.offsets != offsets) or np.any(sino.angles != angles):
         raise SchemaError("CSV sinograms must use the canonical uniform grids")
     row_header = "i,j,re,im" if np.iscomplexobj(sino.values) else "i,j,value"
     write_table(path, row_header, grid_columns(sino.values),
@@ -282,6 +287,5 @@ def load_sinogram_csv(path) -> Sinogram:
     meta, _, values = read_table(path, ("i,j,value", "i,j,re,im"), SINOGRAM_META,
                                  dims=("n_p", "n_phi"))
     n_p, n_phi, p_max = meta.values()
-    return Sinogram(offsets=np.linspace(-p_max, p_max, n_p),
-                    angles=np.arange(n_phi) * math.pi / n_phi,
-                    values=values)
+    offsets, angles = sinogram_axes(n_p, n_phi, p_max)
+    return Sinogram(offsets=offsets, angles=angles, values=values)

@@ -11,6 +11,7 @@ from abscatter.errors import (
 )
 from abscatter.inverse import (
     _multiplied_kernel_witness,
+    default_strips,
     detect_conjugation,
     recover_flux,
     recover_flux_from_modes,
@@ -269,6 +270,14 @@ class TestPipeline:
             shifted = recover_flux(conjugate_kernel(grid, w), obstacle_convex=True, strips=STRIPS)
             # flux alpha + w: sin(pi*(alpha + w)) = (-1)^w sin(pi*alpha)
             assert abs(shifted.sin_pi_alpha - (-1) ** w * base.sin_pi_alpha) <= 1e-12
+
+    def test_default_strip_schedule(self):
+        # halving from max(0.1, 8h), never below 4 grid cells h = 2*pi/n
+        assert [st.eps for st in default_strips(1024, 0.0, math.pi)] == [0.1, 0.05, 0.025]
+        for n in (128, 256, 512, 4096):
+            strips = default_strips(n, 0.5, 2.0)
+            assert {(st.a, st.b) for st in strips} == {(0.5, 2.0)}
+            assert strips[-1].eps >= 4.0 * 2.0 * math.pi / n and len(strips) >= 2
 
     def test_verdict_json_fields(self):
         verdict = recover_flux(sample_kernel(0.5, 1024), obstacle_convex=True)

@@ -1,7 +1,8 @@
 """Property tests for the kernel operations: gauge conjugation lands on the
 shifted flux, the winding search finds it, the principal-value quadrature of
-compose_with_amplitude and extract_mode equals a dense reference, and the
-reflection alpha -> -alpha holds on the grid."""
+compose_with_amplitude and extract_mode equals a dense reference, the
+reflection alpha -> -alpha holds on the grid, and the spectrum is two-valued
+with its flip at ceil(alpha), so the modes give the flux back."""
 
 import math
 
@@ -9,10 +10,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abscatter.inverse import detect_conjugation
+from abscatter.inverse import detect_conjugation, recover_flux_from_modes
 from abscatter.smatrix import (
     KernelGrid,
     _mode_values,
+    build_partial_wave,
     compose_with_amplitude,
     conjugate_kernel,
     extract_mode,
@@ -25,6 +27,9 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # whole regular part vanishes and relative comparisons lose their meaning
 fluxes = st.floats(-3.0, 3.0).filter(lambda a: abs(a - round(a)) >= 0.05)
 sizes = st.integers(64, 256)
+# fluxes whose flip ceil(alpha) lies inside the default mode window [-8, 8],
+# 0.02 from the integers as in the acceptance round trip
+window_fluxes = st.floats(-7.9, 7.9).filter(lambda a: abs(a - round(a)) > 0.02)
 windings = st.integers(-3, 3)
 coeffs = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 # (a, b) with a + b != 0: e^{i(a theta + b theta')} is no function of theta - theta'
@@ -127,6 +132,30 @@ def test_reflection(alpha, n, m):
     assert gm.delta_coeff == ga.delta_coeff
     want = 2.0 * math.cos(math.pi * alpha) - np.conj(extract_mode(ga, m))
     assert abs(extract_mode(gm, -m) - want) <= 1e-12
+
+
+def two_valued(alpha, m_max):
+    """exp(-i pi alpha) below the flip m = ceil(alpha), exp(+i pi alpha) from it on."""
+    m = np.arange(-m_max, m_max + 1)
+    up = np.exp(1j * math.pi * alpha)
+    return np.where(m >= math.ceil(alpha), up, np.conj(up))
+
+
+@PROPERTY
+@given(window_fluxes)
+def test_spectrum_is_two_valued_with_flip_at_ceil(alpha):
+    assert np.array_equal(build_partial_wave(alpha, 8).eigenvalues, two_valued(alpha, 8))
+    # the two values lie 2|sin(pi alpha)| >= 0.12 apart, so this also places the flip
+    eig = _mode_values(sample_kernel(alpha, 1024), np.arange(-8, 9))
+    assert np.max(np.abs(eig - two_valued(alpha, 8))) <= 1e-6
+
+
+@PROPERTY
+@given(window_fluxes)
+def test_modes_round_trip_inside_window(alpha):
+    for s, tol in ((build_partial_wave(alpha, 8), 1e-9), (sample_kernel(alpha, 1024), 1e-4)):
+        est = recover_flux_from_modes(s)
+        assert abs(est.alpha - alpha) <= tol and est.ceil_alpha == math.ceil(alpha)
 
 
 def test_winding_search_ignores_the_diagonal_in_every_block():

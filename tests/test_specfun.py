@@ -142,13 +142,32 @@ def test_mixed_batch_matches_per_point_calls(mu, count, small, near_two, large):
     jv = pytest.importorskip("scipy.special").jv
     x = np.array([0.0, *small, *near_two, *large])
     lad = bessel_j_ladder(mu, count, x)
-    series = x <= 2.0
-    # series columns: the series alone on the same arguments
-    assert np.array_equal(lad[:, series], bessel_j_ladder(mu, count, x[series]))
+    tiny = x < 1e-8
+    # tiny columns: the leading term alone on the same arguments
+    assert np.array_equal(lad[:, tiny], bessel_j_ladder(mu, count, x[tiny]))
     # recurrence columns: one point at a time, at the batch's start order
-    for i in np.flatnonzero(~series):
+    for i in np.flatnonzero(~tiny):
         assert np.array_equal(lad[:, i], bessel_j_ladder(mu, count, [x[i], x.max()])[:, 0])
     assert np.max(np.abs(lad - jv(mu + np.arange(count)[:, None], x))) <= 1e-13
+
+
+# small arguments: 0, subnormals, both sides of the 1e-8 switch to the leading term
+small_args = st.one_of(st.floats(0.0, 2.0), st.floats(1e-12, 1e-5),
+                       st.sampled_from([0.0, 5e-324, 1e-310, 9.99e-9, 1e-8, 1.01e-8]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(0.0, 30.0), st.integers(1, 260), st.lists(small_args, min_size=1, max_size=8))
+def test_small_argument_ladder_matches_scipy(mu, count, xs):
+    jv = pytest.importorskip("scipy.special").jv
+    x = np.array(xs)
+    nu = mu + np.arange(count)
+    ref = jv(nu[:, None], x)
+    # below about 2e-305 jv returns 0 for every order > 0, though J_nu(5e-324)
+    # is 7.8e-11 at nu = 1/32: mpmath serves those arguments
+    for i in np.flatnonzero(x < 1e-300):
+        ref[:, i] = [float(mp.besselj(v, mp.mpf(x[i]))) for v in nu]
+    assert np.max(np.abs(bessel_j_ladder(mu, count, x) - ref)) <= 1e-13
 
 
 def test_ladder_too_large_to_allocate():
