@@ -37,7 +37,6 @@ from .specfun import bessel_j_ladder
 __all__ = [
     "ABWaveSpec",
     "azimuth",
-    "eval_ab_wave",
     "eval_ab_wave_grid",
     "ab_wave_window",
     "asymptotic_decay_check",
@@ -156,6 +155,8 @@ def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> 
             acc *= w
             acc += row
         del row   # a view that would keep this ladder alive while the next is built
+        if not math.isfinite(2.0 * math.pi * first):    # the phase first * gam, gam < 2*pi
+            raise DomainError(f"mode {float(first):.3g} is too large for a finite phase l * gamma")
         acc *= np.exp(1j * (spec.sign * mu * (math.pi / 2.0) + first * gam))
         psi += acc
     return psi
@@ -180,12 +181,6 @@ def eval_ab_wave_grid(spec: ABWaveSpec, points) -> np.ndarray:
         raise PrecisionError(f"truncation {spec.truncation} does not certify |x| = {r_top:.3f}, "
                              f"which needs {needed} modes")
     return _window_sum(spec, points, -spec.truncation, spec.truncation)
-
-
-def eval_ab_wave(spec: ABWaveSpec, x) -> complex:
-    """Wave value at a single point."""
-    pts = np.asarray(x, dtype=float).reshape(1, 2)
-    return complex(eval_ab_wave_grid(spec, pts)[0])
 
 
 @dataclass(frozen=True)

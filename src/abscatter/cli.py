@@ -29,11 +29,14 @@ from . import __version__, abwave, inverse, smatrix, xray
 from .errors import AbScatterError, SchemaError
 from .gaugefield import flux as flux_op
 from .gaugefield import load_potential_json
-from .smatrix import KernelGrid, StripDomain
+from .smatrix import StripDomain
 
 
 def _json_out(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:      # NaN or infinity: not JSON under RFC 8259
+        raise AbScatterError("the result holds NaN or infinity; nothing written") from None
     if path:
         with open(path, "w", encoding="ascii") as f:
             f.write(text)
@@ -79,20 +82,7 @@ def _cmd_kernel(args) -> None:
         raise SchemaError(f"--perturb must be finite and >= 0, got {args.perturb}")
     grid = smatrix.sample_kernel(args.alpha, args.n)
     if args.perturb > 0.0:
-        rng = np.random.default_rng(args.seed)
-        th = grid.theta
-        noise = np.zeros((args.n, args.n), dtype=complex)
-        for _ in range(3):
-            a, b = rng.integers(-3, 4, size=2)
-            c = rng.normal() + 1j * rng.normal()
-            noise += c * np.exp(1j * (a * th[:, None] + b * th[None, :]))
-        sup = float(np.max(np.abs(noise)))
-        if sup > 0.0:
-            noise *= args.perturb / sup
-        vals = grid.values + noise
-        np.fill_diagonal(vals, 0.0)
-        grid = KernelGrid(n=args.n, values=vals, delta_coeff=grid.delta_coeff,
-                          alpha_hint=None)
+        grid = smatrix.perturb_kernel(grid, args.perturb, args.seed)
     smatrix.save_kernel_csv(grid, args.out)
 
 

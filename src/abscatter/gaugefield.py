@@ -255,9 +255,6 @@ class VectorPotential:
             out += b.curl(p)
         return float(out[0]) if single else out
 
-    def v_value(self, x):
-        return self.v(x)
-
     def to_config(self) -> dict:
         return {
             "alpha": self.alpha,

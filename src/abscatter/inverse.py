@@ -31,8 +31,8 @@ from .smatrix import (
     KernelGrid,
     PartialWaveSMatrix,
     StripDomain,
+    _gauge_factors,
     _mode_values,
-    _strip_integral,
     strip_integral,
 )
 
@@ -130,7 +130,7 @@ def recover_flux_from_modes(s, m_max: int | None = None) -> FluxEstimate:
                         alpha=alpha, residual=residual)
 
 
-def recover_flux_from_strip(grid: KernelGrid, strips) -> FluxEstimate:
+def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxEstimate:
     """sin(pi*alpha) by Richardson extrapolation of normalized strip integrals.
 
     strips must share (a, b) and run over decreasing eps (typically halving).
@@ -142,17 +142,9 @@ def recover_flux_from_strip(grid: KernelGrid, strips) -> FluxEstimate:
     every estimate by the same constant, which no extrapolation in eps can
     see: such kernels, outside the delta < 1 condition, go undetected.  Only
     |sin| and its sign are recovered: alpha stays None (frac vs 1-frac needs
-    mode phases).
-    """
-    return _strip_estimate(grid, strips, winding=0)
-
-
-def _strip_estimate(grid: KernelGrid, strips, winding: int) -> FluxEstimate:
-    """recover_flux_from_strip read in the gauge conjugated by winding.
-
-    The strips of conjugate_kernel(grid, winding), formed on the gathered
-    stencil entries, estimate sin(pi*(alpha + winding)); the estimate is
-    multiplied by (-1)^winding.  Winding 0 is recover_flux_from_strip itself.
+    mode phases).  A nonzero winding reads the strips of
+    conjugate_kernel(grid, winding), which estimate sin(pi*(alpha + winding)),
+    and multiplies the estimate by (-1)^winding.
     """
     strips = list(strips)
     if len(strips) < 2:
@@ -167,9 +159,7 @@ def _strip_estimate(grid: KernelGrid, strips, winding: int) -> FluxEstimate:
         raise DomainError("strip widths must decrease")
 
     norm = (b - a) * math.log(2.0) / math.pi
-    values = [strip_integral(grid, st) for st in strips]
-    if winding:
-        values = [v + _strip_integral(grid, st, winding=winding) for v, st in zip(values, strips)]
+    values = [strip_integral(grid, st, winding) for st in strips]
     ests = np.array([-v.real / norm for v in values]) * (-1.0) ** winding
 
     # linear-in-eps model: s(eps) ~ s* + C*eps
@@ -193,21 +183,25 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
 
     Returns the minimizer over |n| <= n_range with its max-norm residual
     (delta parts compared separately); equivalent is False when even the
-    best residual exceeds 1e-3.
+    best residual exceeds 1e-3.  On N points windings n and n + N differ by
+    (-1)^N, so n_range must stay below half the period, N or 2N for odd N.
     """
     if s1.n != s2.n:
         raise DomainError("kernel grids must have equal size")
     if n_range < 0:
         raise DomainError("n_range must be >= 0")
+    period = s1.n if s1.n % 2 == 0 else 2 * s1.n
+    if 2 * n_range >= period:
+        raise DomainError(f"n_range {n_range} reaches half the winding period {period} on "
+                          f"N = {s1.n} points: need n_range < {period // 2}")
     best_n, best_res = 0, math.inf
     for n in range(-n_range, n_range + 1):
-        sign = (-1.0) ** n
-        u = np.exp(1j * n * s1.theta)
-        res = abs(s2.delta_coeff - s1.delta_coeff * sign)
+        row_f, col_f = _gauge_factors(s1.theta, n)
+        res = abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n)
         for r0 in range(0, s1.n, _BLOCK_ROWS):
             rows = slice(r0, r0 + _BLOCK_ROWS)
-            diff = s1.values[rows] * (sign * u[rows])[:, None]
-            diff *= np.conj(u)
+            diff = s1.values[rows] * row_f[rows, None]
+            diff *= col_f
             diff -= s2.values[rows]
             np.fill_diagonal(diff[:, r0:], 0.0)
             res = np.maximum(res, np.max(np.abs(diff)))
@@ -234,8 +228,8 @@ def _multiplied_kernel_witness(grid: KernelGrid, strips, m: int = 1) -> bool:
     kernel keeps its principal-value singularity (sin(pi*alpha) != 0).
     """
     # e^{i 2m(theta-theta')} * kernel is the gauge conjugation by the even winding 2m
-    scaled = [abs(_strip_integral(grid, st, winding=2 * m)) / (st.eps * (st.b - st.a))
-              for st in strips]
+    scaled = [abs(strip_integral(grid, st, 2 * m) - strip_integral(grid, st))
+              / (st.eps * (st.b - st.a)) for st in strips]
     return min(scaled) > 0.05
 
 
@@ -246,6 +240,9 @@ def default_strips(n: int, a: float, b: float) -> list[StripDomain]:
     """
     h = 2.0 * math.pi / n
     base = max(0.1, 8.0 * h)
+    if not base < math.pi / 4.0:
+        raise DomainError(f"the default strips on a {n}-point grid need widths {base:.4g} and "
+                          f"{base / 2.0:.4g} (8h, 4h), but eps < pi/4 needs n > 64")
     strips = [StripDomain(a, b, base), StripDomain(a, b, base / 2.0)]
     if base / 4.0 >= 4.0 * h:
         strips.append(StripDomain(a, b, base / 4.0))
@@ -273,7 +270,7 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool, strips=None,
     modes = recover_flux_from_modes(grid, m_max=m_max)
     # the strip bias grows with ceil(alpha): read the strips in the gauge of
     # flux alpha + 1 - ceil(alpha), which lies in (0, 1]
-    strip_est = _strip_estimate(grid, strips, winding=1 - modes.ceil_alpha)
+    strip_est = recover_flux_from_strip(grid, strips, winding=1 - modes.ceil_alpha)
     witness = _multiplied_kernel_witness(grid, strips)
     residual = max(modes.residual,
                    abs(math.sin(math.pi * modes.alpha) - strip_est.sin_pi_alpha))

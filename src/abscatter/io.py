@@ -4,7 +4,7 @@ An artifact is a '# abscatter <version>' line, an optional meta block (field
 names, then values), a row header, and one comma-separated row per entry:
 integers via str(), floats via repr(), which round-trips exactly.  Readers
 skip comment and blank lines, parse the data block with np.loadtxt, and raise
-SchemaError on anything malformed.
+SchemaError on anything malformed, NaN and infinities included.
 
 The writer formats each distinct value of a column in a block once (integers
 keyed by value, floats by bit pattern, so 0.0 and -0.0 stay apart) and
@@ -109,6 +109,10 @@ def read_table(path, row_headers: tuple[str, ...], meta: dict | None = None, dim
                 if names != ",".join(meta) or len(fields) != len(meta):
                     raise SchemaError(f"meta block is not {len(meta)} fields {','.join(meta)!r}")
                 values = {name: conv(text) for (name, conv), text in zip(meta.items(), fields)}
+                for name, v in values.items():
+                    if isinstance(v, float) and not math.isfinite(v):   # line ends at tell - 1
+                        raise SchemaError(f"line {_line_at(f, f.tell() - 1)}: meta field "
+                                          f"{name} is {v}")
             row_header = _content_line(f)
             if row_header not in row_headers:
                 raise SchemaError(f"row header {row_header!r} is not one of {row_headers}")
@@ -151,7 +155,7 @@ def _parse_range(path, columns: int, start: int, stop: int) -> np.ndarray:
             bad = _first_rejected(lines, columns)
             text = lines[bad][:80].decode("ascii", "replace")
             raise SchemaError(f"line {_line_at(f, start) + bad}: {text!r} is not {columns} "
-                              f"comma-separated numbers") from None
+                              f"comma-separated finite numbers") from None
 
 
 def _first_rejected(lines: list[bytes], columns: int) -> int:
@@ -172,14 +176,14 @@ def _first_rejected(lines: list[bytes], columns: int) -> int:
 
 
 def _line_at(f, pos: int) -> int:
-    """1-based number of the line that starts at byte pos of the open binary file f."""
+    """1-based number of the line holding byte pos of the open binary file f."""
     f.seek(0)
     return 1 + sum(f.read(min(_READ_BYTES, pos - at)).count(b"\n")
                    for at in range(0, pos, _READ_BYTES))
 
 
 def parse_block(lines, columns: int) -> np.ndarray:
-    """Float array of shape (rows, columns) from CSV rows (an iterable of lines)."""
+    """Finite float array of shape (rows, columns) from CSV rows (an iterable of lines)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # empty block: handled below
         data = np.loadtxt(lines, delimiter=",", ndmin=2, encoding="ascii")
@@ -187,6 +191,8 @@ def parse_block(lines, columns: int) -> np.ndarray:
         return np.zeros((0, columns))
     if data.shape[1] != columns:
         raise SchemaError(f"expected {columns} columns, found {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise SchemaError("NaN or infinite value")
     return data
 
 

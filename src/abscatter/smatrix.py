@@ -31,7 +31,6 @@ from .errors import DomainError, ResolutionError
 from .io import grid_columns, read_table, write_table
 
 __all__ = [
-    "ceil_index",
     "kernel_regular",
     "PartialWaveSMatrix",
     "KernelGrid",
@@ -42,6 +41,7 @@ __all__ = [
     "compose_with_amplitude",
     "extract_mode",
     "conjugate_kernel",
+    "perturb_kernel",
     "save_kernel_csv",
     "load_kernel_csv",
 ]
@@ -51,18 +51,13 @@ __all__ = [
 _TAU_NODES = 64
 
 
-def ceil_index(alpha: float) -> int:
-    """[[alpha]]: least integer >= alpha (equal to alpha when alpha is integral)."""
-    return math.ceil(alpha)
-
-
 def kernel_regular(alpha: float, tau) -> np.ndarray:
     """Regular (principal-value) part of the kernel at angle difference tau.
 
     Valid for tau not congruent to 0 mod 2*pi.
     """
     tau = np.asarray(tau, dtype=float)
-    ca = ceil_index(alpha)
+    ca = math.ceil(alpha)
     return (1j * math.sin(math.pi * alpha) / math.pi) * np.exp(1j * ca * tau) / (1.0 - np.exp(1j * tau))
 
 
@@ -162,22 +157,14 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
                       alpha_hint=float(alpha))
 
 
-def strip_integral(grid: KernelGrid, strip: StripDomain) -> complex:
-    """Integral of the regular kernel part over the strip domain.
+def strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> complex:
+    """Integral of the regular part of conjugate_kernel(grid, winding) over the strip.
 
     Rows supply theta; values along theta' = theta - tau are linearly
     interpolated on the grid, so the strip must be at least 4 cells wide
-    (eps >= 4 * spacing).  For the flux-alpha kernel, -Re of the result
-    tends to (b - a) * sin(pi*alpha) * log(2) / pi as eps -> 0.
-    """
-    return _strip_integral(grid, strip)
-
-
-def _strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> complex:
-    """strip_integral of the kernel (winding 0) or of its change under the gauge
-    conjugation by a nonzero winding, conjugate_kernel(grid, winding).values
-    - grid.values, formed with conjugate_kernel's arithmetic on the gathered
-    stencil entries only (no n x n copy).
+    (eps >= 4 * spacing).  A winding conjugates the gathered stencil entries
+    only, with conjugate_kernel's arithmetic.  For the flux-alpha kernel, -Re
+    tends to (b - a) * sin(pi*(alpha + winding)) * log(2) / pi as eps -> 0.
     """
     h = grid.spacing
     if strip.eps < 4.0 * h:
@@ -210,14 +197,14 @@ def _strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> c
     w_p1 = -(t + 1.0) * t * (t - 2.0) / 2.0
     w_p2 = (t + 1.0) * t * (t - 1.0) / 6.0
     if winding:
-        sign = (-1.0) ** winding
-        u = np.exp(1j * winding * theta)
+        row_f, col_f = _gauge_factors(theta, winding)
+        row_f = row_f[rows][:, None]
     vals = np.zeros((rows.size, tau.size), dtype=complex)
     for off, w in ((-1, w_m1), (0, w_0), (1, w_p1), (2, w_p2)):
         cols = (rows[:, None] - (i0 + off)[None, :]) % grid.n
         entries = grid.values[rows[:, None], cols]
         if winding:
-            entries = entries * (sign * u[rows])[:, None] * np.conj(u)[cols] - entries
+            entries = entries * row_f * col_f[cols]
         vals += entries * w[None, :]
     return complex(np.sum(w_theta[rows][:, None] * w_tau[None, :] * vals))
 
@@ -289,6 +276,13 @@ def extract_mode(grid: KernelGrid, m: int, row_stride: int | None = None) -> com
     return complex(_mode_values(grid, [m], row_stride)[0])
 
 
+def _gauge_factors(theta: np.ndarray, winding: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column factors (-1)^w e^{i w theta_j}, e^{-i w theta_k} of the conjugation
+    by winding w; entry (j, k) is multiplied by the row factor first."""
+    u = np.exp(1j * winding * theta)
+    return (-1.0) ** winding * u, np.conj(u)
+
+
 def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
     """Gauge conjugation by integer winding n in kernel form.
 
@@ -298,14 +292,32 @@ def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
     For the flux-alpha kernel this lands exactly on the flux-(alpha+n) kernel.
     """
     winding = int(winding)
-    sign = (-1.0) ** winding
-    u = np.exp(1j * winding * grid.theta)
-    new_vals = grid.values * (sign * u)[:, None]
-    new_vals *= np.conj(u)
+    row_f, col_f = _gauge_factors(grid.theta, winding)
+    new_vals = grid.values * row_f[:, None]
+    new_vals *= col_f
     np.fill_diagonal(new_vals, 0.0)
     hint = None if grid.alpha_hint is None else grid.alpha_hint + winding
-    return KernelGrid(n=grid.n, values=new_vals, delta_coeff=grid.delta_coeff * sign,
-                      alpha_hint=hint)
+    return KernelGrid(n=grid.n, values=new_vals,
+                      delta_coeff=grid.delta_coeff * (-1.0) ** winding, alpha_hint=hint)
+
+
+def perturb_kernel(grid: KernelGrid, size: float, seed: int) -> KernelGrid:
+    """The kernel plus three smooth terms c e^{i(a theta + b theta')} (`kernel --perturb`):
+    a, b in [-3, 3] and complex normal c from default_rng(seed), scaled together to
+    sup-norm size; the diagonal stays zero and the delta part is kept."""
+    if not 0.0 <= size < math.inf:
+        raise DomainError(f"perturbation size must be finite and >= 0, got {size}")
+    rng = np.random.default_rng(seed)
+    th = grid.theta
+    noise = np.zeros((grid.n, grid.n), dtype=complex)
+    for _ in range(3):
+        a, b = rng.integers(-3, 4, size=2)
+        c = rng.normal() + 1j * rng.normal()
+        noise += c * np.exp(1j * (a * th[:, None] + b * th[None, :]))
+    noise *= size / float(np.max(np.abs(noise)))
+    vals = grid.values + noise
+    np.fill_diagonal(vals, 0.0)
+    return KernelGrid(n=grid.n, values=vals, delta_coeff=grid.delta_coeff, alpha_hint=None)
 
 
 KERNEL_META = {"n": int, "delta_re": float, "delta_im": float,

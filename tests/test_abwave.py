@@ -13,7 +13,6 @@ from abscatter.abwave import (
     ab_wave_window,
     asymptotic_decay_check,
     azimuth,
-    eval_ab_wave,
     eval_ab_wave_grid,
     load_wave_csv,
     pde_residual,
@@ -68,7 +67,7 @@ class TestSpec:
         spec = ABWaveSpec.for_radius(0.3, 4.0, (1.0, 0.0), 1, 10.0)
         assert spec.truncation == math.ceil(2.0 * 10.0) + 40
         with pytest.raises(PrecisionError):
-            eval_ab_wave(spec, (11.0, 0.0))
+            eval_ab_wave_grid(spec, [(11.0, 0.0)])[0]
 
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
@@ -91,11 +90,20 @@ class TestSpec:
             eval_ab_wave_grid(spec, [[3.0, 4.0], [-5.0, 1.0]])
 
 
+    @pytest.mark.parametrize("alpha", [1.7e308, -1.7e308])
+    def test_window_phase_too_large(self, alpha):
+        # one short ladder next to ceil(alpha), whose phase l * gamma overflows
+        c = math.ceil(alpha)
+        spec = ABWaveSpec(alpha=alpha, lam=1.0, omega=(1.0, 0.0))
+        with pytest.raises(DomainError, match="too large for a finite phase"):
+            ab_wave_window(spec, (-0.3, 0.4), c, c + 3)
+
+
 class TestWaveValues:
     def test_plane_wave_reduction(self):
         # at zero flux the series is the Jacobi-Anger expansion of exp(i*w.x)
         spec = ABWaveSpec(alpha=0.0, lam=1.0, omega=(1.0, 0.0), sign=1, truncation=60)
-        v = eval_ab_wave(spec, (2.0, 0.0))
+        v = eval_ab_wave_grid(spec, [(2.0, 0.0)])[0]
         assert abs(v - np.exp(2.0j)) <= 1e-8
 
     def test_plane_wave_reduction_both_signs(self, rng):
@@ -108,13 +116,13 @@ class TestWaveValues:
 
     def test_vanishes_at_origin_for_fractional_flux(self):
         spec = ABWaveSpec(alpha=0.5, lam=3.0, omega=(0.0, 1.0), sign=1, truncation=50)
-        assert eval_ab_wave(spec, (0.0, 0.0)) == 0.0
+        assert eval_ab_wave_grid(spec, [(0.0, 0.0)])[0] == 0.0
 
     def test_truncation_self_consistency(self):
         s1 = ABWaveSpec(alpha=0.3, lam=1.0, omega=(1, 0), sign=1, truncation=44)
         s2 = ABWaveSpec(alpha=0.3, lam=1.0, omega=(1, 0), sign=1, truncation=176)
-        a = eval_ab_wave(s1, (3.0, 1.0))
-        b = eval_ab_wave(s2, (3.0, 1.0))
+        a = eval_ab_wave_grid(s1, [(3.0, 1.0)])[0]
+        b = eval_ab_wave_grid(s2, [(3.0, 1.0)])[0]
         assert abs(a - b) <= 1e-8
 
     def test_doubling_changes_little_inside_policy_radius(self, rng):
@@ -144,7 +152,7 @@ class TestWaveValues:
     def test_corner_of_certified_square(self):
         # z = 141 at the corner: the truncation tail must stay below 1e-12 there
         spec = ABWaveSpec.for_radius(0.0, 100.0, (1.0, 0.0), 1, 10.0 * math.sqrt(2.0))
-        assert abs(eval_ab_wave(spec, (10.0, 10.0)) - np.exp(100.0j)) <= 1e-12
+        assert abs(eval_ab_wave_grid(spec, [(10.0, 10.0)])[0] - np.exp(100.0j)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [20.5, -20.5])
     def test_tail_at_large_flux(self, alpha):

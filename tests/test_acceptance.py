@@ -30,7 +30,6 @@ from abscatter.smatrix import (
     StripDomain,
     _mode_values,
     build_partial_wave,
-    ceil_index,
     conjugate_kernel,
     sample_kernel,
     strip_integral,
@@ -108,7 +107,7 @@ def test_criterion_04_spectrum_from_quadrature():
                                for q, m in zip(eigs, range(-8, 9))))
         flip = next(m for m, q in zip(range(-8, 9), eigs)
                     if abs(q - np.exp(1j * math.pi * alpha)) < 1e-6)
-        assert flip == ceil_index(alpha)
+        assert flip == math.ceil(alpha)
     report(4, worst <= 1e-6, f"max |quadrature - exact eigenvalue| = {worst:.2e} (tol 1e-6)")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -101,6 +102,60 @@ def test_determinism_byte_identical(tmp_path):
     main(["kernel", "--alpha", "0.5", "--n", "128", "--perturb", "0.05",
           "--seed", "7", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+    # the perturbation recipe is smatrix.perturb_kernel; its bytes are pinned
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+        "a88a77ad5c1208588edd5f3220fc276542b48162757b9252260dd99b6fdbbbe7")
+    ref = smatrix.perturb_kernel(sample_kernel(0.5, 128), 0.05, 7)
+    assert np.array_equal(load_kernel_csv(a).values, ref.values)
+
+
+def test_non_finite_kernel_entries_exit_two(tmp_path, capsys):
+    k, other = tmp_path / "k.csv", tmp_path / "other.csv"
+    main(["kernel", "--alpha", "0.3", "--n", "128", "--out", str(k)])
+    main(["kernel", "--alpha", "0.3", "--n", "128", "--out", str(other)])
+    lines = k.read_text().splitlines(keepends=True)
+    lines[100] = lines[100].rsplit(",", 1)[0] + ",nan\n"
+    j, col, _, im = lines[5000].split(",")
+    lines[5000] = f"{j},{col},inf,{im}"
+    k.write_text("".join(lines))
+    for argv in (["gauge-check", "--kernel1", str(other), "--kernel2", str(k)],
+                 ["strip", "--kernel", str(k), "--eps", "0.2"],
+                 ["recover", "--kernel", str(k), "--convex"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "line 101: '" in captured.err and "finite" in captured.err
+
+
+def test_non_finite_result_exits_three_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    k, out = tmp_path / "k.csv", tmp_path / "s.json"
+    main(["kernel", "--alpha", "0.3", "--n", "128", "--out", str(k)])
+    monkeypatch.setattr(smatrix, "strip_integral", lambda grid, strip: complex(math.nan, 1.0))
+    assert main(["strip", "--kernel", str(k), "--eps", "0.2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "NaN" in captured.err
+    assert not out.exists()
+
+
+def test_winding_range_past_half_period_exits_three_at_once(tmp_path, capsys):
+    k1, k2 = tmp_path / "k1.csv", tmp_path / "k2.csv"
+    main(["kernel", "--alpha", "0.4", "--n", "128", "--out", str(k1)])
+    main(["kernel", "--alpha", "2.4", "--n", "128", "--out", str(k2)])
+    start = time.perf_counter()
+    assert main(["gauge-check", "--kernel1", str(k1), "--kernel2", str(k2),
+                 "--n-range", "100000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "N = 128" in captured.err and "n_range < 64" in captured.err
+
+
+def test_default_strips_on_a_coarse_grid_name_the_grid(tmp_path, capsys):
+    k = tmp_path / "k.csv"
+    assert main(["kernel", "--alpha", "0.4", "--n", "64", "--out", str(k)]) == 0
+    assert main(["recover", "--kernel", str(k), "--convex"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "64-point grid" in err and "0.7854" in err and "n > 64" in err
 
 
 def test_exit_code_numeric_domain_error(tmp_path):

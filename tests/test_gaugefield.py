@@ -121,7 +121,7 @@ class TestGaugeTransform:
         assert out.alpha == generic_potential.alpha + 2
         x = np.array([0.4, 2.0])
         assert np.array_equal(out.aprime(x), generic_potential.aprime(x))
-        assert out.v_value(x) == generic_potential.v_value(x)
+        assert out.v(x) == generic_potential.v(x)
 
     def test_flux_additivity(self, generic_potential):
         base = flux(generic_potential, [30.0, 40.0]).estimate

@@ -22,8 +22,8 @@ from abscatter.smatrix import (
     KernelGrid,
     StripDomain,
     build_partial_wave,
-    _strip_integral,
     conjugate_kernel,
+    perturb_kernel,
     sample_kernel,
     strip_integral,
 )
@@ -40,23 +40,8 @@ def random_noninteger_fluxes(rng, count, lo=-3.0, hi=3.0, margin=0.02):
     return out
 
 
-def smooth_perturbation(n, sup, seed=0):
-    rng = np.random.default_rng(seed)
-    th = 2.0 * math.pi * np.arange(n) / n
-    noise = np.zeros((n, n), dtype=complex)
-    for _ in range(3):
-        a, b = rng.integers(-3, 4, size=2)
-        c = rng.normal() + 1j * rng.normal()
-        noise += c * np.exp(1j * (a * th[:, None] + b * th[None, :]))
-    noise *= sup / np.max(np.abs(noise))
-    return noise
-
-
 def perturbed_kernel(alpha, n, sup, seed=0):
-    g = sample_kernel(alpha, n)
-    vals = g.values + smooth_perturbation(n, sup, seed)
-    np.fill_diagonal(vals, 0.0)
-    return KernelGrid(n=n, values=vals, delta_coeff=g.delta_coeff, alpha_hint=None)
+    return perturb_kernel(sample_kernel(alpha, n), sup, seed)
 
 
 class TestModeRecovery:
@@ -150,18 +135,8 @@ class TestStripRecovery:
         # the `kernel --perturb` recipe, seeds 0-23: quadrature noise of about
         # 1e-3 in the estimates must not read as a too-singular perturbation
         g = sample_kernel(0.5, 1024)
-        th = g.theta
         for seed in range(24):
-            rng = np.random.default_rng(seed)
-            noise = np.zeros((g.n, g.n), dtype=complex)
-            for _ in range(3):
-                a, b = rng.integers(-3, 4, size=2)
-                c = rng.normal() + 1j * rng.normal()
-                noise += c * np.outer(np.exp(1j * a * th), np.exp(1j * b * th))
-            vals = g.values + noise * (sup / np.max(np.abs(noise)))
-            np.fill_diagonal(vals, 0.0)
-            grid = KernelGrid(n=g.n, values=vals, delta_coeff=g.delta_coeff, alpha_hint=None)
-            verdict = recover_flux(grid, obstacle_convex=True)
+            verdict = recover_flux(perturb_kernel(g, sup, seed), obstacle_convex=True)
             assert abs(verdict.alpha - 0.5) <= 1e-6
             assert abs(verdict.sin_pi_alpha - 1.0) <= 5e-3
 
@@ -200,23 +175,30 @@ class TestConjugation:
         peak = alloc_peak(lambda: detect_conjugation(g, shifted, 3))
         assert peak < n * n * 16
 
+    @pytest.mark.parametrize("n, half", [(128, 64), (129, 129)])
+    def test_range_stops_below_half_the_winding_period(self, n, half):
+        # w and w + N differ by (-1)^N: period N for even N, 2N for odd N
+        g = sample_kernel(0.3, n)
+        assert detect_conjugation(g, conjugate_kernel(g, 1 - half), half - 1).n == 1 - half
+        for n_range in (half, 100000):
+            with pytest.raises(DomainError, match=f"on N = {n} points.*need n_range < {half}"):
+                detect_conjugation(g, g, n_range)
+
     def test_inequivalent_fluxes(self):
         rep = detect_conjugation(sample_kernel(0.5, 256), sample_kernel(0.7, 256), 3)
         assert not rep.equivalent and rep.residual > 1e-3
 
 
 class TestWitness:
-    @pytest.mark.parametrize("alpha, m", [(0.3, 1), (1.7, 2), (-0.6, 1)])
-    def test_matches_the_full_multiplied_kernel(self, alpha, m):
-        # the strips of (e^{2im(theta-theta')} - 1) K, formed on the gathered
-        # entries only, against the same strips of the whole multiplied kernel
+    @pytest.mark.parametrize("alpha, w", [(0.3, 2), (1.7, 4), (-0.6, 2), (0.3, -1), (1.7, 3)])
+    def test_winding_strips_are_the_conjugated_kernels_strips(self, alpha, w):
+        # the witness reads strip_integral(grid, st, 2m) - strip_integral(grid, st);
+        # the gathered stencil entries are conjugated with conjugate_kernel's
+        # arithmetic, so the strips equal those of the whole conjugated kernel
         grid = perturbed_kernel(alpha, 1024, sup=0.05, seed=1)
-        full = conjugate_kernel(grid, 2 * m).values
-        full -= grid.values
-        mult = KernelGrid(n=grid.n, values=full, delta_coeff=0.0)
+        conj = conjugate_kernel(grid, w)
         for st in STRIPS:
-            ref = strip_integral(mult, st)
-            assert abs(_strip_integral(grid, st, winding=2 * m) - ref) <= 2e-16 * abs(ref)
+            assert strip_integral(grid, st, w) == strip_integral(conj, st)
 
     def test_verdicts(self):
         assert _multiplied_kernel_witness(sample_kernel(0.5, 1024), STRIPS)
@@ -278,6 +260,14 @@ class TestPipeline:
             strips = default_strips(n, 0.5, 2.0)
             assert {(st.a, st.b) for st in strips} == {(0.5, 2.0)}
             assert strips[-1].eps >= 4.0 * 2.0 * math.pi / n and len(strips) >= 2
+
+    def test_default_strips_need_more_than_64_points(self):
+        # 8h reaches pi/4 at n = 64
+        with pytest.raises(DomainError, match=r"64-point grid need widths 0.7854 and 0.3927"):
+            default_strips(64, 0.0, math.pi)
+        with pytest.raises(DomainError, match="64-point grid"):
+            recover_flux(sample_kernel(0.4, 64), obstacle_convex=True)
+        assert default_strips(65, 0.0, math.pi)[0].eps < math.pi / 4
 
     def test_verdict_json_fields(self):
         verdict = recover_flux(sample_kernel(0.5, 1024), obstacle_convex=True)

@@ -97,6 +97,10 @@ DAMAGE = {
     "truncated_mid_row": lambda ls: ls[:-1] + [ls[-1][:ls[-1].rindex(",")]],
     "truncated_after_comma": lambda ls: ls[:-1] + [ls[-1][:ls[-1].rindex(",") + 1]],
     "non_numeric_value": lambda ls: _replace_row(ls, 7, ls[7].rsplit(",", 1)[0] + ",zebra"),
+    "nan_value": lambda ls: _replace_row(ls, 7, ls[7].rsplit(",", 1)[0] + ",nan"),
+    "infinite_value": lambda ls: _replace_row(ls, 9, ls[9].rsplit(",", 1)[0] + ",-inf"),
+    "nan_meta_field": lambda ls: _replace_row(ls, 2, ls[2].rsplit(",", 1)[0] + ",nan"),
+    "infinite_meta_field": lambda ls: _replace_row(ls, 2, ls[2].rsplit(",", 1)[0] + ",inf"),
     "non_integer_size": lambda ls: _replace_row(ls, 2, "64.5," + ls[2].split(",", 1)[1]),
     "index_out_of_range": lambda ls: _replace_row(ls, len(ls) - 1, ls[2].split(",", 1)[0]
                                                   + "," + ls[-1].split(",", 1)[1]),
@@ -147,6 +151,21 @@ def test_non_numeric_error_names_line(kernel_path, tmp_path, capsys):
     bad = str(_damaged(kernel_path, tmp_path, "non_numeric_value"))
     assert main(["recover", "--kernel", bad, "--convex"]) == 2
     assert "line 8: '" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage, where", [
+    ("nan_value", "line 8: '"), ("infinite_value", "line 10: '"),
+    ("nan_meta_field", "line 3: meta field alpha_hint is nan"),
+    ("infinite_meta_field", "line 3: meta field alpha_hint is inf"),
+])
+def test_non_finite_error_names_line(kernel_path, tmp_path, capsys, damage, where):
+    bad = str(_damaged(kernel_path, tmp_path, damage))
+    for argv in (["recover", "--kernel", bad, "--convex"],
+                 ["strip", "--kernel", bad, "--eps", "0.2"],
+                 ["gauge-check", "--kernel1", bad, "--kernel2", str(kernel_path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and where in captured.err
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -378,7 +397,8 @@ def test_columns_with_repeats_match_per_element_writer(tmp_path_factory, columns
 
 # ------------------------------------------------------- round-trip properties
 
-reals = st.floats(allow_nan=False)
+# read_table refuses NaN and infinities, so only finite values round-trip
+reals = st.floats(allow_nan=False, allow_infinity=False)
 sizes = st.integers(1, 6)
 
 

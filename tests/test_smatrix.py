@@ -8,7 +8,6 @@ from abscatter.smatrix import (
     KernelGrid,
     StripDomain,
     build_partial_wave,
-    ceil_index,
     compose_with_amplitude,
     conjugate_kernel,
     extract_mode,
@@ -48,7 +47,7 @@ class TestPartialWave:
             up = np.exp(1j * math.pi * alpha)
             flipped = np.abs(s.eigenvalues - up) < 1e-12
             first = int(s.modes[np.argmax(flipped)])
-            assert first == ceil_index(alpha)
+            assert first == math.ceil(alpha)
 
     def test_adjoint_inverts(self):
         s = build_partial_wave(1.3, 6)
@@ -117,7 +116,7 @@ class TestKernelGrid:
             gm = sample_kernel(-alpha, n)
             th = ga.theta
             dmat = th[:, None] - th[None, :]
-            rephase = np.exp(1j * (1 - 2 * ceil_index(alpha)) * dmat)
+            rephase = np.exp(1j * (1 - 2 * math.ceil(alpha)) * dmat)
             pred = np.conj(ga.values.T) * rephase
             np.fill_diagonal(pred, 0.0)
             assert np.max(np.abs(gm.values - pred)) <= 1e-12

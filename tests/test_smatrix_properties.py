@@ -1,16 +1,19 @@
 """Property tests for the kernel operations: gauge conjugation lands on the
-shifted flux, the winding search finds it, the principal-value quadrature of
-compose_with_amplitude and extract_mode equals a dense reference, the
-reflection alpha -> -alpha holds on the grid, and the spectrum is two-valued
-with its flip at ceil(alpha), so the modes give the flux back."""
+shifted flux, the winding search finds it below half its period, the flux
+recovery reads the same sin(pi*alpha) in every gauge, the principal-value
+quadrature of compose_with_amplitude and extract_mode equals a dense
+reference, the reflection alpha -> -alpha holds on the grid, and the spectrum
+is two-valued with its flip at ceil(alpha), so the modes give the flux back."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from abscatter.inverse import detect_conjugation, recover_flux_from_modes
+from abscatter.errors import DomainError
+from abscatter.inverse import detect_conjugation, recover_flux, recover_flux_from_modes
 from abscatter.smatrix import (
     KernelGrid,
     _mode_values,
@@ -26,6 +29,7 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # fluxes kept 0.05 from the integers, where sin(pi*alpha) and with it the
 # whole regular part vanishes and relative comparisons lose their meaning
 fluxes = st.floats(-3.0, 3.0).filter(lambda a: abs(a - round(a)) >= 0.05)
+wide_fluxes = st.floats(-50.0, 50.0).filter(lambda a: abs(a - round(a)) >= 0.05)
 sizes = st.integers(64, 256)
 # fluxes whose flip ceil(alpha) lies inside the default mode window [-8, 8],
 # 0.02 from the integers as in the acceptance round trip
@@ -68,12 +72,39 @@ def pv_reference(grid, fmat):
 
 
 @PROPERTY
-@given(fluxes, windings, sizes)
+@given(wide_fluxes, st.integers(-50, 50), sizes)
 def test_conjugation_lands_on_shifted_flux(alpha, w, n):
     got = conjugate_kernel(sample_kernel(alpha, n), w)
     want = sample_kernel(alpha + w, n)
     assert rel_err(got.values, want.values) <= 1e-12
     assert abs(got.delta_coeff - want.delta_coeff) <= 1e-12
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@PROPERTY
+@given(fluxes, st.integers(32, 80), st.data())
+def test_winding_search_recovers_windings_below_half_period(parity, alpha, half_n, data):
+    # windings w and w + N differ by (-1)^N: the period is N for even N, 2N for odd N
+    n = 2 * half_n + parity
+    limit = n // 2 if parity == 0 else n
+    w = data.draw(st.integers(1 - limit, limit - 1))
+    g = sample_kernel(alpha, n)
+    rep = detect_conjugation(g, conjugate_kernel(g, w), limit - 1)
+    assert rep.n == w and rep.residual <= 1e-12 and rep.equivalent
+    with pytest.raises(DomainError, match=f"N = {n}"):
+        detect_conjugation(g, g, limit)
+
+
+@PROPERTY
+@given(window_fluxes, st.integers(-15, 15))
+def test_flux_recovery_reads_the_same_sine_in_every_gauge(alpha, w):
+    assume(-7.9 < alpha + w < 7.9)
+    g = sample_kernel(alpha, 1024)
+    base = recover_flux(g, obstacle_convex=True)
+    shifted = recover_flux(conjugate_kernel(g, w), obstacle_convex=True)
+    assert shifted.ceil_alpha == base.ceil_alpha + w
+    # flux alpha + w: sin(pi*(alpha + w)) = (-1)^w sin(pi*alpha)
+    assert abs(shifted.sin_pi_alpha - (-1) ** w * base.sin_pi_alpha) <= 1e-12
 
 
 @PROPERTY
