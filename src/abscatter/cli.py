@@ -10,7 +10,8 @@ Subcommands
                  optionally followed by FBP reconstruction -> wave-style CSV
     gauge-check  winding search relating two kernel CSVs -> JSON report
 
-Exit codes: 0 ok, 2 schema/argument violation, 3 numeric-domain error.
+Exit codes: 0 ok, 2 schema/argument violation (an argument outside its fixed
+range is refused before any work), 3 numeric-domain error.
 Outputs are deterministic for a fixed config; synthetic noise is drawn only
 when --perturb is set and is pinned by --seed.
 """
@@ -52,8 +53,6 @@ def _floats(text: str) -> list[float]:
 
 
 def _cmd_wave(args) -> None:
-    if args.grid < 2:
-        raise SchemaError(f"--grid must be >= 2, got {args.grid}")
     if not math.isfinite(args.omega_deg):
         raise SchemaError(f"--omega-deg must be finite, got {args.omega_deg}")
     if not 0.0 < args.extent < math.inf:
@@ -136,6 +135,26 @@ def _cmd_gauge_check(args) -> None:
               args.out)
 
 
+# Lowest value of each bounded integer flag, per command (and radon quantity):
+# a value below it is refused with exit 2 before any work.
+_FLOORS = {
+    "wave": {"--grid": 2},
+    "kernel": {"--n": 64},
+    "radon --quantity V": {"--n-p": 64, "--n-phi": 64},
+    "radon --quantity A": {"--n-p": 1, "--n-phi": 1},
+    "recover": {"--m-max": 1},
+    "gauge-check": {"--n-range": 0},
+}
+
+
+def _check_floors(args) -> None:
+    command = f"radon --quantity {args.quantity}" if args.command == "radon" else args.command
+    for flag, low in _FLOORS.get(command, {}).items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < low:
+            raise SchemaError(f"{flag} must be >= {low}, got {value}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="abscatter",
                                 description="Aharonov-Bohm scattering toolkit")
@@ -216,6 +235,7 @@ def main(argv=None) -> int:
     if args.command == "radon" and args.invert is not None and args.recon is None:
         parser.error("--invert requires --recon")
     try:
+        _check_floors(args)
         args.func(args)
     except SchemaError as exc:
         print(f"abscatter: schema error: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ from .smatrix import (
     StripDomain,
     _gauge_factors,
     _mode_values,
+    _row_blocks,
     strip_integral,
 )
 
@@ -50,9 +51,6 @@ __all__ = [
 
 # eigenvalue clustering threshold below which flux is declared integral
 _DEGENERATE_TOL = 1e-6
-
-# rows per block of the winding search, which bounds its temporaries
-_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -198,12 +196,11 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
     for n in range(-n_range, n_range + 1):
         row_f, col_f = _gauge_factors(s1.theta, n)
         res = abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n)
-        for r0 in range(0, s1.n, _BLOCK_ROWS):
-            rows = slice(r0, r0 + _BLOCK_ROWS)
+        for rows in _row_blocks(s1.n):
             diff = s1.values[rows] * row_f[rows, None]
             diff *= col_f
             diff -= s2.values[rows]
-            np.fill_diagonal(diff[:, r0:], 0.0)
+            np.fill_diagonal(diff[:, rows.start:], 0.0)
             res = np.maximum(res, np.max(np.abs(diff)))
         if res < best_res:
             best_n, best_res = n, float(res)

@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 
 # Rows formatted per block: bounds each process's Python objects to a few MB;
 # a table of more than one block is formatted by one worker per usable CPU.
@@ -47,6 +47,8 @@ def write_table(path, row_header: str, columns, meta: dict | None = None) -> Non
 
     Integer columns are written as integers, all others are cast to float64
     and written with repr; meta values are written with str (None as empty).
+    NaN and infinities, which read_table refuses, raise DomainError naming
+    the column and the first bad row before the file is opened.
     """
     cols = [c if c.dtype.kind in "iu" else c.astype(np.float64, copy=False)
             for c in map(np.ravel, columns)]
@@ -55,6 +57,14 @@ def write_table(path, row_header: str, columns, meta: dict | None = None) -> Non
     head = [f"# abscatter {__version__}"]
     if meta is not None:
         head += [",".join(meta), ",".join("" if v is None else str(v) for v in meta.values())]
+    for name, v in (meta or {}).items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainError(f"{path}: meta field {name} is {v}; nothing written")
+    bad = [(int(np.argmin(ok)), i) for i, ok in enumerate(map(np.isfinite, cols)) if not ok.all()]
+    if bad:     # the first row holding a non-finite value, and its first such column
+        row, i = min(bad)
+        raise DomainError(f"{path}: column {row_header.split(',')[i]} is {cols[i][row]} in "
+                          f"data row {row} (line {len(head) + 2 + row}); nothing written")
     blocks = [(start,) for start in range(0, cols[0].size, _WRITE_ROWS)]
     with open(path, "wb") as f:
         f.write("\n".join([*head, row_header, ""]).encode("ascii"))

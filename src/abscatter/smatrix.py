@@ -50,6 +50,15 @@ __all__ = [
 # Trapezoid nodes across the strip width eps < tau < 2*eps.
 _TAU_NODES = 64
 
+# Rows per block of row-wise work on n x n grids (composition, perturbation,
+# the winding search): bounds the temporaries to a few rows of a grid.
+_BLOCK_ROWS = 256
+
+
+def _row_blocks(n: int):
+    """Slices of _BLOCK_ROWS rows (the last one possibly short) covering rows 0 .. n."""
+    return (slice(r0, r0 + _BLOCK_ROWS) for r0 in range(0, n, _BLOCK_ROWS))
+
 
 def kernel_regular(alpha: float, tau) -> np.ndarray:
     """Regular (principal-value) part of the kernel at angle difference tau.
@@ -231,27 +240,32 @@ def _pv_rows(grid: KernelGrid, rows: slice) -> np.ndarray:
 def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
     """Kernel of the full scattering matrix for a smooth amplitude.
 
-    amplitude(theta, omega) is the smooth kernel F; the composition is
+    amplitude(theta, omega) is the smooth kernel F, called once on the open
+    grids theta[:, None], omega[None, :] (or, if that raises TypeError or
+    ValueError or does not broadcast to n x n, elementwise through
+    np.vectorize); the composition is
         S(theta, omega) = s(theta - omega)
                           - 2*pi*i * [ delta_coeff * F(theta, omega)
                                        + p.v. int s_reg(theta - t) F(t, omega) dt ].
-    The p.v. convolution is one product with the folded weights of _pv_rows.
-    Delta part is returned unchanged.
+    The p.v. convolution is one product with the folded weights of _pv_rows,
+    formed in blocks of rows, so F and the result are the only n x n arrays
+    alive.  Delta part is returned unchanged.
     """
     n = grid.n
-    tt, ww = np.meshgrid(grid.theta, grid.theta, indexing="ij")
+    theta, omega = grid.theta[:, None], grid.theta[None, :]
     try:
-        fmat = np.asarray(amplitude(tt, ww), dtype=complex)
-        if fmat.shape != (n, n):
-            raise ValueError("amplitude did not broadcast")
-    except (TypeError, ValueError):
-        fmat = np.asarray(np.vectorize(amplitude)(tt, ww), dtype=complex)
-    del tt, ww  # two n x n grids fewer alive during the product below
+        fmat = np.broadcast_to(np.asarray(amplitude(theta, omega), dtype=complex), (n, n))
+    except (TypeError, ValueError):     # ValueError: the result does not broadcast
+        fmat = np.asarray(np.vectorize(amplitude)(theta, omega), dtype=complex)
+    fmat = np.ascontiguousarray(fmat)
 
-    new_vals = _pv_rows(grid, slice(None)) @ fmat
-    new_vals += grid.delta_coeff * fmat
-    new_vals *= -2.0j * math.pi
-    new_vals += grid.values
+    new_vals = np.empty((n, n), dtype=complex)
+    for rows in _row_blocks(n):
+        block = new_vals[rows]
+        np.matmul(_pv_rows(grid, rows), fmat, out=block)
+        block += grid.delta_coeff * fmat[rows]
+        block *= -2.0j * math.pi
+        block += grid.values[rows]
     np.fill_diagonal(new_vals, 0.0)
     return KernelGrid(n=n, values=new_vals, delta_coeff=grid.delta_coeff,
                       alpha_hint=grid.alpha_hint)
@@ -308,14 +322,27 @@ def perturb_kernel(grid: KernelGrid, size: float, seed: int) -> KernelGrid:
     if not 0.0 <= size < math.inf:
         raise DomainError(f"perturbation size must be finite and >= 0, got {size}")
     rng = np.random.default_rng(seed)
+    terms = [(*rng.integers(-3, 4, size=2), rng.normal() + 1j * rng.normal()) for _ in range(3)]
     th = grid.theta
-    noise = np.zeros((grid.n, grid.n), dtype=complex)
-    for _ in range(3):
-        a, b = rng.integers(-3, 4, size=2)
-        c = rng.normal() + 1j * rng.normal()
-        noise += c * np.exp(1j * (a * th[:, None] + b * th[None, :]))
-    noise *= size / float(np.max(np.abs(noise)))
-    vals = grid.values + noise
+    vals = np.zeros((grid.n, grid.n), dtype=complex)
+    # the phases i(a theta + b theta'), exact wherever they are written, reuse two
+    # block buffers (fresh block temporaries cost more than the arithmetic); exp
+    # and the product by c write fresh arrays, since numpy's last bits there can
+    # depend on the output array and the --perturb bytes are pinned
+    phase, iphase = np.empty((_BLOCK_ROWS, grid.n)), np.empty((_BLOCK_ROWS, grid.n), dtype=complex)
+    peak = 0.0
+    for rows in _row_blocks(grid.n):
+        noise = vals[rows]
+        ph, iph = phase[:len(noise)], iphase[:len(noise)]
+        for a, b, c in terms:
+            np.add(a * th[rows, None], b * th[None, :], out=ph)
+            noise += c * np.exp(np.multiply(1j, ph, out=iph))
+        peak = max(peak, float(np.max(np.abs(noise))))
+    scale = size / peak
+    for rows in _row_blocks(grid.n):
+        block = vals[rows]
+        block *= scale
+        block += grid.values[rows]
     np.fill_diagonal(vals, 0.0)
     return KernelGrid(n=grid.n, values=vals, delta_coeff=grid.delta_coeff, alpha_hint=None)
 

@@ -167,12 +167,42 @@ def test_exit_code_numeric_domain_error(tmp_path):
     assert main(["strip", "--kernel", str(k), "--eps", "0.01"]) == 3
 
 
-@pytest.mark.parametrize("m_max", ["0", "-2"])
-def test_recover_empty_mode_window_exit_three(tmp_path, capsys, m_max):
-    k = tmp_path / "k.csv"
-    main(["kernel", "--alpha", "0.3", "--n", "256", "--out", str(k)])
-    assert main(["recover", "--kernel", str(k), "--m-max", m_max, "--convex"]) == 3
-    assert "mode window is empty: m_max must be >= 1" in capsys.readouterr().err
+# an integer flag below its floor exits 2 before any work: the kernel and
+# config paths below do not exist, which would exit 3 once read
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["kernel", "--alpha", "0.5", "--n", "10"], "--n", id="kernel-n-10"),
+    pytest.param(["kernel", "--alpha", "0.5", "--n", "63"], "--n", id="kernel-n-63"),
+    pytest.param(["radon", "--config", "missing.json", "--n-p", "10"], "--n-p",
+                 id="radon-n-p-10"),
+    pytest.param(["radon", "--config", "missing.json", "--n-phi", "63"], "--n-phi",
+                 id="radon-n-phi-63"),
+    pytest.param(["radon", "--config", "missing.json", "--quantity", "A", "--n-p", "0"],
+                 "--n-p", id="radon-a-n-p-0"),
+    pytest.param(["radon", "--config", "missing.json", "--quantity", "A", "--n-phi", "-3"],
+                 "--n-phi", id="radon-a-n-phi--3"),
+    pytest.param(["recover", "--kernel", "missing.csv", "--m-max", "0"], "--m-max",
+                 id="recover-m-max-0"),
+    pytest.param(["recover", "--kernel", "missing.csv", "--m-max", "-2"], "--m-max",
+                 id="recover-m-max--2"),
+    pytest.param(["gauge-check", "--kernel1", "missing.csv", "--kernel2", "missing.csv",
+                  "--n-range", "-1"], "--n-range", id="gauge-check-n-range--1"),
+    pytest.param(["wave", "--alpha", "0.5", "--grid", "1"], "--grid", id="wave-grid-1"),
+])
+def test_argument_below_its_floor_exits_two_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flag} must be >= " in err
+    assert not out.exists()
+
+
+def test_raw_a_sinogram_takes_small_grids(tmp_path):
+    # the 64-point floor is the V sinogram's; raw A line integrals take any grid
+    cfg, out = tmp_path / "pa.json", tmp_path / "a.csv"
+    save_potential_json(VectorPotential(alpha=0.5), cfg)
+    assert main(["radon", "--config", str(cfg), "--quantity", "A", "--n-p", "24",
+                 "--n-phi", "2", "--out", str(out)]) == 0
+    assert load_sinogram_csv(out).values.shape == (24, 2)
 
 
 def test_recover_flip_outside_mode_window_exit_three(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from abscatter import io as artifact_io
 from abscatter.abwave import load_wave_csv, save_wave_csv
 from abscatter.cli import main
-from abscatter.errors import SchemaError
+from abscatter.errors import DomainError, SchemaError
 from abscatter.smatrix import KernelGrid, load_kernel_csv, sample_kernel, save_kernel_csv
 from abscatter.xray import Sinogram, load_sinogram_csv, save_sinogram_csv
 
@@ -356,13 +356,42 @@ SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
 
 
 def test_signed_zeros_nan_inf_and_subnormals_in_one_block(tmp_path):
+    # the block formatter keys floats by bit pattern; write_table refuses the
+    # non-finite values before formatting, so they are formatted directly
     re = np.array(SPECIAL * 3)
     im = np.roll(re, 5)
-    path = tmp_path / "t.csv"
-    artifact_io.write_table(path, "re,im", [re, im])
-    text = data_text(path, "re,im")
+    text = artifact_io._format_block([re, im], 0).decode("ascii")
     assert text == "".join(f"{a!r},{b!r}\n" for a, b in zip(re.tolist(), im.tolist()))
     assert text.startswith("0.0,5e-324\n-0.0,-5e-324\nnan,1e+308\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_refused_before_the_file_opens(tmp_path, bad):
+    grid = sample_kernel(0.3, 64)
+    grid.values[5, 17] = complex(0.25, bad)
+    grid.values[9, 2] = bad
+    path = tmp_path / "k.csv"
+    with pytest.raises(DomainError, match=rf"column im is {bad} in data row 337 \(line 342\)"):
+        save_kernel_csv(grid, path)
+    assert not path.exists()
+    grid = sample_kernel(0.3, 64)
+    grid.alpha_hint = bad
+    with pytest.raises(DomainError, match=f"meta field alpha_hint is {bad}"):
+        save_kernel_csv(grid, path)
+    assert not path.exists()
+
+
+def test_cli_writer_refuses_non_finite_values(tmp_path, capsys, monkeypatch):
+    def sample(alpha, n):
+        grid = sample_kernel(alpha, n)
+        grid.values[0, 1] = math.nan
+        return grid
+    monkeypatch.setattr("abscatter.smatrix.sample_kernel", sample)
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--alpha", "0.3", "--n", "64", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "column re is nan in data row 1" in err
+    assert not out.exists()
 
 
 def test_integer_and_narrow_columns(tmp_path):
@@ -390,9 +419,15 @@ def columns_with_repeats(draw):
 @PROPERTY
 @given(columns_with_repeats())
 def test_columns_with_repeats_match_per_element_writer(tmp_path_factory, columns):
+    assert artifact_io._format_block(columns, 0).decode("ascii") == per_element(columns)
     path = tmp_path_factory.mktemp("t") / "t.csv"
-    artifact_io.write_table(path, "a,b,c", columns)
-    assert data_text(path, "a,b,c") == per_element(columns)
+    if all(np.isfinite(c).all() for c in columns):
+        artifact_io.write_table(path, "a,b,c", columns)
+        assert data_text(path, "a,b,c") == per_element(columns)
+    else:
+        with pytest.raises(DomainError):
+            artifact_io.write_table(path, "a,b,c", columns)
+        assert not path.exists()
 
 
 # ------------------------------------------------------- round-trip properties

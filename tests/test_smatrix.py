@@ -12,7 +12,9 @@ from abscatter.smatrix import (
     conjugate_kernel,
     extract_mode,
     _mode_values,
+    _pv_rows,
     load_kernel_csv,
+    perturb_kernel,
     sample_kernel,
     save_kernel_csv,
     strip_integral,
@@ -197,13 +199,55 @@ class TestCompose:
 
 
     def test_memory_peak(self, alloc_peak):
-        # one product with the folded weights: weights, F and the result are
-        # the only n x n arrays alive at once
-        n = 512
+        # the product is formed in row blocks: F and the result are the only
+        # n x n arrays alive, with the amplitude's own temporaries before them
+        # (2.25 grids; 3.00 with a full weight copy and dense meshgrids)
+        n = 1024
         g = sample_kernel(0.3, n)
         peak = alloc_peak(lambda: compose_with_amplitude(
             g, lambda t, w: 0.01 * np.exp(2j * (t - w))))
-        assert peak <= 4.5 * n * n * 16
+        assert peak <= 2.5 * n * n * 16
+
+    @pytest.mark.parametrize("n", [300, 1000])     # the last row block is short
+    def test_matches_the_unblocked_product(self, n):
+        g = perturb_kernel(sample_kernel(0.37, n), 0.02, 5)
+        out = compose_with_amplitude(g, lambda t, w: np.cos(t) * np.sin(2 * w) + 0.1j * t * w)
+        th = g.theta
+        fmat = np.cos(th)[:, None] * np.sin(2 * th)[None, :] + 0.1j * th[:, None] * th[None, :]
+        want = unblocked_composition(g, fmat)
+        assert np.max(np.abs(out.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("amplitude", [
+        pytest.param(lambda t, w: 0.02 - 0.01j, id="python-scalar"),
+        pytest.param(lambda t, w: 0.01 * np.cos(t), id="omega-independent-column"),
+        pytest.param(lambda t, w: 0.01 * math.cos(t) * math.sin(w), id="scalars-only"),
+    ])
+    def test_amplitude_shapes(self, amplitude):
+        g = sample_kernel(0.37, 300)
+        out = compose_with_amplitude(g, amplitude)
+        fmat = np.array([[complex(amplitude(t, w)) for w in g.theta] for t in g.theta])
+        want = unblocked_composition(g, fmat)
+        assert np.max(np.abs(out.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def unblocked_composition(grid, fmat):
+    """compose_with_amplitude's formula as one product with the full weight matrix."""
+    want = _pv_rows(grid, slice(None)) @ fmat
+    want += grid.delta_coeff * fmat
+    want *= -2.0j * math.pi
+    want += grid.values
+    np.fill_diagonal(want, 0.0)
+    return want
+
+
+class TestPerturb:
+    def test_memory_peak(self, alloc_peak):
+        # the noise is summed in row blocks into the result (1.50 grids; 3.00
+        # with a full noise grid beside the result)
+        n = 1024
+        g = sample_kernel(0.3, n)
+        peak = alloc_peak(lambda: perturb_kernel(g, 0.02, 7))
+        assert peak <= 2.0 * n * n * 16
 
 
 class TestModeExtraction:
