@@ -17,10 +17,11 @@ s*x.xi)/|x cross xi|.
 
 Every integral of a smooth part along a piece of a line (full lines for the
 X-ray data, half rays for the eikonal phases and the ray field integral,
-finite segments in the phase decomposition) goes through one Gauss-Legendre
-rule, _segment_integrals: each segment is clipped to the disk |y| <= R + 1,
-where R is the Gaussian-envelope reach from the origin, and the node count
-depends on R and the narrowest width only.
+finite segments in the phase decomposition) goes through _segment_integrals,
+one Gauss-Legendre rule per Gaussian component: the segment is clipped to the
+component's own disk |y - c| <= 8.5 w (widened by the nested segment length
+in the phase decomposition), and the node count depends on that disk and the
+width only.
 """
 
 from __future__ import annotations
@@ -63,20 +64,11 @@ DELTA_REGION = 0.1
 # Gaussian envelopes are treated as zero beyond this many widths.
 _ENVELOPE_CUT = 8.5
 
-# Gauss-Legendre nodes per narrowest width across the integration window.
+# Gauss-Legendre nodes per width across a component's integration window.
 _NODES_PER_WIDTH = 6.0
 
 # Trapezoid nodes on each circle of the flux functional.
 _CIRCLE_NODES = 2048
-
-
-def _envelope_reach(components) -> float:
-    """max |center| + _ENVELOPE_CUT * width over Gaussian components (0 if none).
-
-    Every component is negligible at distances beyond this from the origin.
-    """
-    return max((math.hypot(*c.center) + _ENVELOPE_CUT * c.width for c in components),
-               default=0.0)
 
 
 @lru_cache(maxsize=8)
@@ -84,43 +76,53 @@ def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def _segment_integrals(field, components, x0, d, lo: float = -math.inf, hi: float = math.inf,
+def _segment_integrals(parts, x0, d, lo: float = -math.inf, hi: float = math.inf,
                        spread: float = 0.0) -> np.ndarray:
-    """int_lo^hi field(x0 + t*d) dt for each base point x0 (a 2-vector or (m, 2) rows).
+    """Sum over (component, field) parts of int_lo^hi field(x0 + t*d) dt, for each
+    base point x0 (a 2-vector or (m, 2) rows).
 
     field maps (k, 2) points to k values; a vector field (k x 2 values) is
-    integrated as the 1-form field . d.  The field is built from the Gaussian
-    components, each negligible beyond the reach R from the origin; spread
-    widens that reach for a field that averages the components over a segment
-    of that length.  Each segment is clipped to the disk |y| <= H = R + 1 +
-    spread, and one that misses it integrates to 0.  Central nodes of an
-    n-point rule on [-H, H] sit about pi*H/n apart, which integrates a Gaussian
-    of width w to about exp(-2*(n*w/H)**2); one rule with
-    n = _NODES_PER_WIDTH * H / w for the narrowest width serves every segment.
-    n does not depend on x0, so the integrals are smooth in the base point.
+    integrated as the 1-form field . d.  A field is negligible beyond
+    H = _ENVELOPE_CUT * w + spread from its component's center c, where spread
+    covers a field that averages the component over a segment of that length.
+    Each segment is clipped to the disk |y - c| <= H, and one that misses it
+    costs nothing; an offset from c that overflows counts as a miss.  Central
+    nodes of an n-point rule on a chord of the disk sit at most about pi*H/n
+    apart, which integrates a Gaussian of width w to about exp(-2*(n*w/H)**2);
+    each component's rule has n = _NODES_PER_WIDTH * H / w nodes (51 without
+    spread), whatever x0 is, so the integrals are smooth in the base point.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     d = np.asarray(d, dtype=float)
+    nd = math.hypot(d[0], d[1])
+    u = d / nd
     out = np.zeros(x0.shape[0])
-    if not components:
-        return out
-    h = _envelope_reach(components) + 1.0 + spread
-    dd = float(d @ d)
-    mid = -(x0 @ d) / dd
-    cross = x0[:, 0] * d[1] - x0[:, 1] * d[0]
-    half = np.sqrt(np.maximum(h * h - cross * cross / dd, 0.0) / dd)
-    a, b = np.maximum(mid - half, lo), np.minimum(mid + half, hi)
-    hit = b > a
-    if not np.any(hit):
-        return out
-    gx, gw = _leggauss(math.ceil(_NODES_PER_WIDTH * h / min(c.width for c in components)))
-    center, radius = 0.5 * (a[hit] + b[hit]), 0.5 * (b[hit] - a[hit])
-    t = center[:, None] + radius[:, None] * gx
-    vals = np.asarray(field((x0[hit][:, None, :] + t[:, :, None] * d).reshape(-1, 2)))
-    if vals.ndim == 2:
-        vals = vals @ d
-    out[hit] = (vals.reshape(t.shape) @ gw) * radius
+    for comp, field in parts:
+        h = _ENVELOPE_CUT * comp.width + spread
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = x0 - np.asarray(comp.center)
+            miss = np.abs(r[:, 0] * u[1] - r[:, 1] * u[0])  # distance of c from the line
+            half = np.sqrt(h - miss) * np.sqrt(h + miss) / nd  # NaN where the line misses
+            mid = -(r @ u) / nd
+            a, b = np.maximum(mid - half, lo), np.minimum(mid + half, hi)
+            idx = np.flatnonzero(b > a)
+        if idx.size == 0:
+            continue
+        a, b = a[idx], b[idx]
+        gx, gw = _leggauss(math.ceil(_NODES_PER_WIDTH * (_ENVELOPE_CUT + spread / comp.width)))
+        center, radius = 0.5 * (a + b), 0.5 * (b - a)
+        t = center[:, None] + radius[:, None] * gx
+        vals = np.asarray(field((x0[idx][:, None, :] + t[:, :, None] * d).reshape(-1, 2)))
+        if vals.ndim == 2:
+            vals = vals @ d
+        out[idx] += (vals.reshape(t.shape) @ gw) * radius
     return out
+
+
+def _aprime_parts(pot) -> list:
+    """A' as (component, field) parts: swirl vectors and grad(L) gradients."""
+    return ([(b, b.vector) for b in pot.bumps]
+            + [(c, c.gradient) for c in pot.grad_l.components])
 
 
 def _pts(x) -> tuple[np.ndarray, bool]:
@@ -132,66 +134,71 @@ def _pts(x) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-def _check_gaussian(c) -> None:
-    """A Gaussian component needs a finite 2-vector center, finite strength and width > 0."""
-    if np.shape(c.center) != (2,) or not np.all(np.isfinite(c.center)):
-        raise DomainError(f"center must be a finite 2-vector, got {c.center!r}")
-    if not math.isfinite(c.strength):
-        raise DomainError(f"strength must be finite, got {c.strength}")
-    if not 0.0 < c.width < math.inf:
-        raise DomainError(f"width must be positive and finite, got {c.width}")
-
-
 @dataclass(frozen=True)
-class GaussianBump:
-    """Divergence-free swirl: the curl of a Gaussian stream function."""
+class _Gaussian:
+    """Envelope strength * exp(-|x - center|^2 / (2 width^2)): a finite 2-vector
+    center, finite strength, and a width > 0 whose square and fourth power
+    are finite, nonzero floats (the fields divide by both)."""
 
     center: tuple[float, float]
     strength: float
     width: float
 
     def __post_init__(self):
-        _check_gaussian(self)
+        if np.shape(self.center) != (2,) or not np.all(np.isfinite(self.center)):
+            raise DomainError(f"center must be a finite 2-vector, got {self.center!r}")
+        if not math.isfinite(self.strength):
+            raise DomainError(f"strength must be finite, got {self.strength}")
+        w2 = self.width * self.width
+        if not (self.width > 0.0 and 0.0 < w2 * w2 < math.inf):
+            raise DomainError(f"width must be positive with a finite, nonzero square and "
+                              f"fourth power, got {self.width}")
 
-    def vector(self, x) -> np.ndarray:
+    def _envelope(self, x):
+        """(single, x - center, envelope) at a 2-vector or (n, 2) points x."""
         p, single = _pts(x)
         d = p - np.asarray(self.center)
-        env = self.strength * np.exp(-(d * d).sum(axis=1) / (2.0 * self.width ** 2)) / self.width ** 2
+        return single, d, self.strength * np.exp(-(d * d).sum(axis=1) / (2.0 * self.width ** 2))
+
+
+class GaussianBump(_Gaussian):
+    """Divergence-free swirl: the curl of a Gaussian stream function."""
+
+    def vector(self, x) -> np.ndarray:
+        single, d, env = self._envelope(x)
+        env = env / self.width ** 2
         out = np.stack([-d[:, 1] * env, d[:, 0] * env], axis=1)
         return out[0] if single else out
 
     def curl(self, x) -> np.ndarray:
-        p, single = _pts(x)
-        d = p - np.asarray(self.center)
+        single, d, env = self._envelope(x)
         rho2 = (d * d).sum(axis=1)
-        env = self.strength * np.exp(-rho2 / (2.0 * self.width ** 2))
         out = env * (2.0 / self.width ** 2 - rho2 / self.width ** 4)
         return out[0] if single else out
 
 
-@dataclass(frozen=True)
-class GaussianScalar:
+class GaussianScalar(_Gaussian):
     """Gaussian scalar component for L fields and V potentials."""
 
-    center: tuple[float, float]
-    strength: float
-    width: float
-
-    def __post_init__(self):
-        _check_gaussian(self)
-
     def value(self, x) -> np.ndarray:
-        p, single = _pts(x)
-        d = p - np.asarray(self.center)
-        out = self.strength * np.exp(-(d * d).sum(axis=1) / (2.0 * self.width ** 2))
+        single, _, out = self._envelope(x)
         return out[0] if single else out
 
     def gradient(self, x) -> np.ndarray:
-        p, single = _pts(x)
-        d = p - np.asarray(self.center)
-        env = self.strength * np.exp(-(d * d).sum(axis=1) / (2.0 * self.width ** 2))
+        single, d, env = self._envelope(x)
         out = -d * (env / self.width ** 2)[:, None]
         return out[0] if single else out
+
+
+def _component_configs(components) -> list[dict]:
+    return [{"center": list(c.center), "strength": c.strength, "width": c.width}
+            for c in components]
+
+
+def _components(cls, entries) -> tuple:
+    return tuple(cls(center=tuple(float(t) for t in e["center"]), strength=float(e["strength"]),
+                     width=float(e["width"]))
+                 for e in entries)
 
 
 @dataclass(frozen=True)
@@ -258,12 +265,9 @@ class VectorPotential:
     def to_config(self) -> dict:
         return {
             "alpha": self.alpha,
-            "bumps": [{"center": list(b.center), "strength": b.strength, "width": b.width}
-                      for b in self.bumps],
-            "gradL": [{"center": list(c.center), "strength": c.strength, "width": c.width}
-                      for c in self.grad_l.components],
-            "V": [{"center": list(c.center), "strength": c.strength, "width": c.width}
-                  for c in self.v.components],
+            "bumps": _component_configs(self.bumps),
+            "gradL": _component_configs(self.grad_l.components),
+            "V": _component_configs(self.v.components),
             "R0": self.obstacle_radius,
         }
 
@@ -273,22 +277,13 @@ class VectorPotential:
             raise SchemaError(f"bad potential config: expected a JSON object, "
                               f"got {type(cfg).__name__}")
         try:
-            def gauss(entry):
-                return GaussianScalar(center=tuple(float(t) for t in entry["center"]),
-                                      strength=float(entry["strength"]),
-                                      width=float(entry["width"]))
-
-            bumps = tuple(GaussianBump(center=tuple(float(t) for t in e["center"]),
-                                       strength=float(e["strength"]),
-                                       width=float(e["width"]))
-                          for e in cfg.get("bumps", []))
             alpha, r0 = float(cfg["alpha"]), float(cfg.get("R0", 0.0))
             if not (math.isfinite(alpha) and math.isfinite(r0)):
                 raise ValueError(f"alpha and R0 must be finite, got {alpha} and {r0}")
             return cls(alpha=alpha,
-                       bumps=bumps,
-                       grad_l=ScalarMixture(tuple(gauss(e) for e in cfg.get("gradL", []))),
-                       v=ScalarMixture(tuple(gauss(e) for e in cfg.get("V", []))),
+                       bumps=_components(GaussianBump, cfg.get("bumps", [])),
+                       grad_l=ScalarMixture(_components(GaussianScalar, cfg.get("gradL", []))),
+                       v=ScalarMixture(_components(GaussianScalar, cfg.get("V", []))),
                        obstacle_radius=r0)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad potential config: {exc}") from exc
@@ -452,8 +447,7 @@ def eikonal_phase(phase: EikonalPhase, x, xi) -> float:
         ray_int = 1.0 / (s * dot)
     val = -s * pot.alpha * cross * ray_int
     # -s * A' . xi = -A' . d along the ray direction d = s*xi
-    comps = pot.bumps + pot.grad_l.components
-    return val - float(_segment_integrals(pot.aprime, comps, x, s * xi, lo=0.0)[0])
+    return val - float(_segment_integrals(_aprime_parts(pot), x, s * xi, lo=0.0)[0])
 
 
 def phase_gradient(phase: EikonalPhase, x, xi) -> np.ndarray:
@@ -478,7 +472,7 @@ def phase_gradient_check(phase: EikonalPhase, x, xi) -> float:
 def ray_field_integral(pot: VectorPotential, x, xi, sign: int) -> float:
     """int_0^inf B(x + sign*t*xi) dt along the phase ray (smooth part only)."""
     x, xi = _ray_args(sign, x, xi)
-    return float(_segment_integrals(pot.b_field, pot.bumps, x, sign * xi, lo=0.0)[0])
+    return float(_segment_integrals([(b, b.curl) for b in pot.bumps], x, sign * xi, lo=0.0)[0])
 
 
 def gradient_formula(phase: EikonalPhase, x, xi) -> np.ndarray:
@@ -507,16 +501,15 @@ def phase_decomposition(phase: EikonalPhase, x, xi) -> float:
     pot = phase.potential
     if pot.alpha != 0.0:
         raise DomainError("decomposition identity requires a smooth potential (alpha = 0)")
-    comps = pot.bumps + pot.grad_l.components
-    origin = np.zeros(2)
+    aprime, origin = _aprime_parts(pot), np.zeros(2)
 
-    def b_segments(y):
-        # int_0^1 B(y + tau*x) dtau for each outer point y = s*t*xi
-        return _segment_integrals(pot.b_field, pot.bumps, y, x, 0.0, 1.0)
+    def b_segments(b):
+        # int_0^1 B_b(y + tau*x) dtau for each outer point y = s*t*xi
+        return lambda y: _segment_integrals([(b, b.curl)], y, x, 0.0, 1.0)
 
     cross = float(x[0] * xi[1] - x[1] * xi[0])
-    term1 = -s * cross * _segment_integrals(b_segments, pot.bumps, origin, s * xi, lo=0.0,
-                                            spread=float(np.hypot(*x)))[0]
-    term2 = _segment_integrals(pot.aprime, comps, origin, x, 0.0, 1.0)[0]
-    term3 = -_segment_integrals(pot.aprime, comps, origin, s * xi, lo=0.0)[0]
+    term1 = -s * cross * _segment_integrals([(b, b_segments(b)) for b in pot.bumps], origin,
+                                            s * xi, lo=0.0, spread=float(np.hypot(*x)))[0]
+    term2 = _segment_integrals(aprime, origin, x, 0.0, 1.0)[0]
+    term3 = -_segment_integrals(aprime, origin, s * xi, lo=0.0)[0]
     return float(term1 + term2 + term3)

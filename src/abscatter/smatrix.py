@@ -324,25 +324,17 @@ def perturb_kernel(grid: KernelGrid, size: float, seed: int) -> KernelGrid:
     rng = np.random.default_rng(seed)
     terms = [(*rng.integers(-3, 4, size=2), rng.normal() + 1j * rng.normal()) for _ in range(3)]
     th = grid.theta
+    # each term is the outer product c e^{ia theta} x e^{ib theta'}, summed in row blocks
+    factors = [(c * np.exp(1j * a * th), np.exp(1j * b * th)) for a, b, c in terms]
     vals = np.zeros((grid.n, grid.n), dtype=complex)
-    # the phases i(a theta + b theta'), exact wherever they are written, reuse two
-    # block buffers (fresh block temporaries cost more than the arithmetic); exp
-    # and the product by c write fresh arrays, since numpy's last bits there can
-    # depend on the output array and the --perturb bytes are pinned
-    phase, iphase = np.empty((_BLOCK_ROWS, grid.n)), np.empty((_BLOCK_ROWS, grid.n), dtype=complex)
     peak = 0.0
     for rows in _row_blocks(grid.n):
         noise = vals[rows]
-        ph, iph = phase[:len(noise)], iphase[:len(noise)]
-        for a, b, c in terms:
-            np.add(a * th[rows, None], b * th[None, :], out=ph)
-            noise += c * np.exp(np.multiply(1j, ph, out=iph))
+        for left, right in factors:
+            noise += np.outer(left[rows], right)
         peak = max(peak, float(np.max(np.abs(noise))))
-    scale = size / peak
-    for rows in _row_blocks(grid.n):
-        block = vals[rows]
-        block *= scale
-        block += grid.values[rows]
+    vals *= size / peak
+    vals += grid.values
     np.fill_diagonal(vals, 0.0)
     return KernelGrid(n=grid.n, values=vals, delta_coeff=grid.delta_coeff, alpha_hint=None)
 

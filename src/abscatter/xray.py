@@ -10,10 +10,10 @@ down flux differences to even integers, which flux_parity_test certifies
 from the raw integrals.
 
 All line integrals, single lines and whole sinograms alike, go through the
-one Gauss-Legendre segment rule of gaugefield (the rule the eikonal phases
-use): each line is clipped to the disk |x| <= R + 1, where R is the
-Gaussian-envelope reach of the potential from the origin, and the flux part
-is added in closed form.
+segment rule of gaugefield (the rule the eikonal phases use): each Gaussian
+component integrates the lines that meet its own disk |x - c| <= 8.5 w with
+its own 51-node Gauss-Legendre rule, lines that miss the disk cost nothing,
+and the flux part is added in closed form.
 
 Reconstruction is standard FBP: ramp filter with Hann apodization in the
 offset variable (FFT, zero-padded 2x), then back-projection with linear
@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     UndersampledSinogramWarning,
 )
-from .gaugefield import VectorPotential, _segment_integrals
+from .gaugefield import VectorPotential, _aprime_parts, _segment_integrals
 from .io import grid_columns, read_table, write_table
 
 __all__ = [
@@ -103,17 +103,17 @@ def _line_integrals(pot: VectorPotential, offsets: np.ndarray, angles: np.ndarra
     if not (np.all(np.isfinite(offsets)) and np.all(np.isfinite(angles))):
         raise DomainError("line offsets and angles must be finite")
     if quantity == "V":
-        field, comps = pot.v, pot.v.components
+        parts = [(c, c.value) for c in pot.v.components]
         values = np.zeros((offsets.size, angles.size))
     else:
         if np.any(np.abs(offsets) < 1e-12):
             raise DomainError("line passes through the origin (flux part singular)")
-        field, comps = pot.aprime, pot.bumps + pot.grad_l.components
+        parts = _aprime_parts(pot)
         values = np.repeat(-pot.alpha * math.pi * np.sign(offsets)[:, None], angles.size, axis=1)
     for j, phi in enumerate(angles):
         normal = np.array([-math.sin(phi), math.cos(phi)])
         omega = np.array([math.cos(phi), math.sin(phi)])
-        values[:, j] += _segment_integrals(field, comps, offsets[:, None] * normal, omega)
+        values[:, j] += _segment_integrals(parts, offsets[:, None] * normal, omega)
     return values
 
 
@@ -148,8 +148,8 @@ def sinogram_axes(n_p: int, n_phi: int, p_max: float) -> tuple[np.ndarray, np.nd
 def radon_forward(pot: VectorPotential, n_p: int, n_phi: int, p_max: float) -> Sinogram:
     """Parallel-beam sinogram of V on uniform offsets/angles grids.
 
-    Uses the same Gauss-Legendre rule as line_integral_V, on the reach window
-    of V, whatever p_max is.
+    Uses the same per-component Gauss-Legendre rules as line_integral_V, on
+    each component's own window, whatever p_max is.
     """
     if n_p < 64 or n_phi < 64:
         raise DomainError("sinogram grid sizes must be >= 64")

@@ -104,7 +104,7 @@ def test_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     # the perturbation recipe is smatrix.perturb_kernel; its bytes are pinned
     assert hashlib.sha256(a.read_bytes()).hexdigest() == (
-        "a88a77ad5c1208588edd5f3220fc276542b48162757b9252260dd99b6fdbbbe7")
+        "19ba0f7c19cb20d92ceda04c10db9944edcbbfbf5cac9b927ad91bd79c4fd9ff")
     ref = smatrix.perturb_kernel(sample_kernel(0.5, 128), 0.05, 7)
     assert np.array_equal(load_kernel_csv(a).values, ref.values)
 
@@ -279,6 +279,34 @@ def test_radon_bad_grid_exit_three(tmp_path):
     assert main(["radon", "--config", str(cfg), "--quantity", "A", "--n-p", "65",
                  "--out", str(out)]) == 3
     assert not out.exists()
+
+
+# a width whose square or fourth power leaves the float range is refused by
+# the config schema, before an envelope or a node count is formed
+@pytest.mark.parametrize("strength, width", [(1e308, 1e300), (1.0, 1e-300)])
+def test_radon_width_out_of_float_range_exits_two(tmp_path, capsys, strength, width):
+    cfg, out = tmp_path / "p.json", tmp_path / "s.csv"
+    cfg.write_text(json.dumps({"alpha": 0.3, "V": [
+        {"center": [0.0, 0.0], "strength": strength, "width": width}]}))
+    assert main(["radon", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "width" in err
+    assert not out.exists()
+
+
+# every line misses the disk of a component centred at 1e300; the hit test
+# squares no offset, so no RuntimeWarning (an error under this suite) fires
+@pytest.mark.parametrize("quantity", ["V", "A"])
+def test_radon_far_centre_misses_every_line(tmp_path, capsys, quantity):
+    cfg, out = tmp_path / "p.json", tmp_path / "s.csv"
+    far = {"center": [1e300, -1e300], "strength": 1.0, "width": 1.0}
+    cfg.write_text(json.dumps({"alpha": 0.3, "bumps": [far], "gradL": [far], "V": [far]}))
+    assert main(["radon", "--config", str(cfg), "--quantity", quantity, "--n-p", "64",
+                 "--n-phi", "64", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    sino = load_sinogram_csv(out)
+    want = 0.0 if quantity == "V" else -0.3 * math.pi * np.sign(sino.offsets)[:, None]
+    assert np.array_equal(sino.values, np.broadcast_to(want, sino.values.shape))
 
 
 def test_cli_import_loads_no_scipy():

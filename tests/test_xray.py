@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -35,6 +36,16 @@ from abscatter.xray import (
 def gaussian_v(center, strength, width):
     return VectorPotential(alpha=0.0,
                            v=ScalarMixture((GaussianScalar(center, strength, width),)))
+
+
+def v_closed_form(comps, pp, ff):
+    """Full-line integrals of Gaussian scalars on lines (p, phi)."""
+    exact = np.zeros(np.shape(pp))
+    for c in comps:
+        d = pp + c.center[0] * np.sin(ff) - c.center[1] * np.cos(ff)
+        exact += c.strength * math.sqrt(2.0 * math.pi) * c.width \
+            * np.exp(-d * d / (2.0 * c.width ** 2))
+    return exact
 
 
 def line_grid(rng, count, p_lo=2.5, p_hi=8.0):
@@ -130,6 +141,27 @@ class TestRadonForward:
         d = pp + d0 * np.sin(ff)  # signed distance of the center from the line
         exact = math.sqrt(2.0 * math.pi) * w * np.exp(-d * d / (2.0 * w * w))
         assert float(np.max(np.abs(sino.values - exact))) <= 1e-8
+
+    @pytest.mark.parametrize("center, width", [((20.0, 0.0), 0.05), ((3.0, 0.0), 1e-4)])
+    def test_narrow_component_integrates_on_its_own_disk(self, center, width):
+        # each component has its own 51-node rule on its own disk |y - c| <= 8.5 w:
+        # a narrow component, near or far, neither refines the rule of the wide
+        # one nor widens its window
+        comps = (GaussianScalar((0.0, 0.0), 1.0, 1.0), GaussianScalar(center, 1.0, width))
+        pot = VectorPotential(alpha=0.0, v=ScalarMixture(comps))
+        start = time.perf_counter()
+        sino = radon_forward(pot, 128, 180, 25.0)
+        assert time.perf_counter() - start < 1.0
+        pp, ff = np.meshgrid(sino.offsets, sino.angles, indexing="ij")
+        assert float(np.max(np.abs(sino.values - v_closed_form(comps, pp, ff)))) <= 1e-10
+        # lines through and beside the narrow peak, which the grid above misses
+        phi = np.array([0.3, 1.2, 2.5])
+        pp = (-center[0] * np.sin(phi) + center[1] * np.cos(phi)
+              + width * np.array([[0.0], [0.5], [2.0]]))
+        ff = np.broadcast_to(phi, pp.shape)
+        got = np.reshape([line_integral_V(pot, LineSpec.parallel_beam(p, f))
+                          for p, f in zip(pp.flat, ff.flat)], pp.shape)
+        assert float(np.max(np.abs(got - v_closed_form(comps, pp, ff)))) <= 1e-10
 
     @pytest.mark.parametrize("p_max", [0.0, -8.0, math.nan, math.inf])
     def test_bad_p_max_rejected(self, p_max):

@@ -15,7 +15,13 @@ from abscatter.gaugefield import (
     VectorPotential,
     gauge_transform,
 )
-from abscatter.xray import a_line_sinogram, flux_parity_test, radon_forward
+from abscatter.xray import (
+    LineSpec,
+    a_line_sinogram,
+    flux_parity_test,
+    line_integral_V,
+    radon_forward,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -36,18 +42,34 @@ def grid(p, phi):
     return pp, np.sin(ff), np.cos(ff)
 
 
-@PROPERTY
-@given(scalars, st.floats(1.0, 60.0))
-def test_v_sinogram_closed_form(comps, p_max):
-    pot = VectorPotential(alpha=0.0, v=ScalarMixture(tuple(comps)))
-    sino = radon_forward(pot, 64, 64, p_max)
-    pp, sn, cs = grid(sino.offsets, sino.angles)
+def v_exact(comps, p, phi):
+    """Full-line integrals of Gaussian scalars on the (p x phi) grid."""
+    pp, sn, cs = grid(p, phi)
     exact = np.zeros(pp.shape)
     for c in comps:
         d = pp + c.center[0] * sn - c.center[1] * cs
         exact += c.strength * math.sqrt(2.0 * math.pi) * c.width \
             * np.exp(-d * d / (2.0 * c.width ** 2))
-    assert float(np.max(np.abs(sino.values - exact))) <= 1e-8
+    return exact
+
+
+def a_exact(alpha, bs, p, phi):
+    """Full-line integrals of A . omega on the (p x phi) grid (grad L pieces integrate to 0)."""
+    pp, sn, cs = grid(p, phi)
+    exact = -alpha * math.pi * np.sign(pp)
+    for b in bs:
+        q = b.center[1] * cs - b.center[0] * sn - pp
+        exact = exact + b.strength * q * math.sqrt(2.0 * math.pi) / b.width \
+            * np.exp(-q * q / (2.0 * b.width ** 2))
+    return exact
+
+
+@PROPERTY
+@given(scalars, st.floats(1.0, 60.0))
+def test_v_sinogram_closed_form(comps, p_max):
+    pot = VectorPotential(alpha=0.0, v=ScalarMixture(tuple(comps)))
+    sino = radon_forward(pot, 64, 64, p_max)
+    assert float(np.max(np.abs(sino.values - v_exact(comps, sino.offsets, sino.angles)))) <= 1e-8
 
 
 @PROPERTY
@@ -55,13 +77,35 @@ def test_v_sinogram_closed_form(comps, p_max):
 def test_a_sinogram_closed_form(alpha, bs, ls, p, phi):
     pot = VectorPotential(alpha=alpha, bumps=tuple(bs), grad_l=ScalarMixture(tuple(ls)))
     sino = a_line_sinogram(pot, p, phi)
-    pp, sn, cs = grid(p, phi)
-    exact = -alpha * math.pi * np.sign(pp)
-    for b in bs:
-        q = b.center[1] * cs - b.center[0] * sn - pp
-        exact = exact + b.strength * q * math.sqrt(2.0 * math.pi) / b.width \
-            * np.exp(-q * q / (2.0 * b.width ** 2))
-    assert float(np.max(np.abs(sino.values - exact))) <= 1e-8
+    assert float(np.max(np.abs(sino.values - a_exact(alpha, bs, p, phi)))) <= 1e-8
+
+
+# the benchmark's potential: one swirl, one grad(L) piece, two V components
+BENCH_BUMPS = (GaussianBump((2.0, 0.0), 1.5, 1.0),)
+BENCH_GRAD_L = (GaussianScalar((0.0, 1.0), 0.6, 1.1),)
+BENCH_V = (GaussianScalar((0.5, 0.5), 0.7, 0.8), GaussianScalar((-2.0, -1.5), 0.4, 0.6))
+
+
+@PROPERTY
+@given(st.floats(5.0, 40.0), st.floats(0.0, 2.0 * math.pi), strength, st.floats(1e-4, 0.05),
+       st.floats(0.3, math.pi - 0.3))
+def test_far_narrow_component_closed_form(radius, theta, a, w, beta):
+    # a far, narrow component in V, the swirls and grad(L) sets no other
+    # component's rule; the lines at angle phi pass through and beside it
+    c = (radius * math.cos(theta), radius * math.sin(theta))
+    bs = BENCH_BUMPS + (GaussianBump(c, a, w),)
+    vs = BENCH_V + (GaussianScalar(c, a, w),)
+    pot = VectorPotential(alpha=0.37, bumps=bs,
+                          grad_l=ScalarMixture(BENCH_GRAD_L + (GaussianScalar(c, a, w),)),
+                          v=ScalarMixture(vs))
+    sino = radon_forward(pot, 64, 64, 25.0)
+    assert float(np.max(np.abs(sino.values - v_exact(vs, sino.offsets, sino.angles)))) <= 1e-8
+    phi = theta + beta
+    p = -c[0] * math.sin(phi) + c[1] * math.cos(phi) + w * np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
+    got = a_line_sinogram(pot, p, np.array([phi])).values
+    assert float(np.max(np.abs(got - a_exact(0.37, bs, p, [phi])))) <= 1e-8
+    got = np.array([[line_integral_V(pot, LineSpec.parallel_beam(q, phi))] for q in p])
+    assert float(np.max(np.abs(got - v_exact(vs, p, [phi])))) <= 1e-8
 
 
 PARITY_OFFSETS = np.concatenate([np.linspace(-8.0, -2.5, 6), np.linspace(2.5, 8.0, 6)])
