@@ -18,9 +18,10 @@ keeps the tail below 1e-13 (measured for z <= 600).
 Each of the two Bessel ladders (orders l - alpha for l >= ceil(alpha), alpha - l
 below) is summed by Horner's rule in i^s * exp(+-i*gamma), highest order
 first, so the sum needs no (modes x points) phase matrix.  Points are summed
-in consecutive batches of _CHUNK_POINTS, each over the full mode window, so
-the ladders hold (modes x _CHUNK_POINTS) values and memory does not grow with
-the number of points.
+in batches of _CHUNK_POINTS taken in order of radius, each over the full mode
+window, so the ladders hold (modes x _CHUNK_POINTS) values and memory does not
+grow with the number of points; each batch runs its ladders once per distinct
+radius (a square grid repeats most radii eight times).
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ def _azimuth_grid(points: np.ndarray, omega: np.ndarray) -> np.ndarray:
 def _window_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> np.ndarray:
     """Series restricted to modes l in [l_min, l_max], in batches of _CHUNK_POINTS points."""
     psi = np.empty(points.shape[0], dtype=complex)
+    order = np.argsort(np.hypot(points[:, 0], points[:, 1]), kind="stable")
     for start in range(0, points.shape[0], _CHUNK_POINTS):
-        batch = slice(start, start + _CHUNK_POINTS)
+        batch = order[start:start + _CHUNK_POINTS]
         psi[batch] = _batch_sum(spec, points[batch], l_min, l_max)
     return psi
 
@@ -134,7 +136,8 @@ def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> 
     """_window_sum on one batch of points."""
     omega_eff = spec.sign * np.asarray(spec.omega, dtype=float)
     gam = _azimuth_grid(points, omega_eff)
-    z = math.sqrt(spec.lam) * np.hypot(points[:, 0], points[:, 1])
+    # one ladder column per distinct argument, gathered back per point
+    z, at = np.unique(math.sqrt(spec.lam) * np.hypot(*points.T), return_inverse=True)
     ca = math.ceil(spec.alpha)
     psi = np.zeros(points.shape[0], dtype=complex)
     # modes from `first` in direction `step` have orders step*(l - alpha) = mu + k;
@@ -153,7 +156,7 @@ def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> 
         acc = np.zeros_like(psi)
         for row in bessel_j_ladder(mu, count, z)[::-1]:
             acc *= w
-            acc += row
+            acc += row[at]
         del row   # a view that would keep this ladder alive while the next is built
         if not math.isfinite(2.0 * math.pi * first):    # the phase first * gam, gam < 2*pi
             raise DomainError(f"mode {float(first):.3g} is too large for a finite phase l * gamma")

@@ -19,18 +19,14 @@ when --perturb is set and is pinned by --seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, abwave, inverse, smatrix, xray
+# numpy and the layer modules load inside the command that uses them, so
+# --version, --help and refused arguments return without importing them
+from . import __version__
 from .errors import AbScatterError, SchemaError
-from .gaugefield import flux as flux_op
-from .gaugefield import load_potential_json
-from .smatrix import StripDomain
 
 
 def _json_out(payload: dict, path: str | None) -> None:
@@ -57,6 +53,8 @@ def _cmd_wave(args) -> None:
         raise SchemaError(f"--omega-deg must be finite, got {args.omega_deg}")
     if not 0.0 < args.extent < math.inf:
         raise SchemaError(f"--extent must be finite and > 0, got {args.extent}")
+    import numpy as np
+    from . import abwave
     sign = 1 if args.sign == "plus" else -1
     phi = math.radians(args.omega_deg)
     omega = (math.cos(phi), math.sin(phi))
@@ -79,6 +77,7 @@ def _cmd_wave(args) -> None:
 def _cmd_kernel(args) -> None:
     if not 0.0 <= args.perturb < math.inf:
         raise SchemaError(f"--perturb must be finite and >= 0, got {args.perturb}")
+    from . import smatrix
     grid = smatrix.sample_kernel(args.alpha, args.n)
     if args.perturb > 0.0:
         grid = smatrix.perturb_kernel(grid, args.perturb, args.seed)
@@ -86,32 +85,37 @@ def _cmd_kernel(args) -> None:
 
 
 def _cmd_flux(args) -> None:
-    pot = load_potential_json(args.config)
+    from . import gaugefield
+    pot = gaugefield.load_potential_json(args.config)
     radii = _floats(args.radii)
-    result = flux_op(pot, radii)
+    result = gaugefield.flux(pot, radii)
     _json_out({"alpha": result.estimate, "sequence": list(result.sequence)}, args.out)
 
 
 def _cmd_strip(args) -> None:
+    from . import smatrix
     grid = smatrix.load_kernel_csv(args.kernel)
-    strip = StripDomain(a=args.a, b=args.b, eps=args.eps)
+    strip = smatrix.StripDomain(a=args.a, b=args.b, eps=args.eps)
     val = smatrix.strip_integral(grid, strip)
     _json_out({"re": val.real, "im": val.imag, "minus_re": -val.real}, args.out)
 
 
 def _cmd_recover(args) -> None:
+    import dataclasses
+    from . import inverse, smatrix
     grid = smatrix.load_kernel_csv(args.kernel)
     if args.strips is None:
         strips = inverse.default_strips(grid.n, args.a, args.b)
     else:
-        strips = [StripDomain(a=args.a, b=args.b, eps=e) for e in _floats(args.strips)]
+        strips = [smatrix.StripDomain(a=args.a, b=args.b, eps=e) for e in _floats(args.strips)]
     verdict = inverse.recover_flux(grid, obstacle_convex=args.convex,
                                    strips=strips, m_max=args.m_max)
     _json_out(dataclasses.asdict(verdict), args.out)
 
 
 def _cmd_radon(args) -> None:
-    pot = load_potential_json(args.config)
+    from . import gaugefield, xray
+    pot = gaugefield.load_potential_json(args.config)
     if args.quantity == "V":
         sino = xray.radon_forward(pot, args.n_p, args.n_phi, args.p_max)
     else:
@@ -120,6 +124,8 @@ def _cmd_radon(args) -> None:
     if args.invert is not None:
         if args.quantity != "V":
             raise SchemaError("--invert applies to V sinograms only")
+        import numpy as np
+        from . import abwave
         image = xray.radon_invert(sino, args.invert)
         axes = xray.reconstruction_axes(sino, args.invert)
         xx, yy = np.meshgrid(axes, axes, indexing="ij")
@@ -128,6 +134,7 @@ def _cmd_radon(args) -> None:
 
 
 def _cmd_gauge_check(args) -> None:
+    from . import inverse, smatrix
     g1 = smatrix.load_kernel_csv(args.kernel1)
     g2 = smatrix.load_kernel_csv(args.kernel2)
     rep = inverse.detect_conjugation(g1, g2, args.n_range)

@@ -155,10 +155,14 @@ class _Gaussian:
                               f"fourth power, got {self.width}")
 
     def _envelope(self, x):
-        """(single, x - center, envelope) at a 2-vector or (n, 2) points x."""
+        """(single, x - center, envelope) at a 2-vector or (n, 2) points x; both are
+        0 where the scaled squared offset overflows, so every field is 0 there."""
         p, single = _pts(x)
-        d = p - np.asarray(self.center)
-        return single, d, self.strength * np.exp(-(d * d).sum(axis=1) / (2.0 * self.width ** 2))
+        with np.errstate(over="ignore"):
+            d = p - np.asarray(self.center)
+            q = (d * d).sum(axis=1) / (2.0 * self.width ** 2)
+        d[np.isinf(q)] = 0.0
+        return single, d, self.strength * np.exp(-q)
 
 
 class GaussianBump(_Gaussian):

@@ -192,18 +192,34 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
     if 2 * n_range >= period:
         raise DomainError(f"n_range {n_range} reaches half the winding period {period} on "
                           f"N = {s1.n} points: need n_range < {period // 2}")
-    best_n, best_res = 0, math.inf
+    blocks = list(_row_blocks(s1.n))
+    # every scan writes into one block buffer: fresh blocks left freed heap that raised later peaks
+    buf = np.empty_like(s1.values[blocks[0]])
+
+    def block_res(factors, rows):
+        block = s1.values[rows]
+        diff = np.multiply(block, factors[0][rows, None], out=buf[:len(block)])
+        diff *= factors[1]
+        diff -= s2.values[rows]
+        np.fill_diagonal(diff[:, rows.start:], 0.0)
+        return np.max(np.abs(diff))
+
+    # each winding is scored by its first row block and scanned best-first; a scan
+    # stops once its running maximum exceeds the best full residual, so the report
+    # is the exhaustive one: the least residual, ties to the least n
+    scored = []
     for n in range(-n_range, n_range + 1):
-        row_f, col_f = _gauge_factors(s1.theta, n)
-        res = abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n)
-        for rows in _row_blocks(s1.n):
-            diff = s1.values[rows] * row_f[rows, None]
-            diff *= col_f
-            diff -= s2.values[rows]
-            np.fill_diagonal(diff[:, rows.start:], 0.0)
-            res = np.maximum(res, np.max(np.abs(diff)))
-        if res < best_res:
-            best_n, best_res = n, float(res)
+        factors = _gauge_factors(s1.theta, n)
+        delta_res = abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n)
+        scored.append((np.maximum(delta_res, block_res(factors, blocks[0])), n, factors))
+    best_res, best_n = math.inf, 0
+    for res, n, factors in sorted(scored):    # n is unique: factors are never compared
+        for rows in blocks[1:]:
+            if res > best_res:
+                break
+            res = np.maximum(res, block_res(factors, rows))
+        if res < best_res or (res == best_res < math.inf and n < best_n):
+            best_res, best_n = float(res), n
     return ConjugationReport(n=best_n, residual=best_res, equivalent=best_res <= 1e-3)
 
 

@@ -309,6 +309,17 @@ def test_radon_far_centre_misses_every_line(tmp_path, capsys, quantity):
     assert np.array_equal(sino.values, np.broadcast_to(want, sino.values.shape))
 
 
+def test_flux_far_centre_is_clean(tmp_path, capsys):
+    # a bump whose squared offset overflows contributes nothing: no warning, no NaN
+    cfg, out = tmp_path / "p.json", tmp_path / "flux.json"
+    far = {"center": [1e300, 0.0], "strength": 1.0, "width": 1.0}
+    cfg.write_text(json.dumps({"alpha": 0.3, "bumps": [far], "gradL": [far], "V": [far]}))
+    assert main(["flux", "--config", str(cfg), "--radii", "10,20,40", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    got = json.loads(out.read_text())
+    assert all(abs(a - 0.3) <= 1e-12 for a in [got["alpha"], *got["sequence"]])
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, abscatter.cli; "
@@ -317,6 +328,46 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.strip()
     assert out == ""
+
+
+LAYERS = ("abwave", "specfun", "smatrix", "inverse", "gaugefield", "xray")
+KERNEL_SIDE = ("abwave", "specfun", "gaugefield", "xray")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["--version"], ("numpy", *LAYERS)),
+    (["--help"], ("numpy", *LAYERS)),
+    (["wave", "--alpha", "0.5"], ("numpy", *LAYERS)),                  # argparse error
+    (["kernel", "--alpha", "0.3", "--n", "8", "--out", "{tmp}/k8.csv"], ("numpy", *LAYERS)),
+    (["kernel", "--alpha", "0.3", "--perturb", "-1", "--out", "{tmp}/kp.csv"], ("numpy", *LAYERS)),
+    (["wave", "--alpha", "0.5", "--omega-deg", "nan", "--out", "{tmp}/wn.csv"], ("numpy", *LAYERS)),
+    (["wave", "--alpha", "0.5", "--grid", "5", "--extent", "2", "--out", "{tmp}/w.csv"],
+     ("smatrix", "inverse", "gaugefield", "xray")),
+    (["kernel", "--alpha", "0.3", "--n", "64", "--out", "{tmp}/k2.csv"], KERNEL_SIDE),
+    (["recover", "--kernel", "{tmp}/k.csv"], KERNEL_SIDE),
+    (["gauge-check", "--kernel1", "{tmp}/k.csv", "--kernel2", "{tmp}/k.csv"], KERNEL_SIDE),
+    (["strip", "--kernel", "{tmp}/k.csv", "--eps", "0.2"], KERNEL_SIDE),
+    (["flux", "--config", "{tmp}/pot.json", "--radii", "5,10"],
+     ("smatrix", "inverse", "abwave", "specfun", "xray")),
+    (["radon", "--config", "{tmp}/pot.json", "--quantity", "A", "--n-p", "4", "--n-phi", "4",
+      "--out", "{tmp}/s.csv"], ("abwave", "specfun", "smatrix", "inverse")),
+])
+def test_cli_loads_only_the_modules_its_command_uses(tmp_path, argv, absent):
+    # each command imports numpy and its layer modules itself, after its argument
+    # checks: --version, --help and refused arguments load no numpy, and no command
+    # loads another's layers
+    assert main(["kernel", "--alpha", "0.3", "--n", "64", "--out", str(tmp_path / "k.csv")]) == 0
+    save_potential_json(VectorPotential(alpha=0.7), tmp_path / "pot.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\nfrom abscatter.cli import main\ntry:\n    main(sys.argv[1:])\n"
+            "except SystemExit:\n    pass\nprint(' '.join(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    args = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()[-1].split()
+    loaded = {m.removeprefix("abscatter.") for m in out}
+    assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
+    assert "abscatter.cli" in out
 
 
 def test_cli_import_loads_no_process_pool():

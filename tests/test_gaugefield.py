@@ -292,3 +292,17 @@ def test_potential_schema_errors(tmp_path):
     from abscatter.errors import SchemaError
     with pytest.raises(SchemaError):
         load_potential_json(bad)
+
+
+@pytest.mark.parametrize("center", [(1e300, 0.0), (-1e300, 1e300), (1.7e308, -1.7e308)])
+def test_far_centre_fields_are_zero(center):
+    # the squared offset overflows: the envelope is exactly 0, and no field is NaN
+    # (a RuntimeWarning is an error under this suite)
+    pts = np.array([[0.0, 0.0], [3.0, -4.0], [-1.7e308, 1.7e308]])
+    bump = GaussianBump(center, 2.0, 1.0)
+    scalar = GaussianScalar(center, 2.0, 1.0)
+    for got in (bump.vector(pts), bump.curl(pts), scalar.value(pts), scalar.gradient(pts)):
+        assert np.array_equal(got, np.zeros_like(got))
+    pot = VectorPotential(alpha=0.3, bumps=(bump,), grad_l=ScalarMixture((scalar,)))
+    assert np.array_equal(pot.b_field(pts[:2]), np.zeros(2))
+    assert np.array_equal(pot.aprime(pts[:2]), np.zeros((2, 2)))

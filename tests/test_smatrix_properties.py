@@ -3,7 +3,8 @@ shifted flux, the winding search finds it below half its period, the flux
 recovery reads the same sin(pi*alpha) in every gauge, the principal-value
 quadrature of compose_with_amplitude and extract_mode equals a dense
 reference, the reflection alpha -> -alpha holds on the grid, and the spectrum
-is two-valued with its flip at ceil(alpha), so the modes give the flux back."""
+is two-valued with its flip at ceil(alpha), so the modes give the flux back.
+The pruned winding search returns the exhaustive search's report."""
 
 import math
 
@@ -12,8 +13,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from abscatter import smatrix
 from abscatter.errors import DomainError
-from abscatter.inverse import detect_conjugation, recover_flux, recover_flux_from_modes
+from abscatter.inverse import (
+    ConjugationReport,
+    detect_conjugation,
+    recover_flux,
+    recover_flux_from_modes,
+)
 from abscatter.smatrix import (
     KernelGrid,
     _mode_values,
@@ -196,3 +203,42 @@ def test_winding_search_ignores_the_diagonal_in_every_block():
     np.fill_diagonal(target.values, 5.0)
     rep = detect_conjugation(g, target, 3)
     assert rep.n == 2 and rep.residual <= 1e-12
+
+
+def exhaustive_search(s1, s2, n_range):
+    """Every winding scanned in full: the least residual, ties to the least n."""
+    best_n, best_res = 0, math.inf
+    for n in range(-n_range, n_range + 1):
+        diff = conjugate_kernel(s1, n).values - s2.values
+        np.fill_diagonal(diff, 0.0)
+        res = max(abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n), float(np.max(np.abs(diff))))
+        if res < best_res:
+            best_n, best_res = n, res
+    return ConjugationReport(n=best_n, residual=best_res, equivalent=best_res <= 1e-3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["zero", "delta", "spike", "equal", "conjugated", "noise"]),
+       st.integers(8, 72), st.integers(1, 20), st.integers(0, 3), windings, st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_pruned_winding_search_matches_exhaustive(kind, n, block_rows, n_range, w, scale, seed):
+    # small row blocks give many blocks to prune; "zero", "delta" and "spike"
+    # kernels tie some or all windings exactly: a "spike" entry of s2 where s1 is 0
+    # sets every winding's residual in the last row, after scores that differ
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    s1 = KernelGrid(n=n, values=0 * vals if kind in ("zero", "delta") else vals,
+                    delta_coeff=complex(kind != "zero"))
+    if kind in ("conjugated", "noise"):
+        s2 = conjugate_kernel(s1, w)
+        s2.values += scale * (rng.normal(size=(n, n)) if kind == "noise" else 1e-13)
+    elif kind == "spike":
+        s1.values[-1, 0] = 0.0
+        s2 = KernelGrid(n=n, values=np.zeros((n, n), dtype=complex), delta_coeff=1.0)
+        s2.values[-1, 0] = 1e3
+    else:
+        s2 = KernelGrid(n=n, values=s1.values.copy(), delta_coeff=s1.delta_coeff)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smatrix, "_BLOCK_ROWS", block_rows)
+        got = detect_conjugation(s1, s2, n_range)
+    assert got == exhaustive_search(s1, s2, n_range)
