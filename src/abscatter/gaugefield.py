@@ -176,8 +176,10 @@ class GaussianBump(_Gaussian):
 
     def curl(self, x) -> np.ndarray:
         single, d, env = self._envelope(x)
-        rho2 = (d * d).sum(axis=1)
-        out = env * (2.0 / self.width ** 2 - rho2 / self.width ** 4)
+        # rho2 / w^2 is 2q, finite wherever the envelope's q is; where q
+        # overflows, _envelope has zeroed d
+        w2 = self.width ** 2
+        out = env / w2 * (2.0 - (d * d).sum(axis=1) / w2)
         return out[0] if single else out
 
 

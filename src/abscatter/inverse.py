@@ -20,9 +20,8 @@ S'(theta,theta') = exp(i*n*theta) S(theta,theta') exp(-i*n*(theta'+pi)).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "detect_conjugation",
     "default_strips",
     "recover_flux",
-    "verdict_to_json",
 ]
 
 # eigenvalue clustering threshold below which flux is declared integral
@@ -291,6 +289,3 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool, strips=None,
                        sin_pi_alpha=strip_est.sin_pi_alpha,
                        residual=residual, witness=witness)
 
-
-def verdict_to_json(verdict: FluxVerdict) -> str:
-    return json.dumps(asdict(verdict), indent=2) + "\n"

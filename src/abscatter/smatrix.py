@@ -31,7 +31,6 @@ from .errors import DomainError, ResolutionError
 from .io import grid_columns, read_table, write_table
 
 __all__ = [
-    "kernel_regular",
     "PartialWaveSMatrix",
     "KernelGrid",
     "StripDomain",
@@ -58,16 +57,6 @@ _BLOCK_ROWS = 256
 def _row_blocks(n: int):
     """Slices of _BLOCK_ROWS rows (the last one possibly short) covering rows 0 .. n."""
     return (slice(r0, r0 + _BLOCK_ROWS) for r0 in range(0, n, _BLOCK_ROWS))
-
-
-def kernel_regular(alpha: float, tau) -> np.ndarray:
-    """Regular (principal-value) part of the kernel at angle difference tau.
-
-    Valid for tau not congruent to 0 mod 2*pi.
-    """
-    tau = np.asarray(tau, dtype=float)
-    ca = math.ceil(alpha)
-    return (1j * math.sin(math.pi * alpha) / math.pi) * np.exp(1j * ca * tau) / (1.0 - np.exp(1j * tau))
 
 
 @dataclass(frozen=True)
@@ -155,10 +144,12 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
     except (MemoryError, ValueError):   # ValueError: n * n overflows the index type
         raise DomainError(f"a {n} x {n} kernel grid needs {16 * n * n / 2**30:.3g} GiB, "
                           f"more than can be allocated") from None
-    tau = 2.0 * math.pi * np.arange(n) / n
+    # the regular part at angle differences tau = theta_j, j = 1 .. n-1
+    tau = 2.0 * math.pi * np.arange(1, n) / n
     rvals = np.empty(n, dtype=complex)
     rvals[0] = 0.0
-    rvals[1:] = kernel_regular(alpha, tau[1:])
+    rvals[1:] = (1j * math.sin(math.pi * alpha) / math.pi) * np.exp(1j * math.ceil(alpha) * tau) \
+        / (1.0 - np.exp(1j * tau))
     cols = np.arange(n)
     for j in range(n):
         values[j] = rvals[(j - cols) % n]

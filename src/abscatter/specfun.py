@@ -12,8 +12,6 @@ when a scalar bound on the unnormalized values, grown by the recurrence at the
 smallest argument, passes the rescale threshold.  Arguments below 1e-8 (0
 included) take the leading power-series term (x/2)^nu / Gamma(nu+1), exact to
 rounding there.
-
-The scalar `bessel_j` is a one-point `bessel_j_ladder` call.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["bessel_j", "bessel_j_ladder"]
+__all__ = ["bessel_j_ladder"]
 
 # Largest argument accepted; accuracy is declared for x <= 500.
 X_MAX = 1.0e4
@@ -96,20 +94,13 @@ def _magnitude(k: int) -> str:
     return f"{k / 10**d:.2f}e{d}"
 
 
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x), nu >= 0, 0 <= x <= 1e4.
-
-    Absolute error <= 1e-10 on nu in [0, 200], x in [0, 500].
-    """
-    return float(bessel_j_ladder(float(nu), 1, float(x))[0])
-
-
 def bessel_j_ladder(mu: float, count: int, x) -> np.ndarray:
     """J_{mu+k}(x) for k = 0..count-1, vectorized over x.
 
     Returns shape (count,) for scalar x, else (count, len(x)).  One backward
     recurrence per argument batch, normalized at the fractional order
     mu - floor(mu) (no Gamma(mu + 1) overflow), costs about one order.
+    Absolute error <= 1e-10 for orders in [0, 200] and x in [0, 500].
     """
     if not 0.0 <= mu < math.inf:
         raise DomainError(f"base order must be finite and >= 0, got {mu}")

@@ -9,8 +9,8 @@ exp(i * integral) only sees the flux mod 2: equality of the phase data pins
 down flux differences to even integers, which flux_parity_test certifies
 from the raw integrals.
 
-All line integrals, single lines and whole sinograms alike, go through the
-segment rule of gaugefield (the rule the eikonal phases use): each Gaussian
+All line integrals, on any (offsets x angles) grid, go through the segment
+rule of gaugefield (the rule the eikonal phases use): each Gaussian
 component integrates the lines that meet its own disk |x - c| <= 8.5 w with
 its own 51-node Gauss-Legendre rule, lines that miss the disk cost nothing,
 and the flux part is added in closed form.
@@ -38,11 +38,9 @@ from .gaugefield import VectorPotential, _aprime_parts, _segment_integrals
 from .io import grid_columns, read_table, write_table
 
 __all__ = [
-    "LineSpec",
     "Sinogram",
     "ParityReport",
-    "line_integral_V",
-    "line_integral_A",
+    "line_integrals",
     "radon_forward",
     "a_line_sinogram",
     "radon_invert",
@@ -52,24 +50,6 @@ __all__ = [
     "save_sinogram_csv",
     "load_sinogram_csv",
 ]
-
-@dataclass(frozen=True)
-class LineSpec:
-    """Line {x0 + s*omega}; omega must be a unit vector."""
-
-    x0: tuple[float, float]
-    omega: tuple[float, float]
-
-    def __post_init__(self):
-        w = np.asarray(self.omega, dtype=float)
-        if abs(float(w @ w) - 1.0) > 1e-12:
-            raise DomainError("omega must be a unit vector")
-
-    @classmethod
-    def parallel_beam(cls, p: float, phi: float) -> "LineSpec":
-        return cls(x0=(-p * math.sin(phi), p * math.cos(phi)),
-                   omega=(math.cos(phi), math.sin(phi)))
-
 
 @dataclass
 class Sinogram:
@@ -91,15 +71,20 @@ class Sinogram:
         return float(np.max(np.abs(self.offsets)))
 
 
-def _line_integrals(pot: VectorPotential, offsets: np.ndarray, angles: np.ndarray,
-                    quantity: str) -> np.ndarray:
-    """Full-line integrals of V or A . omega on the (offsets x angles) grid.
+def line_integrals(pot: VectorPotential, offsets, angles, quantity: str) -> np.ndarray:
+    """Full-line integrals of V or A . omega (quantity "V" or "A") on the
+    (offsets x angles) grid of two 1-D sequences.
 
     Line (p, phi) is p*(-sin phi, cos phi) + s*(cos phi, sin phi); the
     smooth parts go through gaugefield's segment rule, one angle's offsets
     per batch.  The flux part of A . omega adds -alpha*pi*sgn(p) in closed
     form, so lines through the origin are rejected.
     """
+    if quantity not in ("V", "A"):
+        raise DomainError(f"quantity must be 'V' or 'A', got {quantity!r}")
+    offsets, angles = np.asarray(offsets, dtype=float), np.asarray(angles, dtype=float)
+    if offsets.ndim != 1 or angles.ndim != 1:
+        raise DomainError("line offsets and angles must be 1-D sequences")
     if not (np.all(np.isfinite(offsets)) and np.all(np.isfinite(angles))):
         raise DomainError("line offsets and angles must be finite")
     if quantity == "V":
@@ -117,29 +102,6 @@ def _line_integrals(pot: VectorPotential, offsets: np.ndarray, angles: np.ndarra
     return values
 
 
-def _line(pot: VectorPotential, line: LineSpec, quantity: str) -> float:
-    """One LineSpec as the grid point p = -(x0 x omega), phi = atan2(omega)."""
-    (x1, x2), (w1, w2) = line.x0, line.omega
-    p = np.array([x2 * w1 - x1 * w2], dtype=float)
-    return float(_line_integrals(pot, p, np.array([math.atan2(w2, w1)]), quantity)[0, 0])
-
-
-def line_integral_V(pot: VectorPotential, line: LineSpec) -> float:
-    """Full-line integral of V by the Gauss-Legendre rule radon_forward uses."""
-    return _line(pot, line, "V")
-
-
-def line_integral_A(pot: VectorPotential, line: LineSpec) -> tuple[float, complex]:
-    """(raw, phase): raw = full-line integral of A . omega, phase = exp(i*raw).
-
-    The flux part integrates exactly to alpha*pi*sgn(x0 x omega); only the
-    phase is gauge-meaningful, the raw value feeds the parity certificate.
-    Lines through the origin are rejected (the flux part diverges there).
-    """
-    raw = _line(pot, line, "A")
-    return raw, complex(np.exp(1j * raw))
-
-
 def sinogram_axes(n_p: int, n_phi: int, p_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Canonical sinogram grids: n_p offsets across [-p_max, p_max], n_phi angles k*pi/n_phi."""
     return np.linspace(-p_max, p_max, n_p), np.arange(n_phi) * math.pi / n_phi
@@ -148,8 +110,8 @@ def sinogram_axes(n_p: int, n_phi: int, p_max: float) -> tuple[np.ndarray, np.nd
 def radon_forward(pot: VectorPotential, n_p: int, n_phi: int, p_max: float) -> Sinogram:
     """Parallel-beam sinogram of V on uniform offsets/angles grids.
 
-    Uses the same per-component Gauss-Legendre rules as line_integral_V, on
-    each component's own window, whatever p_max is.
+    Uses the per-component Gauss-Legendre rules of line_integrals, on each
+    component's own window, whatever p_max is.
     """
     if n_p < 64 or n_phi < 64:
         raise DomainError("sinogram grid sizes must be >= 64")
@@ -157,7 +119,7 @@ def radon_forward(pot: VectorPotential, n_p: int, n_phi: int, p_max: float) -> S
         raise DomainError(f"p_max must be finite and positive, got {p_max}")
     offsets, angles = sinogram_axes(n_p, n_phi, p_max)
     return Sinogram(offsets=offsets, angles=angles,
-                    values=_line_integrals(pot, offsets, angles, "V"))
+                    values=line_integrals(pot, offsets, angles, "V"))
 
 
 def a_line_sinogram(pot: VectorPotential, offsets, angles) -> Sinogram:
@@ -166,10 +128,8 @@ def a_line_sinogram(pot: VectorPotential, offsets, angles) -> Sinogram:
     Offsets must avoid 0 (DomainError otherwise); use it to build the
     phase/parity data for lines clear of the obstacle disk.
     """
-    offsets = np.asarray(offsets, dtype=float)
-    angles = np.asarray(angles, dtype=float)
     return Sinogram(offsets=offsets, angles=angles,
-                    values=_line_integrals(pot, offsets, angles, "A"))
+                    values=line_integrals(pot, offsets, angles, "A"))
 
 
 def reconstruction_axes(sino: Sinogram, grid_n: int) -> np.ndarray:

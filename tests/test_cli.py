@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from abscatter import smatrix
+from abscatter.abwave import ABWaveSpec, eval_ab_wave_grid, load_wave_csv
 from abscatter.cli import main
 from abscatter.gaugefield import (
     GaussianScalar,
@@ -18,7 +20,7 @@ from abscatter.gaugefield import (
     VectorPotential,
     save_potential_json,
 )
-from abscatter.inverse import recover_flux, verdict_to_json
+from abscatter.inverse import recover_flux
 from abscatter.smatrix import load_kernel_csv, sample_kernel
 from abscatter.xray import load_sinogram_csv
 
@@ -82,7 +84,7 @@ def test_default_kernel_then_default_recover_matches_library(tmp_path):
     assert main(["kernel", "--alpha", "0.4", "--out", str(k)]) == 0
     assert main(["recover", "--kernel", str(k), "--convex", "--out", str(v)]) == 0
     verdict = recover_flux(load_kernel_csv(k), obstacle_convex=True)
-    assert v.read_text() == verdict_to_json(verdict)
+    assert v.read_text() == json.dumps(dataclasses.asdict(verdict), indent=2) + "\n"
     assert abs(verdict.alpha - 0.4) <= 1e-4
 
 
@@ -242,6 +244,36 @@ def test_wave_and_gauge_check(tmp_path):
                  "--out", str(rep)]) == 0
     payload = json.loads(rep.read_text())
     assert payload["n"] == 2 and payload["equivalent"] is True
+
+
+def test_wave_sign_minus_matches_library(tmp_path):
+    w = tmp_path / "w.csv"
+    assert main(["wave", "--alpha", "0.3", "--sign", "minus", "--extent", "3", "--grid", "21",
+                 "--out", str(w)]) == 0
+    pts, vals = load_wave_csv(w)
+    spec = ABWaveSpec.for_radius(0.3, 1.0, (1.0, 0.0), -1, 3.0 * math.sqrt(2.0))
+    assert np.array_equal(vals, eval_ab_wave_grid(spec, pts))
+    plus = dataclasses.replace(spec, sign=1)
+    assert float(np.max(np.abs(vals - eval_ab_wave_grid(plus, pts)))) > 0.1
+
+
+def test_wave_truncation_below_policy_exits_three(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert main(["wave", "--alpha", "0.5", "--truncation", "5", "--extent", "3",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "abscatter: truncation 5 does not certify |x| = 4.243, which needs 33 modes\n")
+    assert not out.exists()
+
+
+def test_wave_truncation_above_policy_matches_library(tmp_path):
+    # the policy needs 33 modes for |x| <= 3 sqrt(2); --truncation 40 sums 40
+    w = tmp_path / "w.csv"
+    assert main(["wave", "--alpha", "0.5", "--truncation", "40", "--extent", "3",
+                 "--grid", "11", "--out", str(w)]) == 0
+    pts, vals = load_wave_csv(w)
+    spec = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0), sign=1, truncation=40)
+    assert np.array_equal(vals, eval_ab_wave_grid(spec, pts))
 
 
 def test_radon_command(tmp_path):

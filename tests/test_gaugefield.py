@@ -306,3 +306,15 @@ def test_far_centre_fields_are_zero(center):
     pot = VectorPotential(alpha=0.3, bumps=(bump,), grad_l=ScalarMixture((scalar,)))
     assert np.array_equal(pot.b_field(pts[:2]), np.zeros(2))
     assert np.array_equal(pot.aprime(pts[:2]), np.zeros((2, 2)))
+
+
+def test_narrow_curl_is_zero_where_envelope_is():
+    # at width 1e-70, rho^2 / w^4 overflows at distance 1e15 while the envelope
+    # underflows to 0; the curl and B must be 0, with no warning (an error
+    # under this suite)
+    pts = np.array([[1e15, 0.0], [0.0, -3e140], [1.0, 1.0]])
+    bump = GaussianBump((0.0, 0.0), 1.0, 1e-70)
+    assert np.array_equal(np.abs(bump.curl(pts)), np.zeros(3))
+    pot = VectorPotential(alpha=0.3, bumps=(bump,))
+    assert np.array_equal(np.abs(pot.b_field(pts)), np.zeros(3))
+    assert pot.b_field(pts[0]) == 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,7 +18,6 @@ from abscatter.inverse import (
     recover_flux,
     recover_flux_from_modes,
     recover_flux_from_strip,
-    verdict_to_json,
 )
 from abscatter.smatrix import (
     KernelGrid,
@@ -271,6 +272,6 @@ class TestPipeline:
 
     def test_verdict_json_fields(self):
         verdict = recover_flux(sample_kernel(0.5, 1024), obstacle_convex=True)
-        import json
-        payload = json.loads(verdict_to_json(verdict))
+        # the CLI's serializer: every field must be a plain JSON value
+        payload = json.loads(json.dumps(dataclasses.asdict(verdict), allow_nan=False))
         assert set(payload) == {"alpha", "ceil_alpha", "sin_pi_alpha", "residual", "witness"}

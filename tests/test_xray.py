@@ -19,12 +19,10 @@ from abscatter.gaugefield import (
     gauge_transform,
 )
 from abscatter.xray import (
-    LineSpec,
     Sinogram,
     a_line_sinogram,
     flux_parity_test,
-    line_integral_A,
-    line_integral_V,
+    line_integrals,
     load_sinogram_csv,
     radon_forward,
     radon_invert,
@@ -59,35 +57,42 @@ class TestLineIntegralV:
         # V = exp(-|x|^2): along the unit-offset horizontal line the integral
         # is sqrt(pi) * e^{-1}
         pot = gaussian_v((0.0, 0.0), 1.0, 1.0 / math.sqrt(2.0))
-        v = line_integral_V(pot, LineSpec(x0=(0.0, 1.0), omega=(1.0, 0.0)))
+        v = line_integrals(pot, [1.0], [0.0], "V")[0, 0]
         assert abs(v - math.sqrt(math.pi) * math.exp(-1.0)) <= 1e-8
 
     def test_line_outside_support(self):
         pot = gaussian_v((0.0, 0.0), 1.0, 0.3)
-        assert line_integral_V(pot, LineSpec.parallel_beam(50.0, 0.7)) == 0.0
+        assert line_integrals(pot, [50.0], [0.7], "V")[0, 0] == 0.0
 
     def test_zero_potential(self):
-        assert line_integral_V(VectorPotential(alpha=0.3), LineSpec.parallel_beam(1.0, 0.0)) == 0.0
+        assert line_integrals(VectorPotential(alpha=0.3), [1.0], [0.0], "V")[0, 0] == 0.0
 
 
 class TestLineIntegralA:
     def test_pure_flux_half_turn(self):
         pot = VectorPotential(alpha=0.5)
-        raw, phase = line_integral_A(pot, LineSpec.parallel_beam(1.0, 0.0))
+        raw, raw_other = line_integrals(pot, [1.0, -1.0], [0.0], "A")[:, 0]
         assert abs(abs(raw) - 0.5 * math.pi) <= 1e-12
-        assert abs(phase - np.exp(1j * raw)) == 0.0
-        raw_other, _ = line_integral_A(pot, LineSpec.parallel_beam(-1.0, 0.0))
         assert abs(raw + raw_other) <= 1e-12  # opposite sides, opposite signs
 
     def test_gradient_part_integrates_to_zero(self):
         pot = VectorPotential(alpha=0.0,
                               grad_l=ScalarMixture((GaussianScalar((1.0, 0.0), 0.8, 1.0),)))
-        raw, _ = line_integral_A(pot, LineSpec.parallel_beam(2.0, 0.3))
+        raw = line_integrals(pot, [2.0], [0.3], "A")[0, 0]
         assert abs(raw) <= 1e-8
 
     def test_line_through_origin_rejected(self):
         with pytest.raises(DomainError):
-            line_integral_A(VectorPotential(alpha=0.5), LineSpec(x0=(1.0, 0.0), omega=(1.0, 0.0)))
+            line_integrals(VectorPotential(alpha=0.5), [0.0], [0.0], "A")
+
+    @pytest.mark.parametrize("offsets, angles, quantity, match", [
+        ([1.0], [0.0], "B", "'V' or 'A'"),
+        (1.0, [0.0], "A", "1-D"),
+        ([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.5], "V", "1-D"),
+    ])
+    def test_bad_arguments_rejected(self, offsets, angles, quantity, match):
+        with pytest.raises(DomainError, match=match):
+            line_integrals(VectorPotential(alpha=0.5), offsets, angles, quantity)
 
     def test_gauge_pair_even_winding(self, rng):
         base = VectorPotential(alpha=0.4, bumps=(GaussianBump((1.0, 0.0), 0.9, 0.8),))
@@ -96,10 +101,9 @@ class TestLineIntegralA:
         other = gauge_transform(base, g)
         ps, phis = line_grid(rng, 50)
         for p, phi in zip(ps, phis):
-            ls = LineSpec.parallel_beam(p, phi)
-            r1, ph1 = line_integral_A(base, ls)
-            r2, ph2 = line_integral_A(other, ls)
-            assert abs(ph1 - ph2) <= 1e-8
+            r1 = line_integrals(base, [p], [phi], "A")[0, 0]
+            r2 = line_integrals(other, [p], [phi], "A")[0, 0]
+            assert abs(np.exp(1j * r1) - np.exp(1j * r2)) <= 1e-8
             k = (r2 - r1) / (2.0 * math.pi)
             assert abs(k - round(k)) <= 1e-9
 
@@ -108,9 +112,8 @@ class TestLineIntegralA:
         other = gauge_transform(base, GaugeElement(winding=1))
         ps, phis = line_grid(rng, 10)
         for p, phi in zip(ps, phis):
-            ls = LineSpec.parallel_beam(p, phi)
-            _, ph1 = line_integral_A(base, ls)
-            _, ph2 = line_integral_A(other, ls)
+            ph1 = np.exp(1j * line_integrals(base, [p], [phi], "A")[0, 0])
+            ph2 = np.exp(1j * line_integrals(other, [p], [phi], "A")[0, 0])
             assert abs(ph1 + ph2) <= 1e-10  # phases differ by e^{i pi}
 
 
@@ -123,13 +126,14 @@ class TestRadonForward:
         pot = gaussian_v((3.0, 0.0), 1.0, 0.5)
         sino = radon_forward(pot, 64, 64, 8.0)
         for i, j in [(5, 7), (40, 33), (63, 0)]:
-            ls = LineSpec.parallel_beam(sino.offsets[i], sino.angles[j])
-            x0, omega = np.asarray(ls.x0), np.asarray(ls.omega)
+            p, phi = sino.offsets[i], sino.angles[j]
+            x0 = p * np.array([-math.sin(phi), math.cos(phi)])
+            omega = np.array([math.cos(phi), math.sin(phi)])
             sc = float((np.array([3.0, 0.0]) - x0) @ omega)
             ref, _ = quad(lambda s: float(pot.v(x0 + s * omega)), sc - 4.25, sc + 4.25,
                           epsabs=1e-10, epsrel=1e-10, limit=200)
             assert abs(sino.values[i, j] - ref) <= 1e-8
-            assert abs(line_integral_V(pot, ls) - ref) <= 1e-8
+            assert abs(line_integrals(pot, [p], [phi], "V")[0, 0] - ref) <= 1e-8
 
     def test_narrow_component_large_p_max(self):
         # the integration window depends on the potential's reach, not on
@@ -159,7 +163,7 @@ class TestRadonForward:
         pp = (-center[0] * np.sin(phi) + center[1] * np.cos(phi)
               + width * np.array([[0.0], [0.5], [2.0]]))
         ff = np.broadcast_to(phi, pp.shape)
-        got = np.reshape([line_integral_V(pot, LineSpec.parallel_beam(p, f))
+        got = np.reshape([line_integrals(pot, [p], [f], "V")[0, 0]
                           for p, f in zip(pp.flat, ff.flat)], pp.shape)
         assert float(np.max(np.abs(got - v_closed_form(comps, pp, ff)))) <= 1e-10
 
