@@ -137,8 +137,8 @@ def _pts(x) -> tuple[np.ndarray, bool]:
 @dataclass(frozen=True)
 class _Gaussian:
     """Envelope strength * exp(-|x - center|^2 / (2 width^2)): a finite 2-vector
-    center, finite strength, and a width > 0 whose square and fourth power
-    are finite, nonzero floats (the fields divide by both)."""
+    center, finite strength, and a width > 0 whose square is a finite, normal
+    float (the fields divide by it; none divides by a higher power)."""
 
     center: tuple[float, float]
     strength: float
@@ -150,9 +150,9 @@ class _Gaussian:
         if not math.isfinite(self.strength):
             raise DomainError(f"strength must be finite, got {self.strength}")
         w2 = self.width * self.width
-        if not (self.width > 0.0 and 0.0 < w2 * w2 < math.inf):
-            raise DomainError(f"width must be positive with a finite, nonzero square and "
-                              f"fourth power, got {self.width}")
+        if not (self.width > 0.0 and np.finfo(float).tiny <= w2 < math.inf):
+            raise DomainError(f"width must be positive with a finite square of at least "
+                              f"{np.finfo(float).tiny:.4g}, got {self.width}")
 
     def _envelope(self, x):
         """(single, x - center, envelope) at a 2-vector or (n, 2) points x; both are

@@ -207,7 +207,7 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
     # is the exhaustive one: the least residual, ties to the least n
     scored = []
     for n in range(-n_range, n_range + 1):
-        factors = _gauge_factors(s1.theta, n)
+        factors = _gauge_factors(s1.n, n)
         delta_res = abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n)
         scored.append((np.maximum(delta_res, block_res(factors, blocks[0])), n, factors))
     best_res, best_n = math.inf, 0

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +58,17 @@ _BLOCK_ROWS = 256
 def _row_blocks(n: int):
     """Slices of _BLOCK_ROWS rows (the last one possibly short) covering rows 0 .. n."""
     return (slice(r0, r0 + _BLOCK_ROWS) for r0 in range(0, n, _BLOCK_ROWS))
+
+
+@lru_cache(maxsize=16)
+def _roots(n: int) -> np.ndarray:
+    """Read-only e^{2 pi i k/n}, k < n, for every phase on the kernel grid: k/n turns is
+    p exact quarter turns plus t in [-pi/4, pi/4), so libm's cos and sin see only t."""
+    p, s = np.divmod(8 * np.arange(n) + n, 2 * n)       # k/n = p/4 + (s - n)/(8n)
+    z = [complex(math.cos(t), math.sin(t)) for t in (math.pi / 4.0 * ((s - n) / n)).tolist()]
+    out = np.array([1, 1j, -1, -1j])[p % 4] * np.array(z)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,16 +156,14 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
     except (MemoryError, ValueError):   # ValueError: n * n overflows the index type
         raise DomainError(f"a {n} x {n} kernel grid needs {16 * n * n / 2**30:.3g} GiB, "
                           f"more than can be allocated") from None
-    # the regular part at angle differences tau = theta_j, j = 1 .. n-1
-    tau = 2.0 * math.pi * np.arange(1, n) / n
-    rvals = np.empty(n, dtype=complex)
-    rvals[0] = 0.0
-    rvals[1:] = (1j * math.sin(math.pi * alpha) / math.pi) * np.exp(1j * math.ceil(alpha) * tau) \
-        / (1.0 - np.exp(1j * tau))
-    cols = np.arange(n)
-    for j in range(n):
-        values[j] = rvals[(j - cols) % n]
-    return KernelGrid(n=n, values=values, delta_coeff=complex(math.cos(math.pi * alpha)),
+    # the regular part at tau = theta_j, j = 1 .. n-1; alpha mod 2 is exact and odd in alpha
+    turns, roots = math.remainder(alpha, 2.0), _roots(n)
+    rvals = np.zeros(n, dtype=complex)
+    rvals[1:] = (1j * math.sin(math.pi * turns) / math.pi) \
+        * roots[math.ceil(alpha) % n * np.arange(1, n) % n] / (1.0 - roots[1:])
+    # values[j, k] = rvals[(j - k) % n] is window n-1-j of the doubled, reversed row
+    values[...] = np.lib.stride_tricks.sliding_window_view(np.tile(rvals[::-1], 2), n)[n - 1::-1]
+    return KernelGrid(n=n, values=values, delta_coeff=complex(math.cos(math.pi * turns)),
                       alpha_hint=float(alpha))
 
 
@@ -197,7 +207,7 @@ def strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> co
     w_p1 = -(t + 1.0) * t * (t - 2.0) / 2.0
     w_p2 = (t + 1.0) * t * (t - 1.0) / 6.0
     if winding:
-        row_f, col_f = _gauge_factors(theta, winding)
+        row_f, col_f = _gauge_factors(grid.n, winding)
         row_f = row_f[rows][:, None]
     vals = np.zeros((rows.size, tau.size), dtype=complex)
     for off, w in ((-1, w_m1), (0, w_0), (1, w_p1), (2, w_p2)):
@@ -271,7 +281,7 @@ def _mode_values(grid: KernelGrid, modes, row_stride: int | None = None) -> np.n
     if row_stride is None:
         row_stride = max(1, grid.n // 256)
     rows = slice(0, grid.n, row_stride)
-    phase = np.exp(1j * np.outer(grid.theta, modes))
+    phase = _roots(grid.n)[np.outer(np.arange(grid.n), np.mod(modes, grid.n)) % grid.n]
     per_row = (_pv_rows(grid, rows) @ phase) * np.conj(phase[rows])
     return grid.delta_coeff + per_row.mean(axis=0)
 
@@ -281,11 +291,11 @@ def extract_mode(grid: KernelGrid, m: int, row_stride: int | None = None) -> com
     return complex(_mode_values(grid, [m], row_stride)[0])
 
 
-def _gauge_factors(theta: np.ndarray, winding: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauge_factors(n: int, winding: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column factors (-1)^w e^{i w theta_j}, e^{-i w theta_k} of the conjugation
-    by winding w; entry (j, k) is multiplied by the row factor first."""
-    u = np.exp(1j * winding * theta)
-    return (-1.0) ** winding * u, np.conj(u)
+    by winding w on the n-point grid; entry (j, k) is multiplied by the row factor first."""
+    u = _roots(n)[winding % n * np.arange(n) % n]
+    return -u if winding % 2 else u, np.conj(u)
 
 
 def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
@@ -297,7 +307,7 @@ def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
     For the flux-alpha kernel this lands exactly on the flux-(alpha+n) kernel.
     """
     winding = int(winding)
-    row_f, col_f = _gauge_factors(grid.theta, winding)
+    row_f, col_f = _gauge_factors(grid.n, winding)
     new_vals = grid.values * row_f[:, None]
     new_vals *= col_f
     np.fill_diagonal(new_vals, 0.0)
@@ -314,9 +324,9 @@ def perturb_kernel(grid: KernelGrid, size: float, seed: int) -> KernelGrid:
         raise DomainError(f"perturbation size must be finite and >= 0, got {size}")
     rng = np.random.default_rng(seed)
     terms = [(*rng.integers(-3, 4, size=2), rng.normal() + 1j * rng.normal()) for _ in range(3)]
-    th = grid.theta
+    roots, j = _roots(grid.n), np.arange(grid.n)
     # each term is the outer product c e^{ia theta} x e^{ib theta'}, summed in row blocks
-    factors = [(c * np.exp(1j * a * th), np.exp(1j * b * th)) for a, b, c in terms]
+    factors = [(c * roots[a * j % grid.n], roots[b * j % grid.n]) for a, b, c in terms]
     vals = np.zeros((grid.n, grid.n), dtype=complex)
     peak = 0.0
     for rows in _row_blocks(grid.n):

@@ -106,7 +106,7 @@ def test_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     # the perturbation recipe is smatrix.perturb_kernel; its bytes are pinned
     assert hashlib.sha256(a.read_bytes()).hexdigest() == (
-        "19ba0f7c19cb20d92ceda04c10db9944edcbbfbf5cac9b927ad91bd79c4fd9ff")
+        "4e90f2ec900ae0a78d942777024de8b589cc8c9dc678a01a1d32c8b750da8b16")
     ref = smatrix.perturb_kernel(sample_kernel(0.5, 128), 0.05, 7)
     assert np.array_equal(load_kernel_csv(a).values, ref.values)
 
@@ -313,7 +313,7 @@ def test_radon_bad_grid_exit_three(tmp_path):
     assert not out.exists()
 
 
-# a width whose square or fourth power leaves the float range is refused by
+# a width whose square is not a finite, normal float is refused by
 # the config schema, before an envelope or a node count is formed
 @pytest.mark.parametrize("strength, width", [(1e308, 1e300), (1.0, 1e-300)])
 def test_radon_width_out_of_float_range_exits_two(tmp_path, capsys, strength, width):
@@ -350,6 +350,17 @@ def test_flux_far_centre_is_clean(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     got = json.loads(out.read_text())
     assert all(abs(a - 0.3) <= 1e-12 for a in [got["alpha"], *got["sequence"]])
+
+
+def test_flux_width_with_subnormal_square_exits_two(tmp_path, capsys):
+    # (1e-160)^2 is below the least normal float
+    cfg, out = tmp_path / "p.json", tmp_path / "flux.json"
+    cfg.write_text(json.dumps({"alpha": 0.3, "bumps": [
+        {"center": [0.0, 0.0], "strength": 1.0, "width": 1e-160}]}))
+    assert main(["flux", "--config", str(cfg), "--radii", "10,20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "width" in err
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -318,3 +318,15 @@ def test_narrow_curl_is_zero_where_envelope_is():
     pot = VectorPotential(alpha=0.3, bumps=(bump,))
     assert np.array_equal(np.abs(pot.b_field(pts)), np.zeros(3))
     assert pot.b_field(pts[0]) == 0.0
+
+
+def test_width_with_normal_square_is_accepted_and_finite():
+    # no field divides by w^4, so 1e-100 (w^4 = 1e-400 rounds to 0) is accepted;
+    # every field is finite with no warning (an error under this suite) at the
+    # centre, one width out and far out, where the envelope underflows
+    pts = np.array([[0.0, 0.0], [1e-100, 0.0], [1e15, 0.0]])
+    bump = GaussianBump((0.0, 0.0), 1.0, 1e-100)
+    scalar = GaussianScalar((0.0, 0.0), 1.0, 1e-100)
+    for got in (bump.vector(pts), bump.curl(pts), scalar.value(pts), scalar.gradient(pts)):
+        assert np.all(np.isfinite(got))
+    assert bump.curl(pts)[0] > 1e200 and scalar.value(pts)[2] == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abscatter.errors import DomainError, ResolutionError
+from abscatter.inverse import detect_conjugation
 from abscatter.smatrix import (
     KernelGrid,
     StripDomain,
@@ -123,6 +124,12 @@ class TestKernelGrid:
             np.fill_diagonal(pred, 0.0)
             assert np.max(np.abs(gm.values - pred)) <= 1e-12
             assert abs(gm.delta_coeff - np.conj(ga.delta_coeff)) == 0.0
+
+    def test_huge_even_flux_is_the_identity(self):
+        # 1e300 is an even integer; the flux is reduced modulo 2 exactly
+        g = sample_kernel(1e300, 64)
+        assert g.delta_coeff == 1.0
+        assert np.all(g.values == 0.0)
 
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
@@ -272,6 +279,15 @@ class TestConjugation:
         assert abs(g.delta_coeff - target.delta_coeff) <= 1e-15
         assert g.alpha_hint == 2.5
 
+    @pytest.mark.parametrize("w", [50, 200, -200])
+    def test_no_drift_with_winding(self, w):
+        # the gauge factors and the kernel read one table of roots of unity, so
+        # the error does not grow with w; 0.375 + w is exact
+        g = conjugate_kernel(sample_kernel(0.375, 1024), w)
+        target = sample_kernel(0.375 + w, 1024)
+        assert np.max(np.abs(g.values - target.values)) <= 4e-15 * np.max(np.abs(target.values))
+        assert abs(g.delta_coeff - target.delta_coeff) <= 4e-15
+
     def test_mode_space_identity(self):
         # eigenvalue identity e^{i pi (a - n)} = e^{i pi (a + n)} for integer n
         for n in range(-2, 3):
@@ -279,6 +295,24 @@ class TestConjugation:
             s = build_partial_wave(0.7 + n, 6)
             for m in (-4, -1, 0, 1, 4):
                 assert abs(extract_mode(g, m) - s.eigenvalue(m)) <= 1e-6
+
+
+def test_kernel_grid_path_takes_no_complex_exp(monkeypatch):
+    # grid phases are table lookups, so their bits do not depend on numpy's complex exp loop
+    real_exp = np.exp
+
+    def exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            raise AssertionError("complex np.exp on the kernel-grid path")
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    g = sample_kernel(0.3, 128)
+    shifted = conjugate_kernel(g, 3)
+    perturbed = perturb_kernel(g, 0.05, 7)
+    assert math.isfinite(abs(extract_mode(perturbed, 2)))
+    assert math.isfinite(abs(strip_integral(g, StripDomain(0.5, 2.5, 0.25), winding=2)))
+    assert detect_conjugation(g, shifted, 4).n == 3
 
 
 def test_kernel_csv_round_trip(tmp_path):

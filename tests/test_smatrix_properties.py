@@ -4,10 +4,13 @@ recovery reads the same sin(pi*alpha) in every gauge, the principal-value
 quadrature of compose_with_amplitude and extract_mode equals a dense
 reference, the reflection alpha -> -alpha holds on the grid, and the spectrum
 is two-valued with its flip at ceil(alpha), so the modes give the flux back.
-The pruned winding search returns the exhaustive search's report."""
+The pruned winding search returns the exhaustive search's report.  The table
+of roots of unity behind every grid phase is within an ulp of the exact
+roots, and its gauge factors repeat after n windings."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +26,9 @@ from abscatter.inverse import (
 )
 from abscatter.smatrix import (
     KernelGrid,
+    _gauge_factors,
     _mode_values,
+    _roots,
     build_partial_wave,
     compose_with_amplitude,
     conjugate_kernel,
@@ -37,6 +42,9 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 # whole regular part vanishes and relative comparisons lose their meaning
 fluxes = st.floats(-3.0, 3.0).filter(lambda a: abs(a - round(a)) >= 0.05)
 wide_fluxes = st.floats(-50.0, 50.0).filter(lambda a: abs(a - round(a)) >= 0.05)
+# multiples of 2^-10, for which alpha + w is exact
+dyadic_fluxes = st.integers(-50 * 1024, 50 * 1024).map(lambda k: k / 1024).filter(
+    lambda a: abs(a - round(a)) >= 0.05)
 sizes = st.integers(64, 256)
 # fluxes whose flip ceil(alpha) lies inside the default mode window [-8, 8],
 # 0.02 from the integers as in the acceptance round trip
@@ -79,12 +87,36 @@ def pv_reference(grid, fmat):
 
 
 @PROPERTY
-@given(wide_fluxes, st.integers(-50, 50), sizes)
-def test_conjugation_lands_on_shifted_flux(alpha, w, n):
-    got = conjugate_kernel(sample_kernel(alpha, n), w)
-    want = sample_kernel(alpha + w, n)
-    assert rel_err(got.values, want.values) <= 1e-12
-    assert abs(got.delta_coeff - want.delta_coeff) <= 1e-12
+@given(wide_fluxes, dyadic_fluxes, st.integers(-50, 50), sizes)
+def test_conjugation_lands_on_shifted_flux(alpha, dyadic, w, n):
+    # an arbitrary float's alpha + w itself rounds; a dyadic one's is exact, which
+    # leaves only the kernel's own rounding
+    for a, tol in ((alpha, 1e-12), (dyadic, 4e-15)):
+        got = conjugate_kernel(sample_kernel(a, n), w)
+        want = sample_kernel(a + w, n)
+        assert rel_err(got.values, want.values) <= tol
+        assert abs(got.delta_coeff - want.delta_coeff) <= tol
+
+
+@PROPERTY
+@given(st.integers(64, 4096))
+def test_roots_table_is_within_an_ulp(n):
+    roots = _roots(n)
+    assert not roots.flags.writeable
+    with mpmath.workprec(113):
+        err = max(abs(mpmath.mpc(z.real, z.imag) - mpmath.expjpi(mpmath.mpf(2 * k) / n))
+                  for k, z in enumerate(roots))
+    assert err <= math.ulp(1.0)
+
+
+@PROPERTY
+@given(st.integers(64, 512), st.integers(-1000, 1000))
+def test_gauge_factors_repeat_after_n_windings(n, w):
+    # bit for bit, with the row factor's sign (-1)^n
+    row, col = _gauge_factors(n, w)
+    row_n, col_n = _gauge_factors(n, w + n)
+    assert row_n.tobytes() == (-row if n % 2 else row).tobytes()
+    assert col_n.tobytes() == col.tobytes()
 
 
 @pytest.mark.parametrize("parity", [0, 1])
