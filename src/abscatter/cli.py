@@ -58,12 +58,8 @@ def _cmd_wave(args) -> None:
     sign = 1 if args.sign == "plus" else -1
     phi = math.radians(args.omega_deg)
     omega = (math.cos(phi), math.sin(phi))
-    r_max = args.extent * math.sqrt(2.0)
-    if args.truncation is not None:
-        spec = abwave.ABWaveSpec(alpha=args.alpha, lam=args.energy, omega=omega,
-                                 sign=sign, truncation=args.truncation)
-    else:
-        spec = abwave.ABWaveSpec.for_radius(args.alpha, args.energy, omega, sign, r_max)
+    spec = abwave.ABWaveSpec.for_radius(args.alpha, args.energy, omega, sign,
+                                        args.extent * math.sqrt(2.0))
     axis = np.linspace(-args.extent, args.extent, args.grid)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
@@ -103,13 +99,8 @@ def _cmd_strip(args) -> None:
 def _cmd_recover(args) -> None:
     import dataclasses
     from . import inverse, smatrix
-    grid = smatrix.load_kernel_csv(args.kernel)
-    if args.strips is None:
-        strips = inverse.default_strips(grid.n, args.a, args.b)
-    else:
-        strips = [smatrix.StripDomain(a=args.a, b=args.b, eps=e) for e in _floats(args.strips)]
-    verdict = inverse.recover_flux(grid, obstacle_convex=args.convex,
-                                   strips=strips, m_max=args.m_max)
+    verdict = inverse.recover_flux(smatrix.load_kernel_csv(args.kernel),
+                                   obstacle_convex=args.convex)
     _json_out(dataclasses.asdict(verdict), args.out)
 
 
@@ -149,7 +140,6 @@ _FLOORS = {
     "kernel": {"--n": 64},
     "radon --quantity V": {"--n-p": 64, "--n-phi": 64},
     "radon --quantity A": {"--n-p": 1, "--n-phi": 1},
-    "recover": {"--m-max": 1},
     "gauge-check": {"--n-range": 0},
 }
 
@@ -175,7 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--sign", choices=["plus", "minus"], default="plus")
     w.add_argument("--extent", type=float, default=5.0)
     w.add_argument("--grid", type=int, default=101)
-    w.add_argument("--truncation", type=int, default=None)
     w.add_argument("--out", required=True)
     w.set_defaults(func=_cmd_wave)
 
@@ -204,12 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("recover", help="recover the flux from a kernel CSV")
     r.add_argument("--kernel", required=True)
-    r.add_argument("--strips", default=None,
-                   help="comma-separated decreasing strip widths (default: halving "
-                        "from max(0.1, 8h) down to 4h, h = 2*pi/n)")
-    r.add_argument("--a", type=float, default=0.0)
-    r.add_argument("--b", type=float, default=math.pi)
-    r.add_argument("--m-max", type=int, default=8)
     r.add_argument("--convex", action="store_true",
                    help="assert the convex-obstacle hypothesis")
     r.add_argument("--out", default=None)

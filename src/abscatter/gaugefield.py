@@ -70,6 +70,9 @@ _NODES_PER_WIDTH = 6.0
 # Trapezoid nodes on each circle of the flux functional.
 _CIRCLE_NODES = 2048
 
+# winding_number's first sampling of the circle, and how often it may double.
+_WINDING_SAMPLES, _WINDING_DOUBLINGS = 1024, 8
+
 
 @lru_cache(maxsize=8)
 def _leggauss(nodes: int):
@@ -137,8 +140,8 @@ def _pts(x) -> tuple[np.ndarray, bool]:
 @dataclass(frozen=True)
 class _Gaussian:
     """Envelope strength * exp(-|x - center|^2 / (2 width^2)): a finite 2-vector
-    center, finite strength, and a width > 0 whose square is a finite, normal
-    float (the fields divide by it; none divides by a higher power)."""
+    center, and a width > 0 whose square is a finite, normal float (the fields
+    divide by it, none by a higher power), with 2 |strength| / width^2 finite."""
 
     center: tuple[float, float]
     strength: float
@@ -153,6 +156,10 @@ class _Gaussian:
         if not (self.width > 0.0 and np.finfo(float).tiny <= w2 < math.inf):
             raise DomainError(f"width must be positive with a finite square of at least "
                               f"{np.finfo(float).tiny:.4g}, got {self.width}")
+        # no field exceeds max(|strength|, 2 |strength| / w^2), the curl at the center;
+        # w^2 is formed as the fields form it (x ** 2 and x * x can differ in the last bit)
+        if not math.isfinite(2.0 * (abs(self.strength) / self.width ** 2)):
+            raise DomainError(f"2 |strength| / width^2 overflows: {self.strength} / {self.width}^2")
 
     def _envelope(self, x):
         """(single, x - center, envelope) at a 2-vector or (n, 2) points x; both are
@@ -353,21 +360,18 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
     return FluxResult(estimate=seq[-1], sequence=tuple(seq))
 
 
-def winding_number(g, radius: float, samples: int = 1024, max_doublings: int = 8) -> int:
+def winding_number(g, radius: float) -> int:
     """Total phase increment of g around |x| = radius, divided by 2*pi.
 
     Works from sampled values only.  Accepted samplings must keep successive
-    phase jumps below pi/2: jumps in [pi/2, pi] trigger refinement, and the
+    phase jumps below pi/2: jumps in [pi/2, pi] double the sampling, and the
     margin guards against jumps past pi, which alias back into (-pi, pi] and
     would corrupt the count silently (SamplingError past the refinement cap).
     """
     if not 0.0 < radius < math.inf:
         raise DomainError(f"radius must be positive and finite, got {radius}")
-    if samples < 1 or max_doublings < 0:
-        raise DomainError(f"need samples >= 1 and max_doublings >= 0, got {samples} and "
-                          f"{max_doublings}")
-    n = samples
-    for _ in range(max_doublings + 1):
+    n = _WINDING_SAMPLES
+    for _ in range(_WINDING_DOUBLINGS + 1):
         th = 2.0 * math.pi * np.arange(n + 1) / n
         pts = radius * np.stack([np.cos(th), np.sin(th)], axis=1)
         vals = np.asarray(g(pts), dtype=complex)

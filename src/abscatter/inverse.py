@@ -50,6 +50,9 @@ __all__ = [
 # eigenvalue clustering threshold below which flux is declared integral
 _DEGENERATE_TOL = 1e-6
 
+# mode window [-m, m] read first from a kernel grid; recover_flux doubles it up to n // 16
+_START_WINDOW = 8
+
 
 @dataclass(frozen=True)
 class FluxEstimate:
@@ -75,10 +78,9 @@ def _mode_eigenvalues(s, m_max: int | None) -> tuple[np.ndarray, int]:
         raise DomainError("mode window is empty: m_max must be >= 1")
     if isinstance(s, PartialWaveSMatrix):
         m = s.m_max if m_max is None else min(m_max, s.m_max)
-        mid = s.m_max
-        return s.eigenvalues[mid - m:mid + m + 1], m
+        return s.eigenvalues[s.m_max - m:s.m_max + m + 1], m
     if isinstance(s, KernelGrid):
-        m = 8 if m_max is None else m_max
+        m = _START_WINDOW if m_max is None else m_max
         return _mode_values(s, np.arange(-m, m + 1)), m
     raise DomainError("expected a PartialWaveSMatrix or KernelGrid")
 
@@ -87,16 +89,16 @@ def recover_flux_from_modes(s, m_max: int | None = None) -> FluxEstimate:
     """Exact flux from the eigenvalue flip index and the limiting phase.
 
     Works on clean partial-wave data (1e-9 round trips) and on kernel grids
-    (eigenvalues first extracted by quadrature).  Raises IntegerFluxError
-    when all eigenvalues coincide: integer flux, like a flip ceil(alpha)
-    outside [-m_max, m_max], leaves the flux undetermined by this data.
+    (eigenvalues first extracted by quadrature, on [-8, 8] by default).  Raises
+    IntegerFluxError when all eigenvalues coincide and DataInconsistencyError
+    when they are not two-valued: both name the window, since a flip ceil(alpha)
+    outside [-m_max, m_max] gives such data as well as an integer flux does.
     """
     eig, m = _mode_eigenvalues(s, m_max)
     modes = np.arange(-m, m + 1)
     outside = (f"a flux whose flip ceil(alpha) lies outside the mode window "
                f"[-{m}, {m}] gives the same data as an integer flux")
-    w_inf = eig[-1]
-    dev = np.abs(eig - w_inf)
+    dev = np.abs(eig - eig[-1])
     spread = float(np.max(dev))
     if spread < _DEGENERATE_TOL:
         raise IntegerFluxError(f"all eigenvalues coincide: flux is an integer, "
@@ -106,10 +108,12 @@ def recover_flux_from_modes(s, m_max: int | None = None) -> FluxEstimate:
     idx = int(np.argmax(flipped))  # first True: eigenvalues are two-valued
     ceil_alpha = int(modes[idx])
     if idx == 0:
-        raise DomainError("no flip visible: need m_max > |alpha| + 2")
+        raise DataInconsistencyError(f"no flip visible: {outside}")
 
-    # phase of the limit value is pi*alpha mod 2*pi; the flip index picks the
-    # representative in (ceil_alpha - 1, ceil_alpha)
+    # the limit value's phase is pi*alpha mod 2*pi; its quadrature error grows 30x per
+    # doubling of m - ceil_alpha, so it is read at most 16 modes above the flip (the top
+    # of [-8, 8] for every flip shown there); the flip index picks alpha's representative
+    w_inf = eig[min(2 * m, idx + 2 * _START_WINDOW)]
     y = float(np.angle(w_inf)) / math.pi
     frac = (y - (ceil_alpha - 1)) % 2.0
     if not 0.0 < frac < 1.0 + 1e-9:
@@ -156,7 +160,7 @@ def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxE
 
     norm = (b - a) * math.log(2.0) / math.pi
     values = [strip_integral(grid, st, winding) for st in strips]
-    ests = np.array([-v.real / norm for v in values]) * (-1.0) ** winding
+    ests = np.array([-v.real / norm for v in values]) * (-1.0 if winding % 2 else 1.0)
 
     # linear-in-eps model: s(eps) ~ s* + C*eps
     eps = np.array(eps)
@@ -230,62 +234,64 @@ class FluxVerdict:
     witness: bool
 
 
-def _multiplied_kernel_witness(grid: KernelGrid, strips, m: int = 1) -> bool:
-    """Check that (e^{i 2m(theta-theta')} - 1) * kernel is not the zero kernel.
+def _multiplied_kernel_witness(grid: KernelGrid, strips, winding: int) -> bool:
+    """Check that (e^{2i(theta-theta')} - 1) * kernel is not the zero kernel,
+    read in the gauge of conjugate_kernel(grid, winding).
 
-    The multiplied kernel is bounded near the diagonal, so its strip
-    integrals scale like eps; normalized by eps*(b-a) they approach
-    -2*i*m*sin(pi*alpha)/pi and stay bounded away from 0 exactly when the
-    kernel keeps its principal-value singularity (sin(pi*alpha) != 0).
+    The multiplied kernel is bounded near the diagonal, so its strip integrals
+    scale like eps; normalized by eps*(b-a) they approach -2*i*sin(pi*alpha)/pi
+    and stay bounded away from 0 exactly when the kernel keeps its
+    principal-value singularity (sin(pi*alpha) != 0).
     """
-    # e^{i 2m(theta-theta')} * kernel is the gauge conjugation by the even winding 2m
-    scaled = [abs(strip_integral(grid, st, 2 * m) - strip_integral(grid, st))
+    # e^{2i(theta-theta')} * kernel is the gauge conjugation by the even winding 2
+    scaled = [abs(strip_integral(grid, st, winding + 2) - strip_integral(grid, st, winding))
               / (st.eps * (st.b - st.a)) for st in strips]
     return min(scaled) > 0.05
 
 
-def default_strips(n: int, a: float, b: float) -> list[StripDomain]:
-    """Halving strip widths from max(0.1, 8h) down to no less than 4h, h = 2*pi/n.
-
-    Two strips on coarse grids, three (0.1, 0.05, 0.025) from n = 1006 on.
-    """
+def default_strips(n: int) -> list[StripDomain]:
+    """Strips over (0, pi) with halving widths from max(0.1, 8h) down to no less than
+    4h, h = 2*pi/n: two on coarse grids, three (0.1, 0.05, 0.025) from n = 1006 on."""
     h = 2.0 * math.pi / n
     base = max(0.1, 8.0 * h)
     if not base < math.pi / 4.0:
         raise DomainError(f"the default strips on a {n}-point grid need widths {base:.4g} and "
                           f"{base / 2.0:.4g} (8h, 4h), but eps < pi/4 needs n > 64")
-    strips = [StripDomain(a, b, base), StripDomain(a, b, base / 2.0)]
-    if base / 4.0 >= 4.0 * h:
-        strips.append(StripDomain(a, b, base / 4.0))
-    return strips
+    widths = [base, base / 2.0] + ([base / 4.0] if base / 4.0 >= 4.0 * h else [])
+    return [StripDomain(0.0, math.pi, eps) for eps in widths]
 
 
-def recover_flux(grid: KernelGrid, obstacle_convex: bool, strips=None,
-                 m_max: int = 8) -> FluxVerdict:
+def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxVerdict:
     """End-to-end flux recovery from a sampled kernel.
 
     The convexity of the obstacle is a data-level hypothesis the kernel
     cannot certify; the caller must assert it.  Modes give ceil(alpha) and
-    the exact phase; strips, read in the gauge that brings ceil(alpha) to 1,
-    give an independent sin(pi*alpha) estimate; the witness confirms the
-    near-diagonal singularity survives multiplication by
-    e^{i 2m (theta-theta')} - 1, the mechanism that forces equal fluxes for
-    equal kernels.
+    the exact phase, on a window [-8, 8] doubled up to [-n // 16, n // 16] while
+    the flip lies outside it; strips, read in the gauge 1 - ceil(alpha) that
+    brings the flux into (0, 1], give an independent sin(pi*alpha) estimate; the
+    witness confirms, in the same gauge, that the near-diagonal singularity
+    survives multiplication by e^{2i(theta-theta')} - 1, the mechanism that
+    forces equal fluxes for equal kernels.
     """
     if not obstacle_convex:
         raise DomainError(
             "flux recovery from kernel data requires the convex-obstacle hypothesis"
         )
-    if strips is None:
-        strips = default_strips(grid.n, 0.0, math.pi)
-    modes = recover_flux_from_modes(grid, m_max=m_max)
-    # the strip bias grows with ceil(alpha): read the strips in the gauge of
-    # flux alpha + 1 - ceil(alpha), which lies in (0, 1]
-    strip_est = recover_flux_from_strip(grid, strips, winding=1 - modes.ceil_alpha)
-    witness = _multiplied_kernel_witness(grid, strips)
+    strips = default_strips(grid.n)
+    m = _START_WINDOW
+    while True:
+        try:
+            modes = recover_flux_from_modes(grid, m)
+            break
+        except (IntegerFluxError, DataInconsistencyError):     # both name the window
+            if m >= grid.n // 16:
+                raise
+            m = min(2 * m, grid.n // 16)
+    winding = 1 - modes.ceil_alpha     # the strip bias grows with ceil(alpha)
+    strip_est = recover_flux_from_strip(grid, strips, winding)
+    witness = _multiplied_kernel_witness(grid, strips, winding)
     residual = max(modes.residual,
                    abs(math.sin(math.pi * modes.alpha) - strip_est.sin_pi_alpha))
     return FluxVerdict(alpha=modes.alpha, ceil_alpha=modes.ceil_alpha,
                        sin_pi_alpha=strip_est.sin_pi_alpha,
                        residual=residual, witness=witness)
-

@@ -272,23 +272,22 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
                       alpha_hint=grid.alpha_hint)
 
 
-def _mode_values(grid: KernelGrid, modes, row_stride: int | None = None) -> np.ndarray:
+def _mode_values(grid: KernelGrid, modes) -> np.ndarray:
     """Eigenvalues on the angular modes exp(i*m*theta), m in modes, by grid quadrature.
 
-    Averages the p.v. row sums (folded weights of _pv_rows) over rows, then
-    adds the exact delta coefficient; one product serves every mode.
+    Averages the p.v. row sums (folded weights of _pv_rows) over every
+    max(1, n // 256)-th row, then adds the exact delta coefficient; one product
+    serves every mode.
     """
-    if row_stride is None:
-        row_stride = max(1, grid.n // 256)
-    rows = slice(0, grid.n, row_stride)
+    rows = slice(0, grid.n, max(1, grid.n // 256))
     phase = _roots(grid.n)[np.outer(np.arange(grid.n), np.mod(modes, grid.n)) % grid.n]
     per_row = (_pv_rows(grid, rows) @ phase) * np.conj(phase[rows])
     return grid.delta_coeff + per_row.mean(axis=0)
 
 
-def extract_mode(grid: KernelGrid, m: int, row_stride: int | None = None) -> complex:
+def extract_mode(grid: KernelGrid, m: int) -> complex:
     """Eigenvalue on the angular mode exp(i*m*theta) by grid quadrature."""
-    return complex(_mode_values(grid, [m], row_stride)[0])
+    return complex(_mode_values(grid, [m])[0])
 
 
 def _gauge_factors(n: int, winding: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,16 +303,21 @@ def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
     S'(theta, theta') = exp(i*n*theta) S(theta, theta') exp(-i*n*(theta'+pi)),
     i.e. values pick up exp(i*n*(theta-theta'))*(-1)^n and the delta
     coefficient flips sign for odd n (a rank-one row and column scaling).
-    For the flux-alpha kernel this lands exactly on the flux-(alpha+n) kernel.
+    For the flux-alpha kernel this lands exactly on the flux-(alpha+n) kernel;
+    the alpha hint shifts by n, or becomes None where that is not a finite float.
     """
     winding = int(winding)
     row_f, col_f = _gauge_factors(grid.n, winding)
     new_vals = grid.values * row_f[:, None]
     new_vals *= col_f
     np.fill_diagonal(new_vals, 0.0)
-    hint = None if grid.alpha_hint is None else grid.alpha_hint + winding
+    try:
+        hint = grid.alpha_hint + winding if grid.alpha_hint is not None else math.inf
+    except OverflowError:       # the winding has no float value
+        hint = math.inf
     return KernelGrid(n=grid.n, values=new_vals,
-                      delta_coeff=grid.delta_coeff * (-1.0) ** winding, alpha_hint=hint)
+                      delta_coeff=grid.delta_coeff * (-1.0 if winding % 2 else 1.0),
+                      alpha_hint=hint if math.isfinite(hint) else None)
 
 
 def perturb_kernel(grid: KernelGrid, size: float, seed: int) -> KernelGrid:

@@ -57,6 +57,8 @@ def test_flux_non_finite_radii_exit_three(pot_path, capsys, radii):
     '{"alpha": 0.5, "bumps": [{"center": [1], "strength": 1.0, "width": 0.5}]}',
     '{"alpha": NaN}',
     '{"alpha": 0.5, "bumps": [{"center": [1, 0], "strength": 1.0, "width": Infinity}]}',
+    # 2 * 10 / 1.5e-154^2, the curl at the center, overflows
+    '{"alpha": 0.3, "bumps": [{"center": [0, 0], "strength": 10.0, "width": 1.5e-154}]}',
 ])
 def test_flux_bad_config_exit_two(tmp_path, capsys, config):
     path = tmp_path / "c.json"
@@ -70,8 +72,7 @@ def test_kernel_recover_round_trip(tmp_path):
     k = tmp_path / "k.csv"
     v = tmp_path / "v.json"
     assert main(["kernel", "--alpha", "0.5", "--n", "1024", "--out", str(k)]) == 0
-    rc = main(["recover", "--kernel", str(k), "--strips", "0.1,0.05,0.025",
-               "--convex", "--out", str(v)])
+    rc = main(["recover", "--kernel", str(k), "--convex", "--out", str(v)])
     assert rc == 0
     payload = json.loads(v.read_text())
     assert abs(payload["alpha"] - 0.5) <= 1e-4
@@ -164,7 +165,7 @@ def test_exit_code_numeric_domain_error(tmp_path):
     k = tmp_path / "k.csv"
     main(["kernel", "--alpha", "0.5", "--n", "256", "--out", str(k)])
     # missing --convex flag: the pipeline refuses (numeric-domain contract)
-    assert main(["recover", "--kernel", str(k), "--strips", "0.2,0.1"]) == 3
+    assert main(["recover", "--kernel", str(k)]) == 3
     # eps below the grid resolution
     assert main(["strip", "--kernel", str(k), "--eps", "0.01"]) == 3
 
@@ -182,10 +183,6 @@ def test_exit_code_numeric_domain_error(tmp_path):
                  "--n-p", id="radon-a-n-p-0"),
     pytest.param(["radon", "--config", "missing.json", "--quantity", "A", "--n-phi", "-3"],
                  "--n-phi", id="radon-a-n-phi--3"),
-    pytest.param(["recover", "--kernel", "missing.csv", "--m-max", "0"], "--m-max",
-                 id="recover-m-max-0"),
-    pytest.param(["recover", "--kernel", "missing.csv", "--m-max", "-2"], "--m-max",
-                 id="recover-m-max--2"),
     pytest.param(["gauge-check", "--kernel1", "missing.csv", "--kernel2", "missing.csv",
                   "--n-range", "-1"], "--n-range", id="gauge-check-n-range--1"),
     pytest.param(["wave", "--alpha", "0.5", "--grid", "1"], "--grid", id="wave-grid-1"),
@@ -208,18 +205,40 @@ def test_raw_a_sinogram_takes_small_grids(tmp_path):
 
 
 def test_recover_flip_outside_mode_window_exit_three(tmp_path, capsys):
-    # ceil(8.5) = 9 lies outside the default window [-8, 8]
+    # the window doubles from [-8, 8] up to [-n // 16, n // 16]: ceil(20.5) = 21
+    # lies outside the largest window of a 256-point grid
     k = tmp_path / "k.csv"
-    main(["kernel", "--alpha", "8.5", "--n", "256", "--out", str(k)])
+    main(["kernel", "--alpha", "20.5", "--n", "256", "--out", str(k)])
     assert main(["recover", "--kernel", str(k), "--convex"]) == 3
     err = capsys.readouterr().err
-    assert "flip ceil(alpha) lies outside the mode window [-8, 8]" in err
+    assert err.count("\n") == 1
+    assert "flip ceil(alpha) lies outside the mode window [-16, 16]" in err
 
 
 def test_exit_code_schema_error(tmp_path):
+    # a kernel CSV cut short is refused before any recovery
     k = tmp_path / "k.csv"
     main(["kernel", "--alpha", "0.5", "--n", "256", "--out", str(k)])
-    assert main(["recover", "--kernel", str(k), "--strips", "zebra", "--convex"]) == 2
+    lines = k.read_text().splitlines(keepends=True)
+    k.write_text("".join(lines[:-100]))
+    assert main(["recover", "--kernel", str(k), "--convex"]) == 2
+
+
+# options whose values the program derives itself: the mode window and strips
+# from the kernel, the wave truncation from the extent
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["recover", "--kernel", "k.csv", "--convex"], "--m-max", id="recover-m-max"),
+    pytest.param(["recover", "--kernel", "k.csv", "--convex"], "--strips", id="recover-strips"),
+    pytest.param(["recover", "--kernel", "k.csv", "--convex"], "--a", id="recover-a"),
+    pytest.param(["recover", "--kernel", "k.csv", "--convex"], "--b", id="recover-b"),
+    pytest.param(["wave", "--alpha", "0.5", "--out", "w.csv"], "--truncation",
+                 id="wave-truncation"),
+])
+def test_removed_flag_exits_two(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_argparse_exit_code_two():
@@ -255,25 +274,6 @@ def test_wave_sign_minus_matches_library(tmp_path):
     assert np.array_equal(vals, eval_ab_wave_grid(spec, pts))
     plus = dataclasses.replace(spec, sign=1)
     assert float(np.max(np.abs(vals - eval_ab_wave_grid(plus, pts)))) > 0.1
-
-
-def test_wave_truncation_below_policy_exits_three(tmp_path, capsys):
-    out = tmp_path / "w.csv"
-    assert main(["wave", "--alpha", "0.5", "--truncation", "5", "--extent", "3",
-                 "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        "abscatter: truncation 5 does not certify |x| = 4.243, which needs 33 modes\n")
-    assert not out.exists()
-
-
-def test_wave_truncation_above_policy_matches_library(tmp_path):
-    # the policy needs 33 modes for |x| <= 3 sqrt(2); --truncation 40 sums 40
-    w = tmp_path / "w.csv"
-    assert main(["wave", "--alpha", "0.5", "--truncation", "40", "--extent", "3",
-                 "--grid", "11", "--out", str(w)]) == 0
-    pts, vals = load_wave_csv(w)
-    spec = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0), sign=1, truncation=40)
-    assert np.array_equal(vals, eval_ab_wave_grid(spec, pts))
 
 
 def test_radon_command(tmp_path):

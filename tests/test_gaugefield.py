@@ -84,29 +84,26 @@ class TestWinding:
     def test_mixed_gauge(self):
         g = GaugeElement(winding=-2,
                          l_field=ScalarMixture((GaussianScalar((0.5, 0.0), 0.7, 1.0),)))
-        assert winding_number(g, 6.0, samples=4096) == -2
+        assert winding_number(g, 6.0) == -2
 
     def test_adaptive_refinement(self):
         # 600 turns force refinement well past the initial 1024 samples
         g = GaugeElement(winding=600)
-        assert winding_number(g, 3.0, samples=1024) == 600
+        assert winding_number(g, 3.0) == 600
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_bad_radius(self, radius):
         with pytest.raises(DomainError, match="radius"):
             winding_number(GaugeElement(winding=1), radius)
 
-    @pytest.mark.parametrize("samples, doublings", [(0, 8), (-4, 8), (64, -1)])
-    def test_bad_sampling_plan(self, samples, doublings):
-        with pytest.raises(DomainError, match="samples"):
-            winding_number(GaugeElement(winding=1), 2.0, samples=samples, max_doublings=doublings)
-
     def test_refinement_cap(self):
-        # 5290 = 512*10 + 170 keeps frac(W/n) in [1/4, 3/4] for n = 64..512,
-        # so every sampling through three doublings sees jumps >= pi/2
-        g = GaugeElement(winding=5290)
-        with pytest.raises(SamplingError):
-            winding_number(g, 3.0, samples=64, max_doublings=3)
+        # bits 17, 15, 13, 11 and 9 keep frac(W/n) in [1/4, 3/4] for n = 1024..2^18,
+        # so every sampling through the eight doublings sees jumps >= pi/2
+        w = 2**17 + 2**15 + 2**13 + 2**11 + 2**9
+        with pytest.raises(SamplingError, match="refinement cap"):
+            winding_number(GaugeElement(winding=w), 3.0)
+        # without bit 17 the jumps first fall below pi/2 at the eighth doubling
+        assert winding_number(GaugeElement(winding=w - 2**17), 3.0) == w - 2**17
 
 
 class TestGaugeTransform:
@@ -330,3 +327,21 @@ def test_width_with_normal_square_is_accepted_and_finite():
     for got in (bump.vector(pts), bump.curl(pts), scalar.value(pts), scalar.gradient(pts)):
         assert np.all(np.isfinite(got))
     assert bump.curl(pts)[0] > 1e200 and scalar.value(pts)[2] == 0.0
+
+
+def test_strength_over_width_squared_is_bounded():
+    # the curl peaks at 2 |strength| / w^2 on the center: at width 1.5e-154 the
+    # largest accepted strength puts it within an ulp of the largest float, and
+    # every field stays finite with no warning (an error under this suite)
+    w, s = 1.5e-154, 2.0224047767201054
+    pts = np.array([[0.0, 0.0], [1e-154, 0.0], [3e-154, -1e-154], [1.0, 0.0]])
+    for strength in (s, -s):
+        bump = GaussianBump((0.0, 0.0), strength, w)
+        scalar = GaussianScalar((0.0, 0.0), strength, w)
+        for got in (bump.vector(pts), bump.curl(pts), scalar.value(pts), scalar.gradient(pts)):
+            assert np.all(np.isfinite(got))
+        assert abs(bump.curl(pts)[0]) > 1.79e308
+    for strength, width in ((math.nextafter(s, math.inf), w), (10.0, w), (1e200, 1e-60)):
+        for cls in (GaussianBump, GaussianScalar):
+            with pytest.raises(DomainError, match="strength"):
+                cls((0.0, 0.0), strength, width)

@@ -75,6 +75,15 @@ class TestModeRecovery:
         with pytest.raises(DataInconsistencyError, match=r"outside the mode window \[-8, 8\]"):
             recover_flux_from_modes(sample_kernel(9.3, 256))
 
+    def test_no_flip_visible(self):
+        # a first mode already holding the limit value: the flip is below the window
+        s = build_partial_wave(0.5, 8)
+        eig = s.eigenvalues.copy()
+        eig[0] = eig[-1]
+        with pytest.raises(DataInconsistencyError,
+                           match=r"no flip visible: .*outside the mode window \[-8, 8\]"):
+            recover_flux_from_modes(dataclasses.replace(s, eigenvalues=eig))
+
     def test_round_trip_twenty_random_fluxes(self, rng):
         for a in random_noninteger_fluxes(rng, 20):
             est = recover_flux_from_modes(build_partial_wave(a, 8))
@@ -141,6 +150,14 @@ class TestStripRecovery:
             assert abs(verdict.alpha - 0.5) <= 1e-6
             assert abs(verdict.sin_pi_alpha - 1.0) <= 5e-3
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_huge_winding(self, extra):
+        # 256 divides 10**400: the strips and the sign follow the winding's residue
+        # and parity, with no float conversion of the winding
+        g, strips = sample_kernel(0.3, 256), default_strips(256)
+        assert recover_flux_from_strip(g, strips, 10**400 + extra) \
+            == recover_flux_from_strip(g, strips, extra)
+
     def test_strip_preconditions(self):
         g = sample_kernel(0.5, 1024)
         with pytest.raises(DomainError):
@@ -202,29 +219,44 @@ class TestWitness:
             assert strip_integral(grid, st, w) == strip_integral(conj, st)
 
     def test_verdicts(self):
-        assert _multiplied_kernel_witness(sample_kernel(0.5, 1024), STRIPS)
-        assert not _multiplied_kernel_witness(sample_kernel(2.0, 1024), STRIPS)
+        assert _multiplied_kernel_witness(sample_kernel(0.5, 1024), STRIPS, 0)
+        assert not _multiplied_kernel_witness(sample_kernel(2.0, 1024), STRIPS, -1)
+
+    @pytest.mark.parametrize("alpha", [0.3, 20.3, 60.3, -13.7])
+    def test_witness_is_read_in_the_gauge_of_the_strips(self, alpha):
+        # in gauge w = 1 - ceil(alpha) the scaled values approach 2|sin(pi alpha)|/pi
+        # at every flux; read in gauge 0 they fall to 0.011 at alpha = 60.3 on this grid
+        grid, w = sample_kernel(alpha, 1024), 1 - math.ceil(alpha)
+        want = 2.0 * abs(math.sin(math.pi * alpha)) / math.pi
+        for st in STRIPS:
+            got = abs(strip_integral(grid, st, w + 2) - strip_integral(grid, st, w)) \
+                / (st.eps * (st.b - st.a))
+            assert abs(got - want) <= 0.02
+        assert _multiplied_kernel_witness(grid, STRIPS, w)
+        assert recover_flux(grid, obstacle_convex=True).witness
 
     def test_memory_peak_below_one_kernel(self, alloc_peak):
         n = 1024
         g = sample_kernel(0.3, n)
-        assert alloc_peak(lambda: _multiplied_kernel_witness(g, STRIPS)) < n * n * 16
+        assert alloc_peak(lambda: _multiplied_kernel_witness(g, STRIPS, 0)) < n * n * 16
 
 
 class TestPipeline:
     def test_clean_half_flux_with_witness(self):
-        verdict = recover_flux(sample_kernel(0.5, 2048), obstacle_convex=True, strips=STRIPS)
+        verdict = recover_flux(sample_kernel(0.5, 2048), obstacle_convex=True)
         assert abs(verdict.alpha - 0.5) <= 1e-9
         assert verdict.witness
         assert abs(verdict.sin_pi_alpha - 1.0) <= 0.05
 
     def test_zero_flux_degenerate(self):
-        with pytest.raises(IntegerFluxError):
-            recover_flux(sample_kernel(0.0, 1024), obstacle_convex=True)
+        # an integer flux stays degenerate in every window up to [-n // 16, n // 16]
+        for alpha in (0.0, 3.0, -40.0):
+            with pytest.raises(IntegerFluxError, match=r"mode window \[-64, 64\]"):
+                recover_flux(sample_kernel(alpha, 1024), obstacle_convex=True)
 
     def test_perturbed_one_point_seven(self):
         grid = perturbed_kernel(1.7, 2048, sup=0.05, seed=2)
-        verdict = recover_flux(grid, obstacle_convex=True, strips=STRIPS)
+        verdict = recover_flux(grid, obstacle_convex=True)
         assert abs(verdict.alpha - 1.7) <= 1e-4
         assert abs(verdict.sin_pi_alpha - math.sin(1.7 * math.pi)) <= 0.05
         assert verdict.witness
@@ -234,7 +266,7 @@ class TestPipeline:
             recover_flux(sample_kernel(0.5, 1024), obstacle_convex=False)
 
     def test_strip_and_mode_components_agree(self):
-        verdict = recover_flux(sample_kernel(-0.6, 2048), obstacle_convex=True, strips=STRIPS)
+        verdict = recover_flux(sample_kernel(-0.6, 2048), obstacle_convex=True)
         assert abs(math.sin(math.pi * verdict.alpha) - verdict.sin_pi_alpha) <= 0.05
 
     @pytest.mark.parametrize("alpha", [2.37, 3.8, -1.3])
@@ -246,29 +278,42 @@ class TestPipeline:
 
     def test_strip_reading_is_the_same_in_every_gauge(self):
         grid = sample_kernel(0.3, 1024)
-        base = recover_flux(grid, obstacle_convex=True, strips=STRIPS)
+        base = recover_flux(grid, obstacle_convex=True)
         # ceil(alpha) = 1 already: the strips are recover_flux_from_strip's, bit for bit
         assert base.sin_pi_alpha == recover_flux_from_strip(grid, STRIPS).sin_pi_alpha
         for w in (-2, -1, 1, 3):
-            shifted = recover_flux(conjugate_kernel(grid, w), obstacle_convex=True, strips=STRIPS)
+            shifted = recover_flux(conjugate_kernel(grid, w), obstacle_convex=True)
             # flux alpha + w: sin(pi*(alpha + w)) = (-1)^w sin(pi*alpha)
             assert abs(shifted.sin_pi_alpha - (-1) ** w * base.sin_pi_alpha) <= 1e-12
 
     def test_default_strip_schedule(self):
         # halving from max(0.1, 8h), never below 4 grid cells h = 2*pi/n
-        assert [st.eps for st in default_strips(1024, 0.0, math.pi)] == [0.1, 0.05, 0.025]
+        assert default_strips(1024) == STRIPS and default_strips(2048) == STRIPS
         for n in (128, 256, 512, 4096):
-            strips = default_strips(n, 0.5, 2.0)
-            assert {(st.a, st.b) for st in strips} == {(0.5, 2.0)}
+            strips = default_strips(n)
+            assert {(st.a, st.b) for st in strips} == {(0.0, math.pi)}
             assert strips[-1].eps >= 4.0 * 2.0 * math.pi / n and len(strips) >= 2
 
     def test_default_strips_need_more_than_64_points(self):
         # 8h reaches pi/4 at n = 64
         with pytest.raises(DomainError, match=r"64-point grid need widths 0.7854 and 0.3927"):
-            default_strips(64, 0.0, math.pi)
+            default_strips(64)
         with pytest.raises(DomainError, match="64-point grid"):
             recover_flux(sample_kernel(0.4, 64), obstacle_convex=True)
-        assert default_strips(65, 0.0, math.pi)[0].eps < math.pi / 4
+        assert default_strips(65)[0].eps < math.pi / 4
+
+    @pytest.mark.parametrize("alpha, n, window", [(8.5, 256, 16), (20.3, 512, 32),
+                                                   (20.3, 1024, 32), (20.3, 2048, 32)])
+    def test_mode_window_widens_to_the_flip(self, alpha, n, window):
+        # the first of [-8, 8], [-16, 16], ... that holds the flip; at [-8, 8] flux 20.3
+        # read as inconsistent data at n = 1024 and as an integer flux at n = 2048
+        grid = sample_kernel(alpha, n)
+        verdict = recover_flux(grid, obstacle_convex=True)
+        assert verdict.ceil_alpha == math.ceil(alpha) and abs(verdict.alpha - alpha) <= 1e-6
+        assert verdict.alpha == recover_flux_from_modes(grid, window).alpha and verdict.witness
+        with pytest.raises((DataInconsistencyError, IntegerFluxError),
+                           match=rf"mode window \[-{window // 2}, {window // 2}\]"):
+            recover_flux_from_modes(grid, window // 2)
 
     def test_verdict_json_fields(self):
         verdict = recover_flux(sample_kernel(0.5, 1024), obstacle_convex=True)

@@ -288,6 +288,21 @@ class TestConjugation:
         assert np.max(np.abs(g.values - target.values)) <= 4e-15 * np.max(np.abs(target.values))
         assert abs(g.delta_coeff - target.delta_coeff) <= 4e-15
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_huge_winding(self, extra):
+        # 10**400 has no float value; 64 divides it, so 10**400 + extra acts as
+        # winding extra, its parity read from the integer, and the hint becomes None
+        g = sample_kernel(0.3, 64)
+        got, want = conjugate_kernel(g, 10**400 + extra), conjugate_kernel(g, extra)
+        assert np.array_equal(got.values, want.values) and got.delta_coeff == want.delta_coeff
+        assert got.alpha_hint is None and want.alpha_hint == 0.3 + extra
+
+    def test_hint_past_the_float_range_is_none(self):
+        g = KernelGrid(n=64, values=sample_kernel(0.3, 64).values, delta_coeff=1.0,
+                       alpha_hint=1.7e308)
+        assert conjugate_kernel(g, 10**308).alpha_hint is None
+        assert conjugate_kernel(g, -10**308).alpha_hint == 1.7e308 - 1e308
+
     def test_mode_space_identity(self):
         # eigenvalue identity e^{i pi (a - n)} = e^{i pi (a + n)} for integer n
         for n in range(-2, 3):

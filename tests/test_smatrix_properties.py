@@ -3,7 +3,8 @@ shifted flux, the winding search finds it below half its period, the flux
 recovery reads the same sin(pi*alpha) in every gauge, the principal-value
 quadrature of compose_with_amplitude and extract_mode equals a dense
 reference, the reflection alpha -> -alpha holds on the grid, and the spectrum
-is two-valued with its flip at ceil(alpha), so the modes give the flux back.
+is two-valued with its flip at ceil(alpha), so the modes give the flux back;
+recover_flux widens its mode window until it holds the flip.
 The pruned winding search returns the exhaustive search's report.  The table
 of roots of unity behind every grid phase is within an ulp of the exact
 roots, and its gauge factors repeat after n windings."""
@@ -46,6 +47,8 @@ wide_fluxes = st.floats(-50.0, 50.0).filter(lambda a: abs(a - round(a)) >= 0.05)
 dyadic_fluxes = st.integers(-50 * 1024, 50 * 1024).map(lambda k: k / 1024).filter(
     lambda a: abs(a - round(a)) >= 0.05)
 sizes = st.integers(64, 256)
+# sizes from 512 on average every (n // 256)-th row of the mode quadrature
+strided_sizes = sizes | st.integers(512, 1300)
 # fluxes whose flip ceil(alpha) lies inside the default mode window [-8, 8],
 # 0.02 from the integers as in the acceptance round trip
 window_fluxes = st.floats(-7.9, 7.9).filter(lambda a: abs(a - round(a)) > 0.02)
@@ -171,24 +174,24 @@ def test_compose_matches_dense_reference(alpha, n, terms, c, p, q):
 
 
 @PROPERTY
-@given(fluxes, sizes, st.lists(st.tuples(coeffs, freqs), max_size=3),
-       st.integers(-8, 8), st.integers(1, 5))
-def test_extract_mode_matches_dense_reference(alpha, n, terms, m, stride):
+@given(fluxes, strided_sizes, st.lists(st.tuples(coeffs, freqs), max_size=3),
+       st.integers(-8, 8))
+def test_extract_mode_matches_dense_reference(alpha, n, terms, m):
     g = perturbed(alpha, n, terms)
     phase = np.exp(1j * m * g.theta)
-    rows = np.arange(0, n, stride)
+    rows = np.arange(0, n, max(1, n // 256))
     per_row = pv_reference(g, phase[:, None])[rows, 0] * np.exp(-1j * m * g.theta[rows])
     want = g.delta_coeff + np.mean(per_row)
-    assert abs(extract_mode(g, m, row_stride=stride) - want) <= 1e-12 * abs(want)
+    assert abs(extract_mode(g, m) - want) <= 1e-12 * abs(want)
 
 
 @PROPERTY
-@given(fluxes, sizes, st.lists(st.tuples(coeffs, freqs), max_size=3), st.integers(1, 5))
-def test_batched_modes_match_single_mode_extraction(alpha, n, terms, stride):
+@given(fluxes, strided_sizes, st.lists(st.tuples(coeffs, freqs), max_size=3))
+def test_batched_modes_match_single_mode_extraction(alpha, n, terms):
     g = perturbed(alpha, n, terms)
     modes = np.arange(-8, 9)
-    single = np.array([extract_mode(g, m, row_stride=stride) for m in modes])
-    assert rel_err(_mode_values(g, modes, row_stride=stride), single) <= 1e-14
+    single = np.array([extract_mode(g, m) for m in modes])
+    assert rel_err(_mode_values(g, modes), single) <= 1e-14
 
 
 @PROPERTY
@@ -218,6 +221,20 @@ def test_spectrum_is_two_valued_with_flip_at_ceil(alpha):
     # the two values lie 2|sin(pi alpha)| >= 0.12 apart, so this also places the flip
     eig = _mode_values(sample_kernel(alpha, 1024), np.arange(-8, 9))
     assert np.max(np.abs(eig - two_valued(alpha, 8))) <= 1e-6
+
+
+# every flux whose flip the largest window [-64, 64] of a 1024-point grid holds with
+# two modes to spare; 0.05 from the integers, where the witness's 2|sin(pi alpha)|/pi
+# stays above its 0.05 threshold
+far_fluxes = st.floats(-62.0, 62.0).filter(lambda a: abs(a - round(a)) >= 0.05)
+
+
+@settings(PROPERTY, max_examples=15)
+@given(far_fluxes)
+def test_recovery_widens_the_mode_window_to_the_flip(alpha):
+    verdict = recover_flux(sample_kernel(alpha, 1024), obstacle_convex=True)
+    assert verdict.ceil_alpha == math.ceil(alpha)
+    assert abs(verdict.alpha - alpha) <= 1e-6 and verdict.witness
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Property tests: X-ray line integrals against closed forms over random
-Gaussian families and lines, even-integer flux parity under random gauges, and
-the gauge-invariant magnetic field and flux read from phase data."""
+Gaussian families and lines, even-integer flux parity under random gauges, the
+circulation flux shifted by the winding of the gauge, and the gauge-invariant
+magnetic field and flux read from phase data."""
 
 import math
 
@@ -133,6 +134,17 @@ def test_even_winding_certificate(alpha, bs, l_field, half_winding):
 def test_odd_winding_mismatch(alpha, bs, l_field, half_winding):
     rep = parity(alpha, bs, l_field, 2 * half_winding + 1)
     assert not rep.matched and rep.certificate is None
+
+
+@PROPERTY
+@given(st.floats(-2.0, 2.0), bumps, scalars, st.integers(-7, 7))
+def test_gauge_transform_shifts_the_flux_by_its_winding(alpha, bs, l_field, k):
+    # the circulation flux reads alpha + k in the new gauge; the phase data of the
+    # same pair read only k's parity (test_even_winding_certificate and
+    # test_odd_winding_mismatch)
+    other = gauge_transform(VectorPotential(alpha=alpha, bumps=tuple(bs)),
+                            GaugeElement(winding=k, l_field=ScalarMixture(tuple(l_field))))
+    assert abs(flux(other, [30.0, 40.0]).estimate - (alpha + k)) <= 1e-6
 
 
 def a_exact_dp(bs, p, phi):
