@@ -64,6 +64,16 @@ def _unit(v, name: str) -> np.ndarray:
     return v
 
 
+def _points(points) -> np.ndarray:
+    """points as an (n, 2) float array; DomainError unless it has that shape and is finite."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise DomainError(f"points must be an (n, 2) array, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise DomainError("points must be finite")
+    return p
+
+
 def _modes_needed(z: float, alpha: float) -> int:
     """Truncation L whose dropped Bessel tail at argument z is below 1e-13.
 
@@ -122,18 +132,8 @@ def _azimuth_grid(points: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.mod(a, 2.0 * math.pi)
 
 
-def _window_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> np.ndarray:
-    """Series restricted to modes l in [l_min, l_max], in batches of _CHUNK_POINTS points."""
-    psi = np.empty(points.shape[0], dtype=complex)
-    order = np.argsort(np.hypot(points[:, 0], points[:, 1]), kind="stable")
-    for start in range(0, points.shape[0], _CHUNK_POINTS):
-        batch = order[start:start + _CHUNK_POINTS]
-        psi[batch] = _batch_sum(spec, points[batch], l_min, l_max)
-    return psi
-
-
 def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> np.ndarray:
-    """_window_sum on one batch of points."""
+    """ab_wave_window on one batch of points."""
     omega_eff = spec.sign * np.asarray(spec.omega, dtype=float)
     gam = _azimuth_grid(points, omega_eff)
     # one ladder column per distinct argument, gathered back per point
@@ -165,25 +165,29 @@ def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> 
     return psi
 
 
-def ab_wave_window(spec: ABWaveSpec, x, l_min: int, l_max: int) -> complex:
-    """Partial series over an explicit mode window (no truncation policy check)."""
+def ab_wave_window(spec: ABWaveSpec, points, l_min: int, l_max: int) -> np.ndarray:
+    """Series restricted to modes l in [l_min, l_max] at an (n, 2) array of points (no
+    truncation policy check), in batches of _CHUNK_POINTS points."""
     if l_min > l_max:
         raise DomainError("empty mode window")
-    pts = np.asarray(x, dtype=float).reshape(1, 2)
-    return complex(_window_sum(spec, pts, l_min, l_max)[0])
+    points = _points(points)
+    psi = np.empty(points.shape[0], dtype=complex)
+    order = np.argsort(np.hypot(points[:, 0], points[:, 1]), kind="stable")
+    for start in range(0, points.shape[0], _CHUNK_POINTS):
+        batch = order[start:start + _CHUNK_POINTS]
+        psi[batch] = _batch_sum(spec, points[batch], l_min, l_max)
+    return psi
 
 
 def eval_ab_wave_grid(spec: ABWaveSpec, points) -> np.ndarray:
     """Wave values at an (n, 2) array of points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != 2:
-        raise DomainError("points must have shape (n, 2)")
+    points = _points(points)
     r_top = float(np.max(np.hypot(points[:, 0], points[:, 1]), initial=0.0))
     needed = _modes_needed(math.sqrt(spec.lam) * max(r_top - 1e-12, 0.0), spec.alpha)
     if needed > spec.truncation:
         raise PrecisionError(f"truncation {spec.truncation} does not certify |x| = {r_top:.3f}, "
                              f"which needs {needed} modes")
-    return _window_sum(spec, points, -spec.truncation, spec.truncation)
+    return ab_wave_window(spec, points, -spec.truncation, spec.truncation)
 
 
 @dataclass(frozen=True)
@@ -222,8 +226,8 @@ def asymptotic_decay_check(spec: ABWaveSpec, direction, radii) -> DecayCheck:
             f"{DECAY_CONE_WIDTH}"
         )
     radii = np.asarray(radii, dtype=float)
-    if radii.size < 3 or np.any(np.diff(radii) <= 0.0):
-        raise DomainError("radii must be ascending with at least 3 entries")
+    if radii.size < 3 or not np.all(np.isfinite(radii)) or np.any(np.diff(radii) <= 0.0):
+        raise DomainError("radii must be finite and ascending with at least 3 entries")
     if radii[0] < 20.0:
         raise DomainError("decay fit needs radii >= 20")
 
@@ -255,7 +259,9 @@ def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:
     -Lap(psi) + 2i*A0.grad(psi) + |A0|^2 psi - lam*psi.  Points must stay off
     the origin by a few h.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"step h must be positive and finite, got {h}")
+    points = _points(points)
     r2 = points[:, 0] ** 2 + points[:, 1] ** 2
     if float(np.min(r2)) < (4.0 * h) ** 2:
         raise DomainError("stencil too close to the flux line at the origin")

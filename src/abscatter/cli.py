@@ -11,7 +11,8 @@ Subcommands
     gauge-check  winding search relating two kernel CSVs -> JSON report
 
 Exit codes: 0 ok, 2 schema/argument violation (an argument outside its fixed
-range is refused before any work), 3 numeric-domain error.
+range, or radon's --invert without --recon, --recon without --invert, or
+--invert with --quantity A, is refused before any work), 3 numeric-domain error.
 Outputs are deterministic for a fixed config; synthetic noise is drawn only
 when --perturb is set and is pinned by --seed.
 """
@@ -26,7 +27,7 @@ import sys
 # numpy and the layer modules load inside the command that uses them, so
 # --version, --help and refused arguments return without importing them
 from . import __version__
-from .errors import AbScatterError, SchemaError
+from .errors import AbScatterError, DomainError, SchemaError
 
 
 def _json_out(payload: dict, path: str | None) -> None:
@@ -60,7 +61,11 @@ def _cmd_wave(args) -> None:
     omega = (math.cos(phi), math.sin(phi))
     spec = abwave.ABWaveSpec.for_radius(args.alpha, args.energy, omega, sign,
                                         args.extent * math.sqrt(2.0))
-    axis = np.linspace(-args.extent, args.extent, args.grid)
+    try:
+        axis = np.linspace(-args.extent, args.extent, args.grid)
+    except ValueError:      # --grid exceeds numpy's maximum array size
+        raise DomainError(f"a {args.grid} x {args.grid} grid is more than can be "
+                          f"allocated") from None
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
     # keep the flux line out of the evaluation set
@@ -90,8 +95,8 @@ def _cmd_flux(args) -> None:
 
 def _cmd_strip(args) -> None:
     from . import smatrix
-    grid = smatrix.load_kernel_csv(args.kernel)
     strip = smatrix.StripDomain(a=args.a, b=args.b, eps=args.eps)
+    grid = smatrix.load_kernel_csv(args.kernel)
     val = smatrix.strip_integral(grid, strip)
     _json_out({"re": val.real, "im": val.imag, "minus_re": -val.real}, args.out)
 
@@ -111,13 +116,12 @@ def _cmd_radon(args) -> None:
         sino = xray.radon_forward(pot, args.n_p, args.n_phi, args.p_max)
     else:
         sino = xray.a_line_sinogram(pot, *xray.sinogram_axes(args.n_p, args.n_phi, args.p_max))
+    # the reconstruction before any file, so a failed one leaves none
+    image = None if args.invert is None else xray.radon_invert(sino, args.invert)
     xray.save_sinogram_csv(sino, args.out)
-    if args.invert is not None:
-        if args.quantity != "V":
-            raise SchemaError("--invert applies to V sinograms only")
+    if image is not None:
         import numpy as np
         from . import abwave
-        image = xray.radon_invert(sino, args.invert)
         axes = xray.reconstruction_axes(sino, args.invert)
         xx, yy = np.meshgrid(axes, axes, indexing="ij")
         pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
@@ -134,11 +138,11 @@ def _cmd_gauge_check(args) -> None:
 
 
 # Lowest value of each bounded integer flag, per command (and radon quantity):
-# a value below it is refused with exit 2 before any work.
+# a value below it (an unset flag has none) is refused with exit 2 before any work.
 _FLOORS = {
     "wave": {"--grid": 2},
     "kernel": {"--n": 64},
-    "radon --quantity V": {"--n-p": 64, "--n-phi": 64},
+    "radon --quantity V": {"--n-p": 64, "--n-phi": 64, "--invert": 1},
     "radon --quantity A": {"--n-p": 1, "--n-phi": 1},
     "gauge-check": {"--n-range": 0},
 }
@@ -148,8 +152,13 @@ def _check_floors(args) -> None:
     command = f"radon --quantity {args.quantity}" if args.command == "radon" else args.command
     for flag, low in _FLOORS.get(command, {}).items():
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value < low:
+        if value is not None and value < low:
             raise SchemaError(f"{flag} must be >= {low}, got {value}")
+    if args.command == "radon":
+        if (args.invert is None) != (args.recon is None):
+            raise SchemaError("--invert and --recon must be given together")
+        if args.invert is not None and args.quantity != "V":
+            raise SchemaError("--invert applies to V sinograms only")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,8 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "radon" and args.invert is not None and args.recon is None:
-        parser.error("--invert requires --recon")
     try:
         _check_floors(args)
         args.func(args)

@@ -128,13 +128,11 @@ def _aprime_parts(pot) -> list:
             + [(c, c.gradient) for c in pot.grad_l.components])
 
 
-def _pts(x) -> tuple[np.ndarray, bool]:
+def _pts(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        return a.reshape(1, 2), True
     if a.ndim != 2 or a.shape[1] != 2:
-        raise DomainError("points must be a 2-vector or an (n, 2) array")
-    return a, False
+        raise DomainError(f"points must be an (n, 2) array, got shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -156,51 +154,50 @@ class _Gaussian:
         if not (self.width > 0.0 and np.finfo(float).tiny <= w2 < math.inf):
             raise DomainError(f"width must be positive with a finite square of at least "
                               f"{np.finfo(float).tiny:.4g}, got {self.width}")
-        # no field exceeds max(|strength|, 2 |strength| / w^2), the curl at the center;
-        # w^2 is formed as the fields form it (x ** 2 and x * x can differ in the last bit)
-        if not math.isfinite(2.0 * (abs(self.strength) / self.width ** 2)):
+        if not math.isfinite(self.bound):
             raise DomainError(f"2 |strength| / width^2 overflows: {self.strength} / {self.width}^2")
 
+    @property
+    def bound(self) -> float:
+        """max(|strength|, 2 |strength| / w^2): no field exceeds it (the curl at the center);
+        w^2 is formed as the fields form it (x ** 2 and x * x can differ in the last bit)."""
+        return max(abs(self.strength), 2.0 * (abs(self.strength) / self.width ** 2))
+
     def _envelope(self, x):
-        """(single, x - center, envelope) at a 2-vector or (n, 2) points x; both are
-        0 where the scaled squared offset overflows, so every field is 0 there."""
-        p, single = _pts(x)
+        """(x - center, envelope) at (n, 2) points x; both are 0 where the scaled
+        squared offset overflows, so every field is 0 there."""
         with np.errstate(over="ignore"):
-            d = p - np.asarray(self.center)
+            d = _pts(x) - np.asarray(self.center)
             q = (d * d).sum(axis=1) / (2.0 * self.width ** 2)
         d[np.isinf(q)] = 0.0
-        return single, d, self.strength * np.exp(-q)
+        return d, self.strength * np.exp(-q)
 
 
 class GaussianBump(_Gaussian):
     """Divergence-free swirl: the curl of a Gaussian stream function."""
 
     def vector(self, x) -> np.ndarray:
-        single, d, env = self._envelope(x)
+        d, env = self._envelope(x)
         env = env / self.width ** 2
-        out = np.stack([-d[:, 1] * env, d[:, 0] * env], axis=1)
-        return out[0] if single else out
+        return np.stack([-d[:, 1] * env, d[:, 0] * env], axis=1)
 
     def curl(self, x) -> np.ndarray:
-        single, d, env = self._envelope(x)
+        d, env = self._envelope(x)
         # rho2 / w^2 is 2q, finite wherever the envelope's q is; where q
         # overflows, _envelope has zeroed d
         w2 = self.width ** 2
-        out = env / w2 * (2.0 - (d * d).sum(axis=1) / w2)
-        return out[0] if single else out
+        return env / w2 * (2.0 - (d * d).sum(axis=1) / w2)
 
 
 class GaussianScalar(_Gaussian):
     """Gaussian scalar component for L fields and V potentials."""
 
     def value(self, x) -> np.ndarray:
-        single, _, out = self._envelope(x)
-        return out[0] if single else out
+        return self._envelope(x)[1]
 
     def gradient(self, x) -> np.ndarray:
-        single, d, env = self._envelope(x)
-        out = -d * (env / self.width ** 2)[:, None]
-        return out[0] if single else out
+        d, env = self._envelope(x)
+        return -d * (env / self.width ** 2)[:, None]
 
 
 def _component_configs(components) -> list[dict]:
@@ -220,19 +217,13 @@ class ScalarMixture:
 
     components: tuple[GaussianScalar, ...] = ()
 
-    def __call__(self, x):
-        p, single = _pts(x)
-        out = np.zeros(p.shape[0])
-        for c in self.components:
-            out += c.value(p)
-        return float(out[0]) if single else out
+    def __call__(self, x) -> np.ndarray:
+        p = _pts(x)
+        return sum((c.value(p) for c in self.components), np.zeros(len(p)))
 
-    def gradient(self, x):
-        p, single = _pts(x)
-        out = np.zeros_like(p)
-        for c in self.components:
-            out += c.gradient(p)
-        return out[0] if single else out
+    def gradient(self, x) -> np.ndarray:
+        p = _pts(x)
+        return sum((c.gradient(p) for c in self.components), np.zeros_like(p))
 
     def __add__(self, other: "ScalarMixture") -> "ScalarMixture":
         return ScalarMixture(self.components + other.components)
@@ -248,32 +239,32 @@ class VectorPotential:
     v: ScalarMixture = ScalarMixture()
     obstacle_radius: float = 0.0
 
+    def __post_init__(self):
+        # a sum of components stays below the sum of their bounds: A' sums the bumps
+        # and grad(L) (so its check covers B, the bumps alone), V its own
+        for name, comps in (("bumps and gradL", (*self.bumps, *self.grad_l.components)),
+                            ("V", self.v.components)):
+            if not math.isfinite(sum(c.bound for c in comps)):
+                raise DomainError(f"the summed bound max(|strength|, 2 |strength| / width^2) "
+                                  f"of the {name} components overflows")
+
     def flux_part(self, x) -> np.ndarray:
-        p, single = _pts(x)
+        p = _pts(x)
         r2 = (p * p).sum(axis=1)
-        out = self.alpha * np.stack([-p[:, 1], p[:, 0]], axis=1) / r2[:, None]
-        return out[0] if single else out
+        return self.alpha * np.stack([-p[:, 1], p[:, 0]], axis=1) / r2[:, None]
 
     def aprime(self, x) -> np.ndarray:
-        p, single = _pts(x)
-        out = np.zeros_like(p)
-        for b in self.bumps:
-            out += b.vector(p)
-        out += self.grad_l.gradient(p)
-        return out[0] if single else out
+        p = _pts(x)
+        return sum((b.vector(p) for b in self.bumps), np.zeros_like(p)) + self.grad_l.gradient(p)
 
     def a_total(self, x) -> np.ndarray:
-        p, single = _pts(x)
-        out = self.flux_part(p) + self.aprime(p)
-        return out[0] if single else out
+        p = _pts(x)
+        return self.flux_part(p) + self.aprime(p)
 
     def b_field(self, x) -> np.ndarray:
         """Magnetic field of A' (the flux part carries none away from 0)."""
-        p, single = _pts(x)
-        out = np.zeros(p.shape[0])
-        for b in self.bumps:
-            out += b.curl(p)
-        return float(out[0]) if single else out
+        p = _pts(x)
+        return sum((b.curl(p) for b in self.bumps), np.zeros(len(p)))
 
     def to_config(self) -> dict:
         return {
@@ -321,10 +312,8 @@ class GaugeElement:
     l_field: ScalarMixture = ScalarMixture()
 
     def __call__(self, x) -> np.ndarray:
-        p, single = _pts(x)
-        phase = self.winding * np.arctan2(p[:, 1], p[:, 0]) + np.asarray(self.l_field(p))
-        out = np.exp(1j * phase)
-        return complex(out[0]) if single else out
+        p = _pts(x)
+        return np.exp(1j * (self.winding * np.arctan2(p[:, 1], p[:, 0]) + self.l_field(p)))
 
 
 @dataclass(frozen=True)
@@ -476,7 +465,7 @@ def phase_gradient_check(phase: EikonalPhase, x, xi) -> float:
     """|xi . (grad_x Phi - A(x))|; zero for exact phases, <= 1e-6 here."""
     x, xi = _ray_args(phase.sign, x, xi)
     grad = phase_gradient(phase, x, xi)
-    return abs(float(xi @ (grad - phase.potential.a_total(x))))
+    return abs(float(xi @ (grad - phase.potential.a_total(x[None])[0])))
 
 
 def ray_field_integral(pot: VectorPotential, x, xi, sign: int) -> float:
@@ -490,7 +479,7 @@ def gradient_formula(phase: EikonalPhase, x, xi) -> np.ndarray:
     s = phase.sign
     x, xi = _ray_args(s, x, xi)
     ib = ray_field_integral(phase.potential, x, xi, s)
-    a = phase.potential.a_total(x)
+    a = phase.potential.a_total(x[None])[0]
     return np.array([-s * xi[1] * ib + a[0], s * xi[0] * ib + a[1]])
 
 

@@ -50,7 +50,7 @@ __all__ = [
 # eigenvalue clustering threshold below which flux is declared integral
 _DEGENERATE_TOL = 1e-6
 
-# mode window [-m, m] read first from a kernel grid; recover_flux doubles it up to n // 16
+# mode window [-m, m] read first from a kernel grid, doubled up to n // 16
 _START_WINDOW = 8
 
 
@@ -73,28 +73,33 @@ class ConjugationReport:
     equivalent: bool
 
 
-def _mode_eigenvalues(s, m_max: int | None) -> tuple[np.ndarray, int]:
-    if m_max is not None and m_max < 1:
-        raise DomainError("mode window is empty: m_max must be >= 1")
-    if isinstance(s, PartialWaveSMatrix):
-        m = s.m_max if m_max is None else min(m_max, s.m_max)
-        return s.eigenvalues[s.m_max - m:s.m_max + m + 1], m
-    if isinstance(s, KernelGrid):
-        m = _START_WINDOW if m_max is None else m_max
-        return _mode_values(s, np.arange(-m, m + 1)), m
-    raise DomainError("expected a PartialWaveSMatrix or KernelGrid")
-
-
-def recover_flux_from_modes(s, m_max: int | None = None) -> FluxEstimate:
+def recover_flux_from_modes(s) -> FluxEstimate:
     """Exact flux from the eigenvalue flip index and the limiting phase.
 
-    Works on clean partial-wave data (1e-9 round trips) and on kernel grids
-    (eigenvalues first extracted by quadrature, on [-8, 8] by default).  Raises
-    IntegerFluxError when all eigenvalues coincide and DataInconsistencyError
-    when they are not two-valued: both name the window, since a flip ceil(alpha)
-    outside [-m_max, m_max] gives such data as well as an integer flux does.
+    Works on clean partial-wave data (1e-9 round trips), read on its whole
+    window [-m_max, m_max], and on kernel grids, whose eigenvalues are extracted
+    by quadrature on [-8, 8], doubled up to [-n // 16, n // 16] while the flip
+    lies outside it.  Raises IntegerFluxError when all eigenvalues coincide and
+    DataInconsistencyError when they are not two-valued: both name the window,
+    since a flip ceil(alpha) outside it gives such data as well as an integer
+    flux does.
     """
-    eig, m = _mode_eigenvalues(s, m_max)
+    if isinstance(s, PartialWaveSMatrix):
+        return _flux_from_eigenvalues(s.eigenvalues, s.m_max)
+    if not isinstance(s, KernelGrid):
+        raise DomainError("expected a PartialWaveSMatrix or KernelGrid")
+    m = _START_WINDOW
+    while True:
+        try:
+            return _flux_from_eigenvalues(_mode_values(s, np.arange(-m, m + 1)), m)
+        except (IntegerFluxError, DataInconsistencyError):     # both name the window
+            if m >= s.n // 16:
+                raise
+            m = min(2 * m, s.n // 16)
+
+
+def _flux_from_eigenvalues(eig: np.ndarray, m: int) -> FluxEstimate:
+    """recover_flux_from_modes on the eigenvalues of the modes [-m, m]."""
     modes = np.arange(-m, m + 1)
     outside = (f"a flux whose flip ceil(alpha) lies outside the mode window "
                f"[-{m}, {m}] gives the same data as an integer flux")
@@ -266,8 +271,7 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxVerdict:
 
     The convexity of the obstacle is a data-level hypothesis the kernel
     cannot certify; the caller must assert it.  Modes give ceil(alpha) and
-    the exact phase, on a window [-8, 8] doubled up to [-n // 16, n // 16] while
-    the flip lies outside it; strips, read in the gauge 1 - ceil(alpha) that
+    the exact phase (recover_flux_from_modes); strips, read in the gauge 1 - ceil(alpha) that
     brings the flux into (0, 1], give an independent sin(pi*alpha) estimate; the
     witness confirms, in the same gauge, that the near-diagonal singularity
     survives multiplication by e^{2i(theta-theta')} - 1, the mechanism that
@@ -278,15 +282,7 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxVerdict:
             "flux recovery from kernel data requires the convex-obstacle hypothesis"
         )
     strips = default_strips(grid.n)
-    m = _START_WINDOW
-    while True:
-        try:
-            modes = recover_flux_from_modes(grid, m)
-            break
-        except (IntegerFluxError, DataInconsistencyError):     # both name the window
-            if m >= grid.n // 16:
-                raise
-            m = min(2 * m, grid.n // 16)
+    modes = recover_flux_from_modes(grid)
     winding = 1 - modes.ceil_alpha     # the strip bias grows with ceil(alpha)
     strip_est = recover_flux_from_strip(grid, strips, winding)
     witness = _multiplied_kernel_witness(grid, strips, winding)

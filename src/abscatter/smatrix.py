@@ -93,6 +93,8 @@ def build_partial_wave(alpha: float, m_max: int) -> PartialWaveSMatrix:
     """Exact eigenvalues: exp(i*pi*alpha) for m >= alpha, exp(-i*pi*alpha) below."""
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
+    if not math.isfinite(alpha):
+        raise DomainError(f"flux must be finite, got {alpha}")
     m = np.arange(-m_max, m_max + 1)
     up = np.exp(1j * math.pi * alpha)
     eig = np.where(m >= alpha, up, np.conj(up))
@@ -136,6 +138,8 @@ class StripDomain:
     eps: float
 
     def __post_init__(self):
+        if not 0.0 <= self.a < self.b <= 2.0 * math.pi + 1e-12:    # NaN fails too
+            raise DomainError("strip angles must satisfy 0 <= a < b <= 2*pi")
         if not self.eps > 0.0:
             raise DomainError("eps must be positive")
         if not 2.0 * self.eps < self.b - self.a:
@@ -179,8 +183,6 @@ def strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> co
     h = grid.spacing
     if strip.eps < 4.0 * h:
         raise ResolutionError(f"eps = {strip.eps} below 4 grid cells ({4.0 * h:.4g})")
-    if not (0.0 <= strip.a < strip.b <= 2.0 * math.pi + 1e-12):
-        raise DomainError("strip angles must satisfy 0 <= a < b <= 2*pi")
 
     # rows whose theta-cell [theta_j - h/2, theta_j + h/2] meets (a, b)
     theta = grid.theta
@@ -242,9 +244,9 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
     """Kernel of the full scattering matrix for a smooth amplitude.
 
     amplitude(theta, omega) is the smooth kernel F, called once on the open
-    grids theta[:, None], omega[None, :] (or, if that raises TypeError or
-    ValueError or does not broadcast to n x n, elementwise through
-    np.vectorize); the composition is
+    grids theta[:, None], omega[None, :]; an amplitude that fails there with
+    TypeError or ValueError, or whose result does not broadcast to n x n, is
+    refused with DomainError.  The composition is
         S(theta, omega) = s(theta - omega)
                           - 2*pi*i * [ delta_coeff * F(theta, omega)
                                        + p.v. int s_reg(theta - t) F(t, omega) dt ].
@@ -256,8 +258,8 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
     theta, omega = grid.theta[:, None], grid.theta[None, :]
     try:
         fmat = np.broadcast_to(np.asarray(amplitude(theta, omega), dtype=complex), (n, n))
-    except (TypeError, ValueError):     # ValueError: the result does not broadcast
-        fmat = np.asarray(np.vectorize(amplitude)(theta, omega), dtype=complex)
+    except (TypeError, ValueError) as exc:     # ValueError: the result does not broadcast
+        raise DomainError(f"amplitude must broadcast to {n} x {n} on open grids: {exc}") from exc
     fmat = np.ascontiguousarray(fmat)
 
     new_vals = np.empty((n, n), dtype=complex)

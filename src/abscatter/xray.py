@@ -146,6 +146,15 @@ def radon_invert(sino: Sinogram, grid_n: int) -> np.ndarray:
     """
     offsets = sino.offsets
     n_p = offsets.size
+    if grid_n < 1 or n_p < 2:
+        raise DomainError(f"FBP needs grid_n >= 1 and at least 2 offsets, got {grid_n} and {n_p}")
+    # the image grids first, so a size that cannot be held fails before any other work
+    try:
+        axes = reconstruction_axes(sino, grid_n)
+        xx, yy = np.meshgrid(axes, axes, indexing="ij")
+        image = np.zeros((grid_n, grid_n))
+    except (MemoryError, ValueError):   # ValueError: grid_n exceeds numpy's maximum size
+        raise DomainError(f"a {grid_n} x {grid_n} image is more than can be allocated") from None
     dp = offsets[1] - offsets[0]
     if np.max(np.abs(np.diff(offsets) - dp)) > 1e-9 * abs(dp):
         raise DomainError("FBP requires a uniform offset grid")
@@ -167,9 +176,6 @@ def radon_invert(sino: Sinogram, grid_n: int) -> np.ndarray:
     padded[:n_p, :] = sino.values
     filtered = np.real(np.fft.ifft(np.fft.fft(padded, axis=0) * filt[:, None], axis=0))[:n_p, :]
 
-    axes = reconstruction_axes(sino, grid_n)
-    xx, yy = np.meshgrid(axes, axes, indexing="ij")
-    image = np.zeros((grid_n, grid_n))
     for j, phi in enumerate(sino.angles):
         p_of_x = -xx * math.sin(phi) + yy * math.cos(phi)
         image += np.interp(p_of_x, offsets, filtered[:, j], left=0.0, right=0.0)

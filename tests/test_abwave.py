@@ -9,7 +9,6 @@ from abscatter import abwave
 from abscatter.abwave import (
     _CHUNK_POINTS,
     ABWaveSpec,
-    _window_sum,
     ab_wave_window,
     asymptotic_decay_check,
     azimuth,
@@ -19,6 +18,7 @@ from abscatter.abwave import (
     save_wave_csv,
 )
 from abscatter.errors import DomainError, PrecisionError
+from abscatter.smatrix import build_partial_wave
 from abscatter.specfun import bessel_j_ladder
 
 
@@ -96,7 +96,7 @@ class TestSpec:
         c = math.ceil(alpha)
         spec = ABWaveSpec(alpha=alpha, lam=1.0, omega=(1.0, 0.0))
         with pytest.raises(DomainError, match="too large for a finite phase"):
-            ab_wave_window(spec, (-0.3, 0.4), c, c + 3)
+            ab_wave_window(spec, [(-0.3, 0.4)], c, c + 3)
 
 
 class TestWaveValues:
@@ -144,8 +144,8 @@ class TestWaveValues:
             sa = ABWaveSpec(alpha=alpha, lam=1.5, omega=(1.0, 0.0), sign=1, truncation=60)
             sa2 = ABWaveSpec(alpha=alpha + 2.0, lam=1.5, omega=(1.0, 0.0), sign=1, truncation=60)
             g = azimuth(x, (1.0, 0.0))
-            lhs = ab_wave_window(sa2, x, -40, 44)
-            rhs = np.exp(2j * g) * ab_wave_window(sa, x, -42, 42)
+            lhs = ab_wave_window(sa2, x[None], -40, 44)[0]
+            rhs = np.exp(2j * g) * ab_wave_window(sa, x[None], -42, 42)[0]
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -202,7 +202,7 @@ def dense_window_sum(spec, pts, l_min, l_max):
 def test_window_sum_matches_dense_phase_matrix(alpha, sign, lam, l_min, width, seed):
     spec = ABWaveSpec(alpha=alpha, lam=lam, omega=(0.6, -0.8), sign=sign)
     pts = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(40, 2))
-    got = _window_sum(spec, pts, l_min, l_min + width)
+    got = ab_wave_window(spec, pts, l_min, l_min + width)
     assert np.max(np.abs(got - dense_window_sum(spec, pts, l_min, l_min + width))) <= 1e-13
 
 
@@ -217,8 +217,8 @@ def test_window_sum_across_batches(alpha, sign, lam, l_min, width, chunk, seed):
     l_max = l_min + width
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(abwave, "_CHUNK_POINTS", chunk)
-        got = _window_sum(spec, pts, l_min, l_max)
-    single = np.array([_window_sum(spec, p[None, :], l_min, l_max)[0] for p in pts])
+        got = ab_wave_window(spec, pts, l_min, l_max)
+    single = np.array([ab_wave_window(spec, p[None, :], l_min, l_max)[0] for p in pts])
     assert np.max(np.abs(got - single)) <= 1e-13
     assert np.max(np.abs(got - dense_window_sum(spec, pts, l_min, l_max))) <= 1e-13
 
@@ -300,6 +300,35 @@ class TestDecay:
         spec = ABWaveSpec.for_radius(0.5, 1.0, (1.0, 0.0), 1, 210.0)
         with pytest.raises(DomainError):
             asymptotic_decay_check(spec, (-1.0, 0.0), np.linspace(20, 200, 5))
+
+
+SPEC = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0), truncation=60)
+
+
+# each non-finite input is refused by the check that names it, before any
+# arithmetic on it can raise or warn (a RuntimeWarning is an error under this suite)
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: eval_ab_wave_grid(SPEC, [(math.nan, 1.0)]), "points must be finite",
+                 id="wave-nan-point"),
+    pytest.param(lambda: eval_ab_wave_grid(SPEC, [(1.0, -math.inf)]), "points must be finite",
+                 id="wave-inf-point"),
+    pytest.param(lambda: ab_wave_window(SPEC, [(math.inf, 0.0)], -3, 3),
+                 "points must be finite", id="window-inf-point"),
+    pytest.param(lambda: pde_residual(SPEC, [(2.0, 1.0)], 0.0), "step h", id="residual-h-0"),
+    pytest.param(lambda: pde_residual(SPEC, [(2.0, 1.0)], math.nan), "step h",
+                 id="residual-h-nan"),
+    pytest.param(lambda: pde_residual(SPEC, [(2.0, math.nan)], 0.01), "points must be finite",
+                 id="residual-nan-point"),
+    pytest.param(lambda: asymptotic_decay_check(SPEC, (0.0, 1.0), [20.0, 30.0, math.nan]),
+                 "radii must be finite", id="decay-nan-radius"),
+    pytest.param(lambda: asymptotic_decay_check(SPEC, (0.0, 1.0), [20.0, 30.0, math.inf]),
+                 "radii must be finite", id="decay-inf-radius"),
+    pytest.param(lambda: build_partial_wave(math.nan, 8), "flux must be finite",
+                 id="partial-wave-nan-flux"),
+])
+def test_non_finite_inputs_name_their_cause(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 def test_wave_csv_round_trip(tmp_path, rng):

@@ -1,15 +1,20 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abscatter import smatrix
 from abscatter.abwave import ABWaveSpec, eval_ab_wave_grid, load_wave_csv
@@ -59,6 +64,10 @@ def test_flux_non_finite_radii_exit_three(pot_path, capsys, radii):
     '{"alpha": 0.5, "bumps": [{"center": [1, 0], "strength": 1.0, "width": Infinity}]}',
     # 2 * 10 / 1.5e-154^2, the curl at the center, overflows
     '{"alpha": 0.3, "bumps": [{"center": [0, 0], "strength": 10.0, "width": 1.5e-154}]}',
+    # each bump's own bound is finite, but B sums the two past the largest float
+    '{"alpha": 0.3, "bumps": [{"center": [0, 0], "strength": 2.0224047767201054, '
+    '"width": 1.5e-154}, {"center": [0, 0], "strength": 2.0224047767201054, '
+    '"width": 1.5e-154}]}',
 ])
 def test_flux_bad_config_exit_two(tmp_path, capsys, config):
     path = tmp_path / "c.json"
@@ -299,6 +308,61 @@ def test_radon_command(tmp_path):
     assert rc == 0
     raw = load_sinogram_csv(a_path)
     assert np.allclose(np.abs(raw.values), 0.5 * math.pi)
+
+
+# every pairing of radon's reconstruction flags ends in exit 0, 2 or 3 with a
+# one-line message; a refused pairing writes nothing, and a recon exists only
+# after exit 0
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([None, -5, 0, 1, 32]), st.booleans(), st.sampled_from(["V", "A"]))
+def test_radon_reconstruction_flags(invert, recon, quantity):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out, rec = Path(tmp, "p.json"), Path(tmp, "s.csv"), Path(tmp, "r.csv")
+        save_potential_json(VectorPotential(
+            alpha=0.5, v=ScalarMixture((GaussianScalar((3.0, 0.0), 1.0, 0.5),))), cfg)
+        argv = ["radon", "--config", str(cfg), "--quantity", quantity, "--n-p", "64",
+                "--n-phi", "64", "--out", str(out)]
+        argv += [] if invert is None else ["--invert", str(invert)]
+        argv += ["--recon", str(rec)] if recon else []
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:    # the console script would print a traceback
+                pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
+        if code != 0:
+            assert err.getvalue().count("\n") == 1
+            assert not out.exists() and not rec.exists()
+        assert rec.exists() == (code == 0 and recon)
+        assert code == (0 if (invert is None, recon) == (True, False)
+                        or (invert, recon, quantity) in ((1, True, "V"), (32, True, "V")) else 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["radon", "--config", "{tmp}/pot.json", "--invert", str(10**21), "--recon", "{tmp}/r.csv"],
+    ["wave", "--alpha", "0.5", "--grid", str(10**21)],
+])
+def test_grid_beyond_numpy_size_exits_three_at_once(tmp_path, capsys, argv):
+    # 10**21 points a side exceed numpy's maximum array size: refused with no
+    # allocation, and no file is written
+    save_potential_json(VectorPotential(alpha=0.5), tmp_path / "pot.json")
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    assert main([*(a.replace("{tmp}", str(tmp_path)) for a in argv), "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{10**21} x {10**21}" in err
+    assert not out.exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_strip_is_checked_before_the_kernel_is_read(tmp_path, capsys):
+    # the kernel path does not exist; the strip's own refusal comes first
+    assert main(["strip", "--kernel", str(tmp_path / "missing.csv"), "--a", "nan",
+                 "--eps", "0.2"]) == 3
+    assert "strip angles" in capsys.readouterr().err
 
 
 def test_radon_bad_grid_exit_three(tmp_path):

@@ -110,15 +110,15 @@ class TestGaugeTransform:
     def test_identity_gauge(self, generic_potential):
         out = gauge_transform(generic_potential, GaugeElement(winding=0))
         assert out.alpha == generic_potential.alpha
-        x = np.array([1.2, -0.7])
+        x = np.array([[1.2, -0.7]])
         assert np.array_equal(out.aprime(x), generic_potential.aprime(x))
 
     def test_pure_winding_shifts_flux_only(self, generic_potential):
         out = gauge_transform(generic_potential, GaugeElement(winding=2))
         assert out.alpha == generic_potential.alpha + 2
-        x = np.array([0.4, 2.0])
+        x = np.array([[0.4, 2.0]])
         assert np.array_equal(out.aprime(x), generic_potential.aprime(x))
-        assert out.v(x) == generic_potential.v(x)
+        assert np.array_equal(out.v(x), generic_potential.v(x))
 
     def test_flux_additivity(self, generic_potential):
         base = flux(generic_potential, [30.0, 40.0]).estimate
@@ -133,23 +133,22 @@ class TestPotentialFields:
         # x . A0(x) = 0 identically; float evaluation leaves at most an ulp
         for _ in range(50):
             x = rng.uniform(-5, 5, 2)
-            a0 = generic_potential.flux_part(x)
+            a0 = generic_potential.flux_part(x[None])[0]
             assert abs(float(x @ a0)) <= 1e-15 * max(1.0, float(np.abs(a0).max()))
 
     def test_curl_matches_analytic_field(self, generic_potential, rng):
         h = 1e-5
-        for _ in range(30):
-            x = rng.uniform(-4, 4, 2)
-            da2 = (generic_potential.aprime(x + [h, 0])[1]
-                   - generic_potential.aprime(x - [h, 0])[1]) / (2 * h)
-            da1 = (generic_potential.aprime(x + [0, h])[0]
-                   - generic_potential.aprime(x - [0, h])[0]) / (2 * h)
-            assert abs((da2 - da1) - generic_potential.b_field(x)) <= 1e-6
+        x = rng.uniform(-4, 4, (30, 2))
+        da2 = (generic_potential.aprime(x + [h, 0])[:, 1]
+               - generic_potential.aprime(x - [h, 0])[:, 1]) / (2 * h)
+        da1 = (generic_potential.aprime(x + [0, h])[:, 0]
+               - generic_potential.aprime(x - [0, h])[:, 0]) / (2 * h)
+        assert np.max(np.abs((da2 - da1) - generic_potential.b_field(x))) <= 1e-6
 
     def test_decay_envelope(self, generic_potential):
         for r in (5.0, 10.0, 20.0, 40.0):
             x = np.array([r, 0.3 * r])
-            a = generic_potential.aprime(x / np.hypot(*x) * r)
+            a = generic_potential.aprime((x / np.hypot(*x) * r)[None])[0]
             assert float(np.hypot(*a)) * (1 + r) ** 1.5 <= 10.0
 
 
@@ -314,7 +313,7 @@ def test_narrow_curl_is_zero_where_envelope_is():
     assert np.array_equal(np.abs(bump.curl(pts)), np.zeros(3))
     pot = VectorPotential(alpha=0.3, bumps=(bump,))
     assert np.array_equal(np.abs(pot.b_field(pts)), np.zeros(3))
-    assert pot.b_field(pts[0]) == 0.0
+    assert pot.b_field(pts[:1])[0] == 0.0
 
 
 def test_width_with_normal_square_is_accepted_and_finite():
@@ -345,3 +344,18 @@ def test_strength_over_width_squared_is_bounded():
         for cls in (GaussianBump, GaussianScalar):
             with pytest.raises(DomainError, match="strength"):
                 cls((0.0, 0.0), strength, width)
+
+
+def test_summed_component_bounds_must_be_finite():
+    # each component alone is accepted (the curl at its centre is within an ulp of
+    # the largest float), but a field summing two of them would overflow: B and A'
+    # sum the bumps, A' also grad(L), and V its own components
+    w, s = 1.5e-154, 2.0224047767201054
+    bump, scalar = GaussianBump((0.0, 0.0), s, w), GaussianScalar((0.0, 0.0), s, w)
+    pot = VectorPotential(alpha=0.3, bumps=(bump,), v=ScalarMixture((scalar,)))
+    assert abs(pot.b_field(np.zeros((1, 2)))[0]) > 1.79e308
+    for fields in ({"bumps": (bump, bump)},
+                   {"bumps": (bump,), "grad_l": ScalarMixture((scalar,))},
+                   {"v": ScalarMixture((scalar, scalar))}):
+        with pytest.raises(DomainError, match="summed bound"):
+            VectorPotential(alpha=0.3, **fields)

@@ -21,7 +21,9 @@ from abscatter.inverse import (
 )
 from abscatter.smatrix import (
     KernelGrid,
+    PartialWaveSMatrix,
     StripDomain,
+    _mode_values,
     build_partial_wave,
     conjugate_kernel,
     perturb_kernel,
@@ -45,6 +47,12 @@ def perturbed_kernel(alpha, n, sup, seed=0):
     return perturb_kernel(sample_kernel(alpha, n), sup, seed)
 
 
+def grid_window(grid, m):
+    """The eigenvalues a kernel grid gives by quadrature on the modes [-m, m]."""
+    return PartialWaveSMatrix(alpha=math.nan, m_max=m,
+                              eigenvalues=_mode_values(grid, np.arange(-m, m + 1)))
+
+
 class TestModeRecovery:
     def test_half_flux(self):
         est = recover_flux_from_modes(build_partial_wave(0.5, 8))
@@ -62,18 +70,23 @@ class TestModeRecovery:
             recover_flux_from_modes(build_partial_wave(2.0, 8))
 
     def test_empty_mode_window(self):
-        for s in (build_partial_wave(0.3, 8), sample_kernel(0.3, 256)):
-            with pytest.raises(DomainError, match="mode window is empty"):
-                recover_flux_from_modes(s, m_max=0)
+        # partial-wave data is read on its whole window, which cannot be empty; a
+        # kernel grid's window comes from its data
+        with pytest.raises(DomainError, match="m_max must be >= 1"):
+            build_partial_wave(0.3, 0)
 
     def test_flip_outside_mode_window(self):
         # exact data: every eigenvalue in [-8, 8] is e^{-i pi 8.5}
         with pytest.raises(IntegerFluxError, match=r"outside the mode window \[-8, 8\]"):
-            recover_flux_from_modes(build_partial_wave(8.5, 10), m_max=8)
+            recover_flux_from_modes(build_partial_wave(8.5, 8))
         # grid quadrature leaves 1e-4 of noise on those equal eigenvalues,
         # which no two-valued spectrum fits
+        grid = sample_kernel(9.3, 256)
         with pytest.raises(DataInconsistencyError, match=r"outside the mode window \[-8, 8\]"):
-            recover_flux_from_modes(sample_kernel(9.3, 256))
+            recover_flux_from_modes(grid_window(grid, 8))
+        # on the grid itself the window doubles to [-16, 16], which holds the flip
+        est = recover_flux_from_modes(grid)
+        assert est.ceil_alpha == 10 and abs(est.alpha - 9.3) <= 1e-4
 
     def test_no_flip_visible(self):
         # a first mode already holding the limit value: the flip is below the window
@@ -310,10 +323,11 @@ class TestPipeline:
         grid = sample_kernel(alpha, n)
         verdict = recover_flux(grid, obstacle_convex=True)
         assert verdict.ceil_alpha == math.ceil(alpha) and abs(verdict.alpha - alpha) <= 1e-6
-        assert verdict.alpha == recover_flux_from_modes(grid, window).alpha and verdict.witness
+        assert verdict.alpha == recover_flux_from_modes(grid_window(grid, window)).alpha
+        assert verdict.alpha == recover_flux_from_modes(grid).alpha and verdict.witness
         with pytest.raises((DataInconsistencyError, IntegerFluxError),
                            match=rf"mode window \[-{window // 2}, {window // 2}\]"):
-            recover_flux_from_modes(grid, window // 2)
+            recover_flux_from_modes(grid_window(grid, window // 2))
 
     def test_verdict_json_fields(self):
         verdict = recover_flux(sample_kernel(0.5, 1024), obstacle_convex=True)

@@ -179,6 +179,14 @@ class TestStripIntegral:
         with pytest.raises(DomainError):
             StripDomain(0.0, 3.0, math.pi / 3)
 
+    @pytest.mark.parametrize("a, b, eps", [(math.nan, math.pi, 0.5), (0.0, math.nan, 0.1),
+                                           (-0.1, 1.0, 0.1), (1.0, 0.5, 0.1), (0.0, 7.0, 0.1),
+                                           (math.nan, math.pi, math.nan)])
+    def test_strip_angles_are_checked_first(self, a, b, eps):
+        # the strip itself refuses its angles, before its width is looked at
+        with pytest.raises(DomainError, match=r"0 <= a < b <= 2\*pi"):
+            StripDomain(a, b, eps)
+
 
 class TestCompose:
     def test_zero_amplitude_is_identity(self):
@@ -227,7 +235,6 @@ class TestCompose:
     @pytest.mark.parametrize("amplitude", [
         pytest.param(lambda t, w: 0.02 - 0.01j, id="python-scalar"),
         pytest.param(lambda t, w: 0.01 * np.cos(t), id="omega-independent-column"),
-        pytest.param(lambda t, w: 0.01 * math.cos(t) * math.sin(w), id="scalars-only"),
     ])
     def test_amplitude_shapes(self, amplitude):
         g = sample_kernel(0.37, 300)
@@ -235,6 +242,15 @@ class TestCompose:
         fmat = np.array([[complex(amplitude(t, w)) for w in g.theta] for t in g.theta])
         want = unblocked_composition(g, fmat)
         assert np.max(np.abs(out.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("amplitude", [
+        pytest.param(lambda t, w: 0.01 * math.cos(t) * math.sin(w), id="scalars-only"),
+        pytest.param(lambda t, w: np.ones((3, 3)), id="wrong-shape"),
+    ])
+    def test_amplitude_that_does_not_broadcast_is_refused(self, amplitude):
+        # the amplitude is called once, on the open grids; there is no elementwise form
+        with pytest.raises(DomainError, match="broadcast to 300 x 300"):
+            compose_with_amplitude(sample_kernel(0.37, 300), amplitude)
 
 
 def unblocked_composition(grid, fmat):

@@ -130,7 +130,7 @@ class TestRadonForward:
             x0 = p * np.array([-math.sin(phi), math.cos(phi)])
             omega = np.array([math.cos(phi), math.sin(phi)])
             sc = float((np.array([3.0, 0.0]) - x0) @ omega)
-            ref, _ = quad(lambda s: float(pot.v(x0 + s * omega)), sc - 4.25, sc + 4.25,
+            ref, _ = quad(lambda s: float(pot.v((x0 + s * omega)[None])[0]), sc - 4.25, sc + 4.25,
                           epsabs=1e-10, epsrel=1e-10, limit=200)
             assert abs(sino.values[i, j] - ref) <= 1e-8
             assert abs(line_integrals(pot, [p], [phi], "V")[0, 0] - ref) <= 1e-8
@@ -254,6 +254,18 @@ class TestRadonInvert:
             return np.linalg.norm((img - truth)[annulus]) / np.linalg.norm(truth[annulus])
 
         assert rel_err(180) < 0.6 * rel_err(90)
+
+    @pytest.mark.parametrize("n_p, grid_n, match", [
+        (128, 0, "grid_n >= 1"), (128, -5, "grid_n >= 1"), (1, 64, "at least 2 offsets"),
+        (0, 64, "at least 2 offsets"), (128, 10**21, "more than can be allocated"),
+    ])
+    def test_bad_image_or_offsets_rejected(self, n_p, grid_n, match):
+        # refused before the filter runs: 10**21 pixels a side exceeds numpy's
+        # maximum array size, so nothing is allocated
+        sino = Sinogram(offsets=np.linspace(-8, 8, n_p), angles=np.arange(64) * math.pi / 64,
+                        values=np.zeros((n_p, 64)))
+        with pytest.raises(DomainError, match=match):
+            radon_invert(sino, grid_n)
 
     def test_undersampling_warning(self):
         sino = Sinogram(offsets=np.linspace(-8, 8, 128),
