@@ -263,7 +263,7 @@ def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:
         raise DomainError(f"step h must be positive and finite, got {h}")
     points = _points(points)
     r2 = points[:, 0] ** 2 + points[:, 1] ** 2
-    if float(np.min(r2)) < (4.0 * h) ** 2:
+    if float(np.min(r2, initial=math.inf)) < (4.0 * h) ** 2:
         raise DomainError("stencil too close to the flux line at the origin")
     e1 = np.array([h, 0.0])
     e2 = np.array([0.0, h])

@@ -11,8 +11,9 @@ Subcommands
     gauge-check  winding search relating two kernel CSVs -> JSON report
 
 Exit codes: 0 ok, 2 schema/argument violation (an argument outside its fixed
-range, or radon's --invert without --recon, --recon without --invert, or
---invert with --quantity A, is refused before any work), 3 numeric-domain error.
+range, recover without --convex, or radon's --invert without --recon, --recon
+without --invert, or --invert with --quantity A, is refused before any work),
+3 numeric-domain error.
 Outputs are deterministic for a fixed config; synthetic noise is drawn only
 when --perturb is set and is pinned by --seed.
 """
@@ -154,6 +155,9 @@ def _check_floors(args) -> None:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value < low:
             raise SchemaError(f"{flag} must be >= {low}, got {value}")
+    if args.command == "recover" and not args.convex:
+        raise SchemaError("recover needs --convex: flux recovery from kernel data rests on "
+                          "the convex-obstacle hypothesis, which the kernel cannot certify")
     if args.command == "radon":
         if (args.invert is None) != (args.recon is None):
             raise SchemaError("--invert and --recon must be given together")

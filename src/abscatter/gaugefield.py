@@ -333,6 +333,8 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
         raise DomainError("radii must be a nonempty ascending sequence of finite numbers")
     if radii[0] <= pot.obstacle_radius:
         raise DomainError("radii must exceed the obstacle radius")
+    if float(radii[0]) ** 2 < np.finfo(float).tiny:     # A's flux part divides by |x|^2
+        raise DomainError(f"radius {radii[0]:.6g} is too small: its square underflows")
     th = 2.0 * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
     tangent = np.stack([-np.sin(th), np.cos(th)], axis=1)
     seq = []

@@ -13,9 +13,9 @@ Two independent readings of the flux live in the kernel data:
   singular, |.| <= C*|tau|^-delta with delta < 1) kernel perturbations.
 
 The strip estimate alone leaves the reflection frac <-> 1-frac open; only
-mode phases resolve it.  detect_conjugation searches the integer winding
-that maps one kernel onto another under
-S'(theta,theta') = exp(i*n*theta) S(theta,theta') exp(-i*n*(theta'+pi)).
+mode phases resolve it.  detect_conjugation reads the integer winding n of
+S'(theta,theta') = exp(i*n*theta) S(theta,theta') exp(-i*n*(theta'+pi))
+from the correlation of the kernels' spectra, whose phases the FFT applies.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .smatrix import (
     PartialWaveSMatrix,
     StripDomain,
     _gauge_factors,
-    _mode_values,
     _row_blocks,
+    _spectrum,
     strip_integral,
 )
 
@@ -66,7 +66,7 @@ class FluxEstimate:
 
 @dataclass(frozen=True)
 class ConjugationReport:
-    """Best integer winding relating two kernels, with its residual."""
+    """Integer winding relating two kernels, read from their spectra, with its residual."""
 
     n: int
     residual: float
@@ -88,10 +88,10 @@ def recover_flux_from_modes(s) -> FluxEstimate:
         return _flux_from_eigenvalues(s.eigenvalues, s.m_max)
     if not isinstance(s, KernelGrid):
         raise DomainError("expected a PartialWaveSMatrix or KernelGrid")
-    m = _START_WINDOW
+    spectrum, m = _spectrum(s), _START_WINDOW
     while True:
         try:
-            return _flux_from_eigenvalues(_mode_values(s, np.arange(-m, m + 1)), m)
+            return _flux_from_eigenvalues(spectrum[np.arange(-m, m + 1) % s.n], m)
         except (IntegerFluxError, DataInconsistencyError):     # both name the window
             if m >= s.n // 16:
                 raise
@@ -184,12 +184,13 @@ def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxE
 
 
 def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> ConjugationReport:
-    """Search the winding n with S2 = e^{i n theta} S1 e^{-i n (theta'+pi)}.
+    """Find the winding n with S2 = e^{i n theta} S1 e^{-i n (theta'+pi)}.
 
-    Returns the minimizer over |n| <= n_range with its max-norm residual
-    (delta parts compared separately); equivalent is False when even the
-    best residual exceeds 1e-3.  On N points windings n and n + N differ by
-    (-1)^N, so n_range must stay below half the period, N or 2N for odd N.
+    Conjugation by w shifts the spectrum w modes with the sign (-1)^w: each |n| <= n_range
+    scores Re((-1)^n C[n]), C[n] = sum_m conj(S1[m]) S2[m + n] by FFTs.  The shifts within
+    1e-9 of the top score (a flat spectrum ties a parity) are checked by max-norm residual,
+    delta parts apart: the least wins, ties to the least n, equivalent if it is <= 1e-3.
+    n_range stays below half the period of windings on N points, N or 2N for odd N.
     """
     if s1.n != s2.n:
         raise DomainError("kernel grids must have equal size")
@@ -199,34 +200,23 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
     if 2 * n_range >= period:
         raise DomainError(f"n_range {n_range} reaches half the winding period {period} on "
                           f"N = {s1.n} points: need n_range < {period // 2}")
-    blocks = list(_row_blocks(s1.n))
-    # every scan writes into one block buffer: fresh blocks left freed heap that raised later peaks
-    buf = np.empty_like(s1.values[blocks[0]])
+    corr = np.fft.ifft(np.conj(np.fft.fft(_spectrum(s1))) * np.fft.fft(_spectrum(s2)))
+    shifts = np.arange(-n_range, n_range + 1)
+    scores = np.where(shifts % 2, -1.0, 1.0) * corr[shifts % s1.n].real
 
-    def block_res(factors, rows):
-        block = s1.values[rows]
-        diff = np.multiply(block, factors[0][rows, None], out=buf[:len(block)])
-        diff *= factors[1]
-        diff -= s2.values[rows]
-        np.fill_diagonal(diff[:, rows.start:], 0.0)
-        return np.max(np.abs(diff))
+    def residual(n):        # conjugate_kernel's arithmetic, in row blocks
+        row_f, col_f = _gauge_factors(s1.n, n)
+        res = abs(s2.delta_coeff - s1.delta_coeff * (-1.0 if n % 2 else 1.0))
+        for rows in _row_blocks(s1.n):
+            diff = s1.values[rows] * row_f[rows, None]
+            diff *= col_f
+            diff -= s2.values[rows]
+            np.fill_diagonal(diff[:, rows.start:], 0.0)
+            res = np.maximum(res, np.max(np.abs(diff)))
+        return float(res)
 
-    # each winding is scored by its first row block and scanned best-first; a scan
-    # stops once its running maximum exceeds the best full residual, so the report
-    # is the exhaustive one: the least residual, ties to the least n
-    scored = []
-    for n in range(-n_range, n_range + 1):
-        factors = _gauge_factors(s1.n, n)
-        delta_res = abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n)
-        scored.append((np.maximum(delta_res, block_res(factors, blocks[0])), n, factors))
-    best_res, best_n = math.inf, 0
-    for res, n, factors in sorted(scored):    # n is unique: factors are never compared
-        for rows in blocks[1:]:
-            if res > best_res:
-                break
-            res = np.maximum(res, block_res(factors, rows))
-        if res < best_res or (res == best_res < math.inf and n < best_n):
-            best_res, best_n = float(res), n
+    tied = shifts[scores >= np.max(scores) - 1e-9 * np.max(np.abs(scores))]
+    best_res, best_n = min((residual(n), n) for n in tied.tolist())
     return ConjugationReport(n=best_n, residual=best_res, equivalent=best_res <= 1e-3)
 
 

@@ -17,7 +17,7 @@ periodic functions, so the trapezoid sums converge spectrally.  The excluded
 diagonal node is restored as half the pair limit extrapolated from the two
 nearest pairs (dropping it would cost O(h)), folded into the weights: 5h/3 at
 diagonal offsets +-1, 5h/6 at +-2, h elsewhere (_pv_rows).  Composition and
-mode extraction both use these weights.
+the spectrum both use these weights; the spectrum takes its mode phases from one FFT.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ __all__ = [
 # Trapezoid nodes across the strip width eps < tau < 2*eps.
 _TAU_NODES = 64
 
-# Rows per block of row-wise work on n x n grids (composition, perturbation,
-# the winding search): bounds the temporaries to a few rows of a grid.
+# Rows per block of row-wise work on n x n grids (composition, perturbation, the
+# spectrum, the winding residual): bounds the temporaries to a few rows of a grid.
 _BLOCK_ROWS = 256
 
 
@@ -62,8 +62,8 @@ def _row_blocks(n: int):
 
 @lru_cache(maxsize=16)
 def _roots(n: int) -> np.ndarray:
-    """Read-only e^{2 pi i k/n}, k < n, for every phase on the kernel grid: k/n turns is
-    p exact quarter turns plus t in [-pi/4, pi/4), so libm's cos and sin see only t."""
+    """Read-only e^{2 pi i k/n}, k < n, for every grid phase the spectrum's FFT does not apply:
+    k/n turns is p exact quarter turns plus t in [-pi/4, pi/4), so libm sees only t."""
     p, s = np.divmod(8 * np.arange(n) + n, 2 * n)       # k/n = p/4 + (s - n)/(8n)
     z = [complex(math.cos(t), math.sin(t)) for t in (math.pi / 4.0 * ((s - n) / n)).tolist()]
     out = np.array([1, 1j, -1, -1j])[p % 4] * np.array(z)
@@ -184,14 +184,12 @@ def strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> co
     if strip.eps < 4.0 * h:
         raise ResolutionError(f"eps = {strip.eps} below 4 grid cells ({4.0 * h:.4g})")
 
-    # rows whose theta-cell [theta_j - h/2, theta_j + h/2] meets (a, b)
-    theta = grid.theta
-    lo = np.maximum(theta - 0.5 * h, strip.a)
-    hi = np.minimum(theta + 0.5 * h, strip.b)
-    w_theta = np.clip(hi - lo, 0.0, None)
+    # rows whose theta-cell [theta_j - h/2, theta_j + h/2] meets (a, b) on the circle:
+    # row 0's cell also meets (a - 2*pi, b - 2*pi) where b > 2*pi - h/2
+    lo, hi = grid.theta - 0.5 * h, grid.theta + 0.5 * h
+    w_theta = sum(np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None)
+                  for a, b in ((strip.a, strip.b), (strip.a - 2 * math.pi, strip.b - 2 * math.pi)))
     rows = np.nonzero(w_theta > 0.0)[0]
-    if rows.size == 0:
-        return 0.0 + 0.0j
 
     tau = np.linspace(strip.eps, 2.0 * strip.eps, _TAU_NODES)
     w_tau = np.full(_TAU_NODES, tau[1] - tau[0])
@@ -228,15 +226,13 @@ def _pv_rows(grid: KernelGrid, rows: slice) -> np.ndarray:
     as (h/2) * G_j(0) for the even pair function
         G_j(tau) = K(theta_j, theta_j - tau) phi(theta_j - tau)
                  + K(theta_j, theta_j + tau) phi(theta_j + tau),
-    G_j(0) = (4 G_j(h) - G_j(2h)) / 3 by quadratic extrapolation.  Folded into
-    the weights: 5h/3 at column offsets +-1, 5h/6 at +-2, h elsewhere.
+    G_j(0) = (4 G_j(h) - G_j(2h)) / 3 by quadratic extrapolation.  Folded into the weights:
+    5h/3 at column offsets +-1, 5h/6 at +-2, 0 on the diagonal (not data), h elsewhere.
     """
-    n = grid.n
-    j = np.arange(n)[rows]
-    i = np.arange(j.size)
+    j = np.arange(grid.n)[rows, None]
     weights = grid.spacing * grid.values[rows]
-    for off, fold in ((1, 5.0 / 3.0), (-1, 5.0 / 3.0), (2, 5.0 / 6.0), (-2, 5.0 / 6.0)):
-        weights[i, (j + off) % n] *= fold
+    weights[np.arange(len(j))[:, None], (j + [0, 1, -1, 2, -2]) % grid.n] *= \
+        [0.0, 5.0 / 3.0, 5.0 / 3.0, 5.0 / 6.0, 5.0 / 6.0]
     return weights
 
 
@@ -274,22 +270,24 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
                       alpha_hint=grid.alpha_hint)
 
 
-def _mode_values(grid: KernelGrid, modes) -> np.ndarray:
-    """Eigenvalues on the angular modes exp(i*m*theta), m in modes, by grid quadrature.
-
-    Averages the p.v. row sums (folded weights of _pv_rows) over every
-    max(1, n // 256)-th row, then adds the exact delta coefficient; one product
-    serves every mode.
-    """
-    rows = slice(0, grid.n, max(1, grid.n // 256))
-    phase = _roots(grid.n)[np.outer(np.arange(grid.n), np.mod(modes, grid.n)) % grid.n]
-    per_row = (_pv_rows(grid, rows) @ phase) * np.conj(phase[rows])
-    return grid.delta_coeff + per_row.mean(axis=0)
+def _spectrum(grid: KernelGrid) -> np.ndarray:
+    """Eigenvalues on every angular mode exp(i*m*theta), at index m mod n, by grid quadrature:
+    one length-n FFT of the wrapped diagonals of the folded weights of _pv_rows, averaged over
+    every max(1, n // 256)-th row, plus the exact delta coefficient."""
+    n, step = grid.n, max(1, grid.n // 256)
+    sums = np.zeros(n, dtype=complex)
+    for rows in _row_blocks(n):     # each block's rows j = 0 mod step, weighted and doubled
+        j0 = -(-rows.start // step) * step
+        doubled = np.concatenate([_pv_rows(grid, slice(j0, rows.stop, step))] * 2, axis=1)
+        s0, s1 = doubled.strides    # view row r starts at column j0 + r * step
+        sums += np.lib.stride_tricks.as_strided(
+            doubled[:, j0:], (len(doubled), n), (s0 + step * s1, s1)).sum(axis=0)
+    return grid.delta_coeff + np.fft.ifft(sums / len(range(0, n, step)), norm="forward")
 
 
 def extract_mode(grid: KernelGrid, m: int) -> complex:
     """Eigenvalue on the angular mode exp(i*m*theta) by grid quadrature."""
-    return complex(_mode_values(grid, [m])[0])
+    return complex(_spectrum(grid)[m % grid.n])
 
 
 def _gauge_factors(n: int, winding: int) -> tuple[np.ndarray, np.ndarray]:

@@ -331,6 +331,13 @@ def test_non_finite_inputs_name_their_cause(call, match):
         call()
 
 
+def test_no_points_give_no_values():
+    # an empty point array is empty data, for the residual as for the wave
+    for evaluate in (lambda pts: eval_ab_wave_grid(SPEC, pts),
+                     lambda pts: pde_residual(SPEC, pts, 1e-3)):
+        assert evaluate(np.zeros((0, 2))).shape == (0,)
+
+
 def test_wave_csv_round_trip(tmp_path, rng):
     spec = ABWaveSpec(alpha=0.4, lam=1.0, omega=(1.0, 0.0), sign=1, truncation=50)
     pts = rng.uniform(-3, 3, size=(17, 2))

@@ -57,6 +57,14 @@ def test_flux_non_finite_radii_exit_three(pot_path, capsys, radii):
     assert captured.out == "" and "finite" in captured.err
 
 
+def test_flux_radius_whose_square_underflows_is_named(pot_path, capsys):
+    # |x|^2 of the circle's points would be 0: refused before any field is evaluated
+    assert main(["flux", "--config", pot_path, "--radii", "1e-200,10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "radius 1e-200" in captured.err and "underflows" in captured.err
+
+
 @pytest.mark.parametrize("config", [
     "[1, 2]",
     '{"alpha": 0.5, "bumps": [{"center": [1], "strength": 1.0, "width": 0.5}]}',
@@ -173,8 +181,6 @@ def test_default_strips_on_a_coarse_grid_name_the_grid(tmp_path, capsys):
 def test_exit_code_numeric_domain_error(tmp_path):
     k = tmp_path / "k.csv"
     main(["kernel", "--alpha", "0.5", "--n", "256", "--out", str(k)])
-    # missing --convex flag: the pipeline refuses (numeric-domain contract)
-    assert main(["recover", "--kernel", str(k)]) == 3
     # eps below the grid resolution
     assert main(["strip", "--kernel", str(k), "--eps", "0.01"]) == 3
 
@@ -201,6 +207,16 @@ def test_argument_below_its_floor_exits_two_naming_the_flag(tmp_path, capsys, ar
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{flag} must be >= " in err
+    assert not out.exists()
+
+
+def test_recover_without_convex_exits_two_before_reading(tmp_path, capsys):
+    # the kernel path does not exist, which would exit 3 once read: the missing
+    # hypothesis flag is an argument violation, refused first
+    out = tmp_path / "v.json"
+    assert main(["recover", "--kernel", str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--convex" in err
     assert not out.exists()
 
 
@@ -451,13 +467,14 @@ KERNEL_SIDE = ("abwave", "specfun", "gaugefield", "xray")
     (["wave", "--alpha", "0.5", "--grid", "5", "--extent", "2", "--out", "{tmp}/w.csv"],
      ("smatrix", "inverse", "gaugefield", "xray")),
     (["kernel", "--alpha", "0.3", "--n", "64", "--out", "{tmp}/k2.csv"], KERNEL_SIDE),
-    (["recover", "--kernel", "{tmp}/k.csv"], KERNEL_SIDE),
+    (["recover", "--kernel", "{tmp}/k.csv", "--convex"], KERNEL_SIDE),
     (["gauge-check", "--kernel1", "{tmp}/k.csv", "--kernel2", "{tmp}/k.csv"], KERNEL_SIDE),
     (["strip", "--kernel", "{tmp}/k.csv", "--eps", "0.2"], KERNEL_SIDE),
     (["flux", "--config", "{tmp}/pot.json", "--radii", "5,10"],
      ("smatrix", "inverse", "abwave", "specfun", "xray")),
     (["radon", "--config", "{tmp}/pot.json", "--quantity", "A", "--n-p", "4", "--n-phi", "4",
       "--out", "{tmp}/s.csv"], ("abwave", "specfun", "smatrix", "inverse")),
+    (["recover", "--kernel", "{tmp}/k.csv"], ("numpy", *LAYERS)),     # refused: no --convex
 ])
 def test_cli_loads_only_the_modules_its_command_uses(tmp_path, argv, absent):
     # each command imports numpy and its layer modules itself, after its argument

@@ -23,7 +23,7 @@ from abscatter.smatrix import (
     KernelGrid,
     PartialWaveSMatrix,
     StripDomain,
-    _mode_values,
+    _spectrum,
     build_partial_wave,
     conjugate_kernel,
     perturb_kernel,
@@ -50,7 +50,7 @@ def perturbed_kernel(alpha, n, sup, seed=0):
 def grid_window(grid, m):
     """The eigenvalues a kernel grid gives by quadrature on the modes [-m, m]."""
     return PartialWaveSMatrix(alpha=math.nan, m_max=m,
-                              eigenvalues=_mode_values(grid, np.arange(-m, m + 1)))
+                              eigenvalues=_spectrum(grid)[np.arange(-m, m + 1)])
 
 
 class TestModeRecovery:
@@ -197,6 +197,16 @@ class TestConjugation:
             shifted = sample_kernel(0.5 + n, 256)
             rep = detect_conjugation(g, shifted, 3)
             assert rep.n == n and rep.residual <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("w", [-2, -1, 1, 2, 3])
+    def test_flat_spectrum_is_settled_by_the_residual(self, w, seed):
+        # integer flux has no regular part, and these seeds' noise no circulant part:
+        # the spectrum is flat, every shift of w's parity ties, and the residual decides
+        g = perturb_kernel(sample_kernel(1.0, 256), 0.02, seed)
+        assert np.ptp(np.abs(_spectrum(g))) <= 1e-12
+        rep = detect_conjugation(g, conjugate_kernel(g, w), 3)
+        assert rep.n == w and rep.residual <= 1e-12 and rep.equivalent
 
     def test_memory_peak_below_one_kernel(self, alloc_peak):
         # the search walks row blocks with rank-one phases: no n x n temporaries

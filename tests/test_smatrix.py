@@ -8,12 +8,12 @@ from abscatter.inverse import detect_conjugation
 from abscatter.smatrix import (
     KernelGrid,
     StripDomain,
+    _pv_rows,
+    _spectrum,
     build_partial_wave,
     compose_with_amplitude,
     conjugate_kernel,
     extract_mode,
-    _mode_values,
-    _pv_rows,
     load_kernel_csv,
     perturb_kernel,
     sample_kernel,
@@ -77,7 +77,7 @@ class TestModeQuadrature:
             if abs(alpha - 1.0) < 1e-12:
                 continue
             s = build_partial_wave(alpha, 8)
-            vals = _mode_values(sample_kernel(alpha, 1024), modes)
+            vals = _spectrum(sample_kernel(alpha, 1024))[modes]
             for m, v in zip(modes, vals):
                 assert abs(v - s.eigenvalue(m)) <= 1e-6
 
@@ -167,6 +167,15 @@ class TestStripIntegral:
             v = strip_integral(g, StripDomain(0.0, math.pi, eps))
             devs.append(abs(-v.real - target))
         assert devs[0] > devs[1] - 1e-4 and devs[1] > devs[2] - 1e-4
+
+    def test_placement_on_the_circle(self):
+        # a circulant kernel gives each theta the same integral, so strips of one length
+        # agree wherever they sit, also one ending at 2*pi: row 0's cell wraps there
+        g = sample_kernel(0.3, 1024)
+        want = strip_integral(g, StripDomain(0.0, math.pi, 0.05))
+        for a in (math.pi, 0.5):
+            got = strip_integral(g, StripDomain(a, a + math.pi, 0.05))
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_resolution_guard(self):
         g = sample_kernel(0.5, 128)

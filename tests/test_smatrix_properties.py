@@ -5,7 +5,8 @@ quadrature of compose_with_amplitude and extract_mode equals a dense
 reference, the reflection alpha -> -alpha holds on the grid, and the spectrum
 is two-valued with its flip at ceil(alpha), so the modes give the flux back;
 recover_flux widens its mode window until it holds the flip.
-The pruned winding search returns the exhaustive search's report.  The table
+The winding search returns the exhaustive search's report whenever a winding
+relates the kernels, since conjugation shifts the spectrum.  The table
 of roots of unity behind every grid phase is within an ulp of the exact
 roots, and its gauge factors repeat after n windings."""
 
@@ -28,8 +29,8 @@ from abscatter.inverse import (
 from abscatter.smatrix import (
     KernelGrid,
     _gauge_factors,
-    _mode_values,
     _roots,
+    _spectrum,
     build_partial_wave,
     compose_with_amplitude,
     conjugate_kernel,
@@ -188,10 +189,27 @@ def test_extract_mode_matches_dense_reference(alpha, n, terms, m):
 @PROPERTY
 @given(fluxes, strided_sizes, st.lists(st.tuples(coeffs, freqs), max_size=3))
 def test_batched_modes_match_single_mode_extraction(alpha, n, terms):
+    # the spectrum holds mode m at index m mod n, and the high modes equal the
+    # dense reference as the low ones do
     g = perturbed(alpha, n, terms)
-    modes = np.arange(-8, 9)
-    single = np.array([extract_mode(g, m) for m in modes])
-    assert rel_err(_mode_values(g, modes), single) <= 1e-14
+    modes = np.concatenate([np.arange(-8, 9), [n // 2, -(n // 2), n - 1]])
+    spectrum = _spectrum(g)[modes % n]
+    assert np.array_equal(spectrum, [extract_mode(g, m) for m in modes])
+    phase = np.exp(1j * np.outer(g.theta, modes))
+    rows = np.arange(0, n, max(1, n // 256))
+    want = g.delta_coeff + np.mean(pv_reference(g, phase)[rows] * np.conj(phase[rows]), axis=0)
+    assert rel_err(spectrum, want) <= 1e-12
+
+
+@PROPERTY
+@given(fluxes, strided_sizes, st.lists(st.tuples(coeffs, freqs), max_size=3), st.data())
+def test_conjugation_shifts_the_spectrum(alpha, n, terms, data):
+    # entry (j, k) gains (-1)^w e^{iw(theta_j - theta_k)}, so every wrapped diagonal
+    # gains one phase, for any kernel: S2[m] = (-1)^w S1[m - w], over the whole period
+    g = perturbed(alpha, n, terms)
+    w = data.draw(st.integers(-n, n))
+    want = (-1) ** w * np.roll(_spectrum(g), w)
+    assert rel_err(_spectrum(conjugate_kernel(g, w)), want) <= 1e-12
 
 
 @PROPERTY
@@ -219,7 +237,7 @@ def two_valued(alpha, m_max):
 def test_spectrum_is_two_valued_with_flip_at_ceil(alpha):
     assert np.array_equal(build_partial_wave(alpha, 8).eigenvalues, two_valued(alpha, 8))
     # the two values lie 2|sin(pi alpha)| >= 0.12 apart, so this also places the flip
-    eig = _mode_values(sample_kernel(alpha, 1024), np.arange(-8, 9))
+    eig = _spectrum(sample_kernel(alpha, 1024))[np.arange(-8, 9)]
     assert np.max(np.abs(eig - two_valued(alpha, 8))) <= 1e-6
 
 
@@ -254,26 +272,28 @@ def test_winding_search_ignores_the_diagonal_in_every_block():
     assert rep.n == 2 and rep.residual <= 1e-12
 
 
+def full_residual(s1, s2, n):
+    """Max-norm residual of s2 against the whole conjugate_kernel(s1, n), delta included."""
+    diff = conjugate_kernel(s1, n).values - s2.values
+    np.fill_diagonal(diff, 0.0)
+    return max(abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n), float(np.max(np.abs(diff))))
+
+
 def exhaustive_search(s1, s2, n_range):
-    """Every winding scanned in full: the least residual, ties to the least n."""
-    best_n, best_res = 0, math.inf
-    for n in range(-n_range, n_range + 1):
-        diff = conjugate_kernel(s1, n).values - s2.values
-        np.fill_diagonal(diff, 0.0)
-        res = max(abs(s2.delta_coeff - s1.delta_coeff * (-1.0) ** n), float(np.max(np.abs(diff))))
-        if res < best_res:
-            best_n, best_res = n, res
-    return ConjugationReport(n=best_n, residual=best_res, equivalent=best_res <= 1e-3)
+    """Every winding checked in full: the least residual, ties to the least n."""
+    res, n = min((full_residual(s1, s2, n), n) for n in range(-n_range, n_range + 1))
+    return ConjugationReport(n=n, residual=res, equivalent=res <= 1e-3)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(["zero", "delta", "spike", "equal", "conjugated", "noise"]),
        st.integers(8, 72), st.integers(1, 20), st.integers(0, 3), windings, st.floats(0.0, 1.0),
        st.integers(0, 2**32 - 1))
-def test_pruned_winding_search_matches_exhaustive(kind, n, block_rows, n_range, w, scale, seed):
-    # small row blocks give many blocks to prune; "zero", "delta" and "spike"
-    # kernels tie some or all windings exactly: a "spike" entry of s2 where s1 is 0
-    # sets every winding's residual in the last row, after scores that differ
+def test_winding_search_matches_exhaustive_when_equivalent(kind, n, block_rows, n_range, w,
+                                                           scale, seed):
+    # small row blocks give many blocks; "zero" and "delta" kernels have flat spectra
+    # that tie some or all windings exactly; a "spike" entry of s2 where s1 is 0 makes
+    # a pair that no winding relates
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     s1 = KernelGrid(n=n, values=0 * vals if kind in ("zero", "delta") else vals,
@@ -290,4 +310,10 @@ def test_pruned_winding_search_matches_exhaustive(kind, n, block_rows, n_range, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(smatrix, "_BLOCK_ROWS", block_rows)
         got = detect_conjugation(s1, s2, n_range)
-    assert got == exhaustive_search(s1, s2, n_range)
+    want = exhaustive_search(s1, s2, n_range)
+    if want.equivalent:
+        assert got == want
+    else:
+        # the correlation's candidate, with the full residual of the winding it names
+        assert not got.equivalent and abs(got.n) <= n_range
+        assert got.residual == full_residual(s1, s2, got.n)
