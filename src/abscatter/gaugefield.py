@@ -249,8 +249,13 @@ class VectorPotential:
                                   f"of the {name} components overflows")
 
     def flux_part(self, x) -> np.ndarray:
+        """alpha * (-x2, x1) / |x|^2; DomainError for a point whose |x|^2 underflows or is 0."""
         p = _pts(x)
         r2 = (p * p).sum(axis=1)
+        small = np.nonzero(r2 < np.finfo(float).tiny)[0]
+        if small.size:
+            raise DomainError(f"point {p[small[0]].tolist()} is too close to the flux line: "
+                              f"its |x|^2 underflows")
         return self.alpha * np.stack([-p[:, 1], p[:, 0]], axis=1) / r2[:, None]
 
     def aprime(self, x) -> np.ndarray:

@@ -564,3 +564,21 @@ def test_other_memory_errors_exit_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(smatrix, "save_kernel_csv", fail)
     assert main(["kernel", "--alpha", "0.3", "--n", "64", "--out", str(tmp_path / "k.csv")]) == 3
     assert capsys.readouterr().err == "abscatter: out of memory: an allocation failed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["wave", "--alpha", "0.5", "--grid", "21", "--extent", "3", "--out", "{dir}"],
+    ["recover", "--kernel", "{dir}", "--convex"],
+], ids=["wave-out", "recover-kernel"])
+def test_directory_path_exits_three(tmp_path, capsys, argv):
+    assert main([a.replace("{dir}", str(tmp_path)) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Is a directory" in err and str(tmp_path) in err
+
+
+def test_config_that_is_not_text_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "p.json"
+    cfg.write_bytes(b'{"alpha": 0.3\xff}\n')
+    assert main(["flux", "--config", str(cfg), "--radii", "10,20"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "can't decode byte 0xff" in err

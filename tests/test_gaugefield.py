@@ -304,6 +304,17 @@ def test_far_centre_fields_are_zero(center):
     assert np.array_equal(pot.aprime(pts[:2]), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("row", [[1e-200, 0.0], [0.0, 0.0]], ids=["underflow", "origin"])
+def test_flux_part_refuses_points_whose_square_underflows(row):
+    # |x|^2 is 0 at both rows: the division would give nan and inf with a warning
+    pot = VectorPotential(alpha=0.7)
+    pts = np.array([[1.0, 2.0], row])
+    for field in (pot.flux_part, pot.a_total):
+        with pytest.raises(DomainError, match=rf"point \[{row[0]}, {row[1]}\] .*underflows"):
+            field(pts)
+    assert np.all(np.isfinite(pot.flux_part(np.array([[1e-150, 0.0]]))))
+
+
 def test_narrow_curl_is_zero_where_envelope_is():
     # at width 1e-70, rho^2 / w^4 overflows at distance 1e15 while the envelope
     # underflows to 0; the curl and B must be 0, with no warning (an error

@@ -368,6 +368,7 @@ def test_signed_zeros_nan_inf_and_subnormals_in_one_block(tmp_path):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_are_refused_before_the_file_opens(tmp_path, bad):
     grid = sample_kernel(0.3, 64)
+    grid.values = np.array(grid.values)     # writable: a sampled kernel is a read-only view
     grid.values[5, 17] = complex(0.25, bad)
     grid.values[9, 2] = bad
     path = tmp_path / "k.csv"
@@ -384,6 +385,7 @@ def test_non_finite_values_are_refused_before_the_file_opens(tmp_path, bad):
 def test_cli_writer_refuses_non_finite_values(tmp_path, capsys, monkeypatch):
     def sample(alpha, n):
         grid = sample_kernel(alpha, n)
+        grid.values = np.array(grid.values)     # writable: a sampled kernel is a read-only view
         grid.values[0, 1] = math.nan
         return grid
     monkeypatch.setattr("abscatter.smatrix.sample_kernel", sample)
