@@ -12,8 +12,9 @@ Subcommands
 
 Exit codes: 0 ok, 2 schema/argument violation (an argument outside its fixed
 range, recover without --convex, or radon's --invert without --recon, --recon
-without --invert, or --invert with --quantity A, is refused before any work),
-3 numeric-domain error or a path or config that cannot be read or written.
+without --invert, or --invert with --quantity A, is refused before any work; a
+config or artifact that is not ASCII, or a config that is not JSON, names its file),
+3 numeric-domain error or a path that cannot be read or written.
 Outputs are deterministic for a fixed config; synthetic noise is drawn only
 when --perturb is set and is pinned by --seed.
 """
@@ -241,9 +242,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"abscatter: schema error: {exc}", file=sys.stderr)
         return 2
-    # OSError: a path that is missing, a directory or unreadable; UnicodeDecodeError: a
-    # config that is not ASCII text
-    except (AbScatterError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # OSError: a path that is missing, a directory or unreadable
+    except (AbScatterError, OSError) as exc:
         print(f"abscatter: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

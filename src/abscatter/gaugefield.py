@@ -168,7 +168,7 @@ class _Gaussian:
         squared offset overflows, so every field is 0 there."""
         with np.errstate(over="ignore"):
             d = _pts(x) - np.asarray(self.center)
-            q = (d * d).sum(axis=1) / (2.0 * self.width ** 2)
+            q = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / (2.0 * self.width ** 2)
         d[np.isinf(q)] = 0.0
         return d, self.strength * np.exp(-q)
 
@@ -186,7 +186,7 @@ class GaussianBump(_Gaussian):
         # rho2 / w^2 is 2q, finite wherever the envelope's q is; where q
         # overflows, _envelope has zeroed d
         w2 = self.width ** 2
-        return env / w2 * (2.0 - (d * d).sum(axis=1) / w2)
+        return env / w2 * (2.0 - (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / w2)
 
 
 class GaussianScalar(_Gaussian):
@@ -306,7 +306,11 @@ def save_potential_json(pot: VectorPotential, path) -> None:
 
 def load_potential_json(path) -> VectorPotential:
     with open(path, "r", encoding="ascii") as f:
-        return VectorPotential.from_config(json.load(f))
+        try:
+            config = json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:   # not ASCII, or not JSON
+            raise SchemaError(f"{path}: {exc}") from exc
+    return VectorPotential.from_config(config)
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,13 @@ _START_WINDOW = 8
 
 @dataclass(frozen=True)
 class FluxEstimate:
-    """Recovered flux components; unavailable parts are None."""
+    """Recovered flux components; unavailable parts are None (the witness on the mode side)."""
 
     sin_pi_alpha: float | None
     ceil_alpha: int | None
     alpha: float | None
     residual: float
+    witness: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -136,20 +137,26 @@ def _flux_from_eigenvalues(eig: np.ndarray, m: int) -> FluxEstimate:
 
 
 def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxEstimate:
-    """sin(pi*alpha) by Richardson extrapolation of normalized strip integrals.
+    """sin(pi*alpha) by Richardson extrapolation of normalized strip integrals, and the witness.
 
     strips must share (a, b) and run over decreasing eps (typically halving).
     Each strip yields -Re(integral) * pi / ((b-a)*log 2); successive linear
     extrapolations against eps must settle: TooSingularError is raised when
     the last correction is larger than the one before it and than the
     quadrature floor h/eps of the narrowest strip (h = 2*pi/n), so
-    quadrature noise alone never trips it.  A |tau|^-1 perturbation shifts
+    quadrature noise alone never trips it, or when the estimate's modulus
+    exceeds 1 by more than that floor.  A |tau|^-1 perturbation shifts
     every estimate by the same constant, which no extrapolation in eps can
     see: such kernels, outside the delta < 1 condition, go undetected.  Only
     |sin| and its sign are recovered: alpha stays None (frac vs 1-frac needs
     mode phases).  A nonzero winding reads the strips of
     conjugate_kernel(grid, winding), which estimate sin(pi*(alpha + winding)),
     and multiplies the estimate by (-1)^winding.
+
+    The witness: (e^{2i(theta-theta')} - 1) * kernel, the conjugation by winding + 2 less the
+    kernel (each strip is read in both gauges, once), is bounded near the diagonal, so its
+    strip integrals scale like eps; over eps*(b-a) they tend to -2i*sin(pi*alpha)/pi, and the
+    least stays above 0.05 exactly when the principal-value singularity survives.
     """
     strips = list(strips)
     if len(strips) < 2:
@@ -170,17 +177,21 @@ def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxE
     # linear-in-eps model: s(eps) ~ s* + C*eps
     eps = np.array(eps)
     extr = (ests[1:] * eps[:-1] - ests[:-1] * eps[1:]) / (eps[:-1] - eps[1:])
+    floor = 2.0 * math.pi / grid.n / eps[-1]
     if extr.size >= 2:
         corrections = np.abs(np.diff(np.concatenate([ests[:1], extr])))
-        floor = 2.0 * math.pi / grid.n / eps[-1]
         if corrections[-1] > max(corrections[-2], floor):
-            raise TooSingularError(
-                "extrapolation residuals are not settling; kernel perturbation "
-                "is too singular for the strip estimator"
-            )
+            raise TooSingularError("extrapolation residuals are not settling; kernel "
+                                   "perturbation is too singular for the strip estimator")
     s_hat = float(extr[-1])
+    if abs(s_hat) > 1.0 + floor:
+        raise TooSingularError(f"strip estimate sin(pi*alpha) = {s_hat:.4g} exceeds 1 by more "
+                               f"than the floor {floor:.3g}; kernel perturbation is too singular")
     residual = float(abs(ests[-1] - s_hat))
-    return FluxEstimate(sin_pi_alpha=s_hat, ceil_alpha=None, alpha=None, residual=residual)
+    scaled = [abs(strip_integral(grid, st, winding + 2) - v) / (st.eps * (st.b - st.a))
+              for st, v in zip(strips, values)]
+    return FluxEstimate(sin_pi_alpha=s_hat, ceil_alpha=None, alpha=None, residual=residual,
+                        witness=min(scaled) > 0.05)
 
 
 def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> ConjugationReport:
@@ -229,21 +240,6 @@ class FluxVerdict:
     witness: bool
 
 
-def _multiplied_kernel_witness(grid: KernelGrid, strips, winding: int) -> bool:
-    """Check that (e^{2i(theta-theta')} - 1) * kernel is not the zero kernel,
-    read in the gauge of conjugate_kernel(grid, winding).
-
-    The multiplied kernel is bounded near the diagonal, so its strip integrals
-    scale like eps; normalized by eps*(b-a) they approach -2*i*sin(pi*alpha)/pi
-    and stay bounded away from 0 exactly when the kernel keeps its
-    principal-value singularity (sin(pi*alpha) != 0).
-    """
-    # e^{2i(theta-theta')} * kernel is the gauge conjugation by the even winding 2
-    scaled = [abs(strip_integral(grid, st, winding + 2) - strip_integral(grid, st, winding))
-              / (st.eps * (st.b - st.a)) for st in strips]
-    return min(scaled) > 0.05
-
-
 def default_strips(n: int) -> list[StripDomain]:
     """Strips over (0, pi) with halving widths from max(0.1, 8h) down to no less than
     4h, h = 2*pi/n: two on coarse grids, three (0.1, 0.05, 0.025) from n = 1006 on."""
@@ -262,8 +258,8 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxVerdict:
     The convexity of the obstacle is a data-level hypothesis the kernel
     cannot certify; the caller must assert it.  Modes give ceil(alpha) and
     the exact phase (recover_flux_from_modes); strips, read in the gauge 1 - ceil(alpha) that
-    brings the flux into (0, 1], give an independent sin(pi*alpha) estimate; the
-    witness confirms, in the same gauge, that the near-diagonal singularity
+    brings the flux into (0, 1], give an independent sin(pi*alpha) estimate and, from the
+    same strips (recover_flux_from_strip), the witness that the near-diagonal singularity
     survives multiplication by e^{2i(theta-theta')} - 1, the mechanism that
     forces equal fluxes for equal kernels.
     """
@@ -275,9 +271,8 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxVerdict:
     modes = recover_flux_from_modes(grid)
     winding = 1 - modes.ceil_alpha     # the strip bias grows with ceil(alpha)
     strip_est = recover_flux_from_strip(grid, strips, winding)
-    witness = _multiplied_kernel_witness(grid, strips, winding)
     residual = max(modes.residual,
                    abs(math.sin(math.pi * modes.alpha) - strip_est.sin_pi_alpha))
     return FluxVerdict(alpha=modes.alpha, ceil_alpha=modes.ceil_alpha,
                        sin_pi_alpha=strip_est.sin_pi_alpha,
-                       residual=residual, witness=witness)
+                       residual=residual, witness=strip_est.witness)

@@ -576,9 +576,15 @@ def test_directory_path_exits_three(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and "Is a directory" in err and str(tmp_path) in err
 
 
-def test_config_that_is_not_text_exits_three(tmp_path, capsys):
+@pytest.mark.parametrize("data, says", [
+    (b'{"alpha": 0.3\xff}\n', "can't decode byte 0xff"),
+    (b'{"alpha": 0.3, ', "Expecting property name"),
+], ids=["not-ascii", "truncated"])
+def test_config_that_is_not_ascii_json_exits_two(tmp_path, capsys, data, says):
+    # a schema error naming the file, as the same byte in a kernel CSV is
     cfg = tmp_path / "p.json"
-    cfg.write_bytes(b'{"alpha": 0.3\xff}\n')
-    assert main(["flux", "--config", str(cfg), "--radii", "10,20"]) == 3
+    cfg.write_bytes(data)
+    assert main(["flux", "--config", str(cfg), "--radii", "10,20"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "can't decode byte 0xff" in err
+    assert err.count("\n") == 1 and says in err
+    assert err.startswith(f"abscatter: schema error: {cfg}: ")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from abscatter import inverse
 from abscatter.errors import (
     DataInconsistencyError,
     DomainError,
@@ -12,7 +13,6 @@ from abscatter.errors import (
     TooSingularError,
 )
 from abscatter.inverse import (
-    _multiplied_kernel_witness,
     default_strips,
     detect_conjugation,
     recover_flux,
@@ -88,6 +88,14 @@ class TestModeRecovery:
         est = recover_flux_from_modes(grid)
         assert est.ceil_alpha == 10 and abs(est.alpha - 9.3) <= 1e-4
 
+    def test_mode_window_stops_at_a_sixteenth_of_the_grid(self):
+        # [-8, 8] doubles once on 256 points: the flip of 16.5 stays outside [-16, 16]
+        with pytest.raises(DataInconsistencyError, match=r"mode window \[-16, 16\] gives"):
+            recover_flux_from_modes(sample_kernel(16.5, 256))
+        # the last step reaches n // 16 = 17 on 272 points, short of a doubling
+        with pytest.raises(IntegerFluxError, match=r"mode window \[-17, 17\] gives"):
+            recover_flux_from_modes(sample_kernel(3.0, 272))
+
     def test_no_flip_visible(self):
         # a first mode already holding the limit value: the flip is below the window
         s = build_partial_wave(0.5, 8)
@@ -96,6 +104,17 @@ class TestModeRecovery:
         with pytest.raises(DataInconsistencyError,
                            match=r"no flip visible: .*outside the mode window \[-8, 8\]"):
             recover_flux_from_modes(dataclasses.replace(s, eigenvalues=eig))
+
+    def test_limit_phase_must_match_the_flip(self):
+        # two-valued, flipping at 1, but the limit phase -pi/2 puts alpha at 1.5, not in (0, 1]
+        modes = np.arange(-8, 9)
+        s = PartialWaveSMatrix(alpha=math.nan, m_max=8, eigenvalues=np.where(modes >= 1, -1j, 1j))
+        with pytest.raises(DataInconsistencyError, match=r"limit phase -0.500000\*pi .* index 1"):
+            recover_flux_from_modes(s)
+
+    def test_input_must_be_mode_data_or_a_kernel_grid(self):
+        with pytest.raises(DomainError, match="expected a PartialWaveSMatrix or KernelGrid"):
+            recover_flux_from_modes(np.eye(4))
 
     def test_round_trip_twenty_random_fluxes(self, rng):
         for a in random_noninteger_fluxes(rng, 20):
@@ -123,15 +142,24 @@ class TestStripRecovery:
         est = recover_flux_from_strip(sample_kernel(0.0, 2048), STRIPS)
         assert abs(est.sin_pi_alpha) <= 1e-4
 
+    def test_residual_is_the_last_strips_distance_from_the_extrapolation(self):
+        grid = sample_kernel(0.3, 1024)
+        est = recover_flux_from_strip(grid, STRIPS)
+        last = -strip_integral(grid, STRIPS[-1]).real / (math.pi * math.log(2.0) / math.pi)
+        assert est.residual == abs(last - est.sin_pi_alpha) > 0.0
+
     def test_perturbed_quarter_flux(self):
         grid = perturbed_kernel(0.25, 2048, sup=0.05)
         est = recover_flux_from_strip(grid, STRIPS)
         assert abs(est.sin_pi_alpha - math.sin(math.pi / 4)) / math.sin(math.pi / 4) <= 0.05
 
     def test_sign_recovered_for_reflected_flux(self):
-        est = recover_flux_from_strip(sample_kernel(1.7, 2048), STRIPS)
+        grid = sample_kernel(1.7, 2048)
+        est = recover_flux_from_strip(grid, STRIPS)
         assert abs(est.sin_pi_alpha - math.sin(1.7 * math.pi)) <= 0.05
         assert est.sin_pi_alpha < 0.0 and est.alpha is None
+        # the default reads the grid's own strips (gauge -1 would read flux 0.7's)
+        assert est == recover_flux_from_strip(grid, STRIPS, 0)
 
     def test_perturbation_robustness_bound(self):
         target = math.sin(math.pi * 0.3)
@@ -139,8 +167,9 @@ class TestStripRecovery:
             est = recover_flux_from_strip(perturbed_kernel(0.3, 2048, sup, seed=1), STRIPS)
             assert abs(est.sin_pi_alpha - target) <= 0.5 * sup + 0.02
 
-    def test_too_singular_perturbation_detected(self):
-        g = sample_kernel(0.4, 2048)
+    @staticmethod
+    def too_singular_kernel(n):
+        g = sample_kernel(0.4, n)
         th = g.theta
         dmat = th[:, None] - th[None, :]
         np.fill_diagonal(dmat, 1.0)
@@ -148,10 +177,23 @@ class TestStripRecovery:
         rough = 0.3 / np.abs(np.exp(1j * dmat) - 1.0) ** 1.5
         vals = g.values + rough
         np.fill_diagonal(vals, 0.0)
-        gp = KernelGrid(n=2048, values=vals, delta_coeff=g.delta_coeff)
-        with pytest.raises(TooSingularError):
-            recover_flux_from_strip(gp, [StripDomain(0.0, math.pi, e)
-                                         for e in (0.2, 0.1, 0.05, 0.025)])
+        return KernelGrid(n=n, values=vals, delta_coeff=g.delta_coeff)
+
+    def test_too_singular_perturbation_detected(self):
+        gp = self.too_singular_kernel(2048)
+        # four strips compare three corrections, three strips two
+        for widths in ((0.2, 0.1, 0.05, 0.025), (0.4, 0.2, 0.1)):
+            with pytest.raises(TooSingularError, match="not settling"):
+                recover_flux_from_strip(gp, [StripDomain(0.0, math.pi, e) for e in widths])
+
+    @pytest.mark.parametrize("n, floor", [(1024, "0.245"), (2048, "0.123")])
+    def test_too_singular_perturbation_detected_on_the_default_strips(self, n, floor):
+        # three strips compare only two corrections, which settle here; the estimate,
+        # -5.55, is no sine: |s| exceeds 1 by more than the floor h/eps of the last strip
+        gp = self.too_singular_kernel(n)
+        with pytest.raises(TooSingularError,
+                           match=rf"= -5\.5\d* exceeds 1 by more than the floor {floor};"):
+            recover_flux_from_strip(gp, default_strips(n))
 
     @pytest.mark.parametrize("sup", [0.02, 0.05])
     def test_smooth_perturbations_settle(self, sup):
@@ -177,6 +219,10 @@ class TestStripRecovery:
             recover_flux_from_strip(g, STRIPS[:1])
         with pytest.raises(DomainError):
             recover_flux_from_strip(g, [STRIPS[1], STRIPS[0]])
+        with pytest.raises(DomainError, match="must decrease"):
+            recover_flux_from_strip(g, [STRIPS[0], STRIPS[0]])
+        with pytest.raises(DomainError, match="share the same"):
+            recover_flux_from_strip(g, [STRIPS[0], StripDomain(0.0, 3.0, 0.05)])
 
 
 class TestConjugation:
@@ -225,6 +271,15 @@ class TestConjugation:
             with pytest.raises(DomainError, match=f"on N = {n} points.*need n_range < {half}"):
                 detect_conjugation(g, g, n_range)
 
+    def test_grid_sizes_must_agree(self):
+        with pytest.raises(DomainError, match="equal size"):
+            detect_conjugation(sample_kernel(0.3, 128), sample_kernel(0.3, 256), 3)
+
+    def test_negative_range_is_refused(self):
+        g = sample_kernel(0.3, 128)
+        with pytest.raises(DomainError, match="n_range must be >= 0"):
+            detect_conjugation(g, g, -1)
+
     def test_inequivalent_fluxes(self):
         rep = detect_conjugation(sample_kernel(0.5, 256), sample_kernel(0.7, 256), 3)
         assert not rep.equivalent and rep.residual > 1e-3
@@ -242,26 +297,51 @@ class TestWitness:
             assert strip_integral(grid, st, w) == strip_integral(conj, st)
 
     def test_verdicts(self):
-        assert _multiplied_kernel_witness(sample_kernel(0.5, 1024), STRIPS, 0)
-        assert not _multiplied_kernel_witness(sample_kernel(2.0, 1024), STRIPS, -1)
+        assert recover_flux_from_strip(sample_kernel(0.5, 1024), STRIPS, 0).witness
+        assert not recover_flux_from_strip(sample_kernel(2.0, 1024), STRIPS, -1).witness
+        assert recover_flux_from_modes(sample_kernel(0.5, 1024)).witness is None
+        # the least strip decides: at alpha = 0.0251 the strips read 0.04996, 0.0501, 0.0501
+        assert not recover_flux_from_strip(sample_kernel(0.0251, 1024), STRIPS).witness
 
-    @pytest.mark.parametrize("alpha", [0.3, 20.3, 60.3, -13.7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_smooth_noise_is_no_singularity(self, seed):
+        # the noise of an integer flux kernel changes under the odd conjugations 1 and 3
+        # (seed 1: 0.061 scaled) but not under 2 (at most 0.0023): only winding + 2 is the
+        # multiplier e^{2i(theta-theta')}
+        grid = perturb_kernel(sample_kernel(2.0, 1024), 0.05, seed)
+        assert not recover_flux_from_strip(grid, STRIPS, -1).witness
+
+    @pytest.mark.parametrize("n, count", [(1024, 6), (512, 4)])
+    def test_each_strip_is_integrated_once_per_gauge(self, monkeypatch, n, count):
+        # the estimate and the witness share the gauge-w strips: 2 integrals per strip
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return strip_integral(*args)
+        monkeypatch.setattr(inverse, "strip_integral", counted)
+        recover_flux(sample_kernel(0.3, n), obstacle_convex=True)
+        assert len(calls) == count == 2 * len(default_strips(n))
+        assert len(set(calls)) == count
+
+    @pytest.mark.parametrize("alpha", [0.3, 20.3, 60.3, -13.7, 0.03])
     def test_witness_is_read_in_the_gauge_of_the_strips(self, alpha):
         # in gauge w = 1 - ceil(alpha) the scaled values approach 2|sin(pi alpha)|/pi
-        # at every flux; read in gauge 0 they fall to 0.011 at alpha = 60.3 on this grid
+        # at every flux; read in gauge 0 they fall to 0.011 at alpha = 60.3 on this grid,
+        # and at alpha = 0.03 they are 0.0597-0.0599, just above the 0.05 threshold
         grid, w = sample_kernel(alpha, 1024), 1 - math.ceil(alpha)
         want = 2.0 * abs(math.sin(math.pi * alpha)) / math.pi
         for st in STRIPS:
             got = abs(strip_integral(grid, st, w + 2) - strip_integral(grid, st, w)) \
                 / (st.eps * (st.b - st.a))
             assert abs(got - want) <= 0.02
-        assert _multiplied_kernel_witness(grid, STRIPS, w)
+        assert recover_flux_from_strip(grid, STRIPS, w).witness
         assert recover_flux(grid, obstacle_convex=True).witness
 
     def test_memory_peak_below_one_kernel(self, alloc_peak):
         n = 1024
         g = sample_kernel(0.3, n)
-        assert alloc_peak(lambda: _multiplied_kernel_witness(g, STRIPS, 0)) < n * n * 16
+        assert alloc_peak(lambda: recover_flux_from_strip(g, STRIPS, 0).witness) < n * n * 16
 
 
 class TestPipeline:
@@ -289,8 +369,12 @@ class TestPipeline:
             recover_flux(sample_kernel(0.5, 1024), obstacle_convex=False)
 
     def test_strip_and_mode_components_agree(self):
-        verdict = recover_flux(sample_kernel(-0.6, 2048), obstacle_convex=True)
-        assert abs(math.sin(math.pi * verdict.alpha) - verdict.sin_pi_alpha) <= 0.05
+        grid = sample_kernel(-0.6, 2048)
+        verdict = recover_flux(grid, obstacle_convex=True)
+        gap = abs(math.sin(math.pi * verdict.alpha) - verdict.sin_pi_alpha)
+        assert gap <= 0.05
+        # the residual is the larger of the mode fit's and this gap
+        assert verdict.residual == max(recover_flux_from_modes(grid).residual, gap)
 
     @pytest.mark.parametrize("alpha", [2.37, 3.8, -1.3])
     def test_strips_read_in_the_gauge_of_the_modes(self, alpha):
