@@ -12,8 +12,9 @@ for general alpha it solves the flux-only magnetic Schroedinger equation.
 
 Truncating at |l| <= L is safe once L clears the Bessel transition region
 nu ~ z + O(z^(1/3)), z = sqrt(lam)*|x|, beyond which J_nu(z) dies
-super-exponentially; the policy L >= ceil(z + 10*z^(1/3)) + 12 + floor(|alpha|)
-keeps the tail below 1e-13 (measured for z <= 600).
+super-exponentially; the evaluators take L = ceil(z + 10*z^(1/3)) + 12 +
+floor(|alpha|) with z at the farthest of their points, which keeps the tail
+below 1e-13 (measured for z <= 600).
 
 Each of the two Bessel ladders (orders l - alpha for l >= ceil(alpha), alpha - l
 below) is summed by Horner's rule in i^s * exp(+-i*gamma), highest order
@@ -84,17 +85,15 @@ def _modes_needed(z: float, alpha: float) -> int:
 
 @dataclass(frozen=True)
 class ABWaveSpec:
-    """Parameters of a truncated distorted plane wave.
+    """Parameters of a distorted plane wave.
 
-    sign is +1 or -1 and selects the outgoing/incoming family; truncation L
-    means the sum runs over angular modes l in [-L, L].
+    sign is +1 or -1 and selects the outgoing/incoming family.
     """
 
     alpha: float
     lam: float
     omega: tuple[float, float]
     sign: int = 1
-    truncation: int = 60
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
@@ -104,17 +103,6 @@ class ABWaveSpec:
         _unit(self.omega, "omega")
         if self.sign not in (-1, 1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
-        if self.truncation < 1:
-            raise DomainError("truncation must be >= 1")
-
-    @classmethod
-    def for_radius(cls, alpha, lam, omega, sign, r_max) -> "ABWaveSpec":
-        """Spec whose truncation covers |x| <= r_max at the tail-bound policy."""
-        if not (math.isfinite(alpha) and 0.0 < lam < math.inf and 0.0 <= r_max < math.inf):
-            raise DomainError(f"flux must be finite, energy positive and finite and r_max "
-                              f"finite and >= 0, got {alpha}, {lam} and {r_max}")
-        trunc = _modes_needed(math.sqrt(lam) * r_max, alpha)
-        return cls(alpha=alpha, lam=lam, omega=tuple(omega), sign=sign, truncation=trunc)
 
 
 def azimuth(x, omega) -> float:
@@ -166,8 +154,8 @@ def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> 
 
 
 def ab_wave_window(spec: ABWaveSpec, points, l_min: int, l_max: int) -> np.ndarray:
-    """Series restricted to modes l in [l_min, l_max] at an (n, 2) array of points (no
-    truncation policy check), in batches of _CHUNK_POINTS points."""
+    """Series restricted to modes l in [l_min, l_max] at an (n, 2) array of points, in
+    batches of _CHUNK_POINTS points."""
     if l_min > l_max:
         raise DomainError("empty mode window")
     points = _points(points)
@@ -180,14 +168,11 @@ def ab_wave_window(spec: ABWaveSpec, points, l_min: int, l_max: int) -> np.ndarr
 
 
 def eval_ab_wave_grid(spec: ABWaveSpec, points) -> np.ndarray:
-    """Wave values at an (n, 2) array of points."""
+    """Wave values at an (n, 2) array of points, on the modes [-L, L] of the farthest one."""
     points = _points(points)
     r_top = float(np.max(np.hypot(points[:, 0], points[:, 1]), initial=0.0))
-    needed = _modes_needed(math.sqrt(spec.lam) * max(r_top - 1e-12, 0.0), spec.alpha)
-    if needed > spec.truncation:
-        raise PrecisionError(f"truncation {spec.truncation} does not certify |x| = {r_top:.3f}, "
-                             f"which needs {needed} modes")
-    return ab_wave_window(spec, points, -spec.truncation, spec.truncation)
+    trunc = _modes_needed(math.sqrt(spec.lam) * r_top, spec.alpha)
+    return ab_wave_window(spec, points, -trunc, trunc)
 
 
 @dataclass(frozen=True)
@@ -283,7 +268,7 @@ def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:
 
 def save_wave_csv(path, points, values) -> None:
     """Grid dump with columns x1,x2,re,im."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _points(points)
     values = np.asarray(values, dtype=complex)
     write_table(path, "x1,x2,re,im", [points[:, 0], points[:, 1], values.real, values.imag])
 

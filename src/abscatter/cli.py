@@ -61,8 +61,7 @@ def _cmd_wave(args) -> None:
     sign = 1 if args.sign == "plus" else -1
     phi = math.radians(args.omega_deg)
     omega = (math.cos(phi), math.sin(phi))
-    spec = abwave.ABWaveSpec.for_radius(args.alpha, args.energy, omega, sign,
-                                        args.extent * math.sqrt(2.0))
+    spec = abwave.ABWaveSpec(args.alpha, args.energy, omega, sign)
     try:
         axis = np.linspace(-args.extent, args.extent, args.grid)
     except ValueError:      # --grid exceeds numpy's maximum array size

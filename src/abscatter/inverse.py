@@ -10,7 +10,8 @@ Two independent readings of the flux live in the kernel data:
 * singularity side: -Re of the strip integral over eps < theta-theta' < 2*eps
   tends to (b-a)*sin(pi*alpha)*log(2)/pi, so Richardson extrapolation over
   shrinking eps estimates sin(pi*alpha) even under smooth (or mildly
-  singular, |.| <= C*|tau|^-delta with delta < 1) kernel perturbations.
+  singular, |.| <= C*|tau|^-delta with delta < 1) kernel perturbations; one
+  with delta >= 1 can shift the estimate unseen.
 
 The strip estimate alone leaves the reflection frac <-> 1-frac open; only
 mode phases resolve it.  detect_conjugation reads the integer winding n of
@@ -21,7 +22,7 @@ from the correlation of the kernels' spectra, whose phases the FFT applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .smatrix import (
 __all__ = [
     "FluxEstimate",
     "ConjugationReport",
-    "FluxVerdict",
     "recover_flux_from_modes",
     "recover_flux_from_strip",
     "detect_conjugation",
@@ -56,11 +56,12 @@ _START_WINDOW = 8
 
 @dataclass(frozen=True)
 class FluxEstimate:
-    """Recovered flux components; unavailable parts are None (the witness on the mode side)."""
+    """Recovered flux components, or recover_flux's verdict on all of them; unavailable parts
+    are None (the witness on the mode side)."""
 
-    sin_pi_alpha: float | None
-    ceil_alpha: int | None
     alpha: float | None
+    ceil_alpha: int | None
+    sin_pi_alpha: float | None
     residual: float
     witness: bool | None = None
 
@@ -116,10 +117,12 @@ def _flux_from_eigenvalues(eig: np.ndarray, m: int) -> FluxEstimate:
     if idx == 0:
         raise DataInconsistencyError(f"no flip visible: {outside}")
 
-    # the limit value's phase is pi*alpha mod 2*pi; its quadrature error grows 30x per
-    # doubling of m - ceil_alpha, so it is read at most 16 modes above the flip (the top
-    # of [-8, 8] for every flip shown there); the flip index picks alpha's representative
-    w_inf = eig[min(2 * m, idx + 2 * _START_WINDOW)]
+    # the limit value's phase is pi*alpha mod 2*pi, read at the flip or at most 16 modes
+    # above it (the top of [-8, 8] for every flip shown there), whichever lies farther
+    # from mode 0: a smooth perturbation loads the low modes, while the quadrature error
+    # grows 30x per doubling of m - ceil_alpha; the flip index picks alpha's representative
+    up = min(2 * m, idx + 2 * _START_WINDOW)
+    w_inf = eig[max(idx, up, key=lambda i: abs(modes[i]))]
     y = float(np.angle(w_inf)) / math.pi
     frac = (y - (ceil_alpha - 1)) % 2.0
     if not 0.0 < frac < 1.0 + 1e-9:
@@ -132,8 +135,8 @@ def _flux_from_eigenvalues(eig: np.ndarray, m: int) -> FluxEstimate:
     if residual > 0.5 * spread:
         raise DataInconsistencyError(f"eigenvalues are not two-valued (fit residual "
                                      f"{residual:.3g}, spread {spread:.3g}): {outside}")
-    return FluxEstimate(sin_pi_alpha=math.sin(math.pi * alpha), ceil_alpha=ceil_alpha,
-                        alpha=alpha, residual=residual)
+    return FluxEstimate(alpha=alpha, ceil_alpha=ceil_alpha,
+                        sin_pi_alpha=math.sin(math.pi * alpha), residual=residual)
 
 
 def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxEstimate:
@@ -145,9 +148,10 @@ def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxE
     the last correction is larger than the one before it and than the
     quadrature floor h/eps of the narrowest strip (h = 2*pi/n), so
     quadrature noise alone never trips it, or when the estimate's modulus
-    exceeds 1 by more than that floor.  A |tau|^-1 perturbation shifts
-    every estimate by the same constant, which no extrapolation in eps can
-    see: such kernels, outside the delta < 1 condition, go undetected.  Only
+    exceeds 1 by more than that floor.  A |tau|^-delta perturbation with
+    delta >= 1 can go undetected (|tau|^-1 shifts every estimate by one
+    constant; 0.01*|e^{i tau} - 1|^-1.5 on the alpha = 0.4 kernel reads 0.734
+    for 0.951 at n = 1024); recover_flux's mode cross-check exposes it.  Only
     |sin| and its sign are recovered: alpha stays None (frac vs 1-frac needs
     mode phases).  A nonzero winding reads the strips of
     conjugate_kernel(grid, winding), which estimate sin(pi*(alpha + winding)),
@@ -190,7 +194,7 @@ def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxE
     residual = float(abs(ests[-1] - s_hat))
     scaled = [abs(strip_integral(grid, st, winding + 2) - v) / (st.eps * (st.b - st.a))
               for st, v in zip(strips, values)]
-    return FluxEstimate(sin_pi_alpha=s_hat, ceil_alpha=None, alpha=None, residual=residual,
+    return FluxEstimate(alpha=None, ceil_alpha=None, sin_pi_alpha=s_hat, residual=residual,
                         witness=min(scaled) > 0.05)
 
 
@@ -231,15 +235,6 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
     return ConjugationReport(n=best_n, residual=best_res, equivalent=best_res <= 1e-3)
 
 
-@dataclass(frozen=True)
-class FluxVerdict:
-    alpha: float
-    ceil_alpha: int
-    sin_pi_alpha: float
-    residual: float
-    witness: bool
-
-
 def default_strips(n: int) -> list[StripDomain]:
     """Strips over (0, pi) with halving widths from max(0.1, 8h) down to no less than
     4h, h = 2*pi/n: two on coarse grids, three (0.1, 0.05, 0.025) from n = 1006 on."""
@@ -252,7 +247,7 @@ def default_strips(n: int) -> list[StripDomain]:
     return [StripDomain(0.0, math.pi, eps) for eps in widths]
 
 
-def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxVerdict:
+def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxEstimate:
     """End-to-end flux recovery from a sampled kernel.
 
     The convexity of the obstacle is a data-level hypothesis the kernel
@@ -261,7 +256,8 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxVerdict:
     brings the flux into (0, 1], give an independent sin(pi*alpha) estimate and, from the
     same strips (recover_flux_from_strip), the witness that the near-diagonal singularity
     survives multiplication by e^{2i(theta-theta')} - 1, the mechanism that
-    forces equal fluxes for equal kernels.
+    forces equal fluxes for equal kernels.  The residual is the larger of the mode fit's
+    and the gap between the two sin(pi*alpha) readings.
     """
     if not obstacle_convex:
         raise DomainError(
@@ -273,6 +269,5 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxVerdict:
     strip_est = recover_flux_from_strip(grid, strips, winding)
     residual = max(modes.residual,
                    abs(math.sin(math.pi * modes.alpha) - strip_est.sin_pi_alpha))
-    return FluxVerdict(alpha=modes.alpha, ceil_alpha=modes.ceil_alpha,
-                       sin_pi_alpha=strip_est.sin_pi_alpha,
-                       residual=residual, witness=strip_est.witness)
+    return replace(modes, sin_pi_alpha=strip_est.sin_pi_alpha, residual=residual,
+                   witness=strip_est.witness)

@@ -9,6 +9,7 @@ from abscatter import abwave
 from abscatter.abwave import (
     _CHUNK_POINTS,
     ABWaveSpec,
+    _modes_needed,
     ab_wave_window,
     asymptotic_decay_check,
     azimuth,
@@ -17,7 +18,7 @@ from abscatter.abwave import (
     pde_residual,
     save_wave_csv,
 )
-from abscatter.errors import DomainError, PrecisionError
+from abscatter.errors import DomainError
 from abscatter.smatrix import build_partial_wave
 from abscatter.specfun import bessel_j_ladder
 
@@ -60,23 +61,15 @@ class TestSpec:
     def test_non_finite_inputs(self, alpha, lam):
         with pytest.raises(DomainError):
             ABWaveSpec(alpha=alpha, lam=lam, omega=(1, 0))
-        with pytest.raises(DomainError):
-            ABWaveSpec.for_radius(alpha, lam, (1.0, 0.0), 1, 10.0)
 
     def test_truncation_policy(self):
-        spec = ABWaveSpec.for_radius(0.3, 4.0, (1.0, 0.0), 1, 10.0)
-        assert spec.truncation == math.ceil(2.0 * 10.0) + 40
-        with pytest.raises(PrecisionError):
-            eval_ab_wave_grid(spec, [(11.0, 0.0)])[0]
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(DomainError):
-            ABWaveSpec.for_radius(0.3, 4.0, (1.0, 0.0), 1, -1.0)
-
-    @pytest.mark.parametrize("r_max", [math.nan, math.inf])
-    def test_non_finite_radius_rejected(self, r_max):
-        with pytest.raises(DomainError):
-            ABWaveSpec.for_radius(0.3, 4.0, (1.0, 0.0), 1, r_max)
+        # the farthest point, |x| = 10 at sqrt(lam) = 2, fixes L = 60 for every point
+        spec = ABWaveSpec(alpha=0.3, lam=4.0, omega=(1.0, 0.0))
+        pts = np.array([[0.5, -0.2], [6.0, 8.0], [-3.0, 1.0]])
+        assert _modes_needed(2.0 * 10.0, 0.3) == math.ceil(2.0 * 10.0) + 40
+        assert np.array_equal(eval_ab_wave_grid(spec, pts), ab_wave_window(spec, pts, -60, 60))
+        assert not np.array_equal(eval_ab_wave_grid(spec, pts[[0, 2]]),
+                                  ab_wave_window(spec, pts[[0, 2]], -60, 60))
 
     @pytest.mark.parametrize("omega", [(math.nan, 0.0), (math.inf, 0.0), (0.6, math.nan)])
     def test_non_finite_direction_rejected(self, omega):
@@ -85,7 +78,7 @@ class TestSpec:
 
     @pytest.mark.parametrize("alpha", [1e18, 1e300])
     def test_window_too_large_to_allocate(self, alpha):
-        spec = ABWaveSpec.for_radius(alpha, 1.0, (1.0, 0.0), 1, 7.0)
+        spec = ABWaveSpec(alpha=alpha, lam=1.0, omega=(1.0, 0.0))
         with pytest.raises(DomainError, match=r"e(18|300) orders .* cannot be allocated"):
             eval_ab_wave_grid(spec, [[3.0, 4.0], [-5.0, 1.0]])
 
@@ -102,35 +95,33 @@ class TestSpec:
 class TestWaveValues:
     def test_plane_wave_reduction(self):
         # at zero flux the series is the Jacobi-Anger expansion of exp(i*w.x)
-        spec = ABWaveSpec(alpha=0.0, lam=1.0, omega=(1.0, 0.0), sign=1, truncation=60)
+        spec = ABWaveSpec(alpha=0.0, lam=1.0, omega=(1.0, 0.0), sign=1)
         v = eval_ab_wave_grid(spec, [(2.0, 0.0)])[0]
         assert abs(v - np.exp(2.0j)) <= 1e-8
 
     def test_plane_wave_reduction_both_signs(self, rng):
         pts = rng.uniform(-7, 7, size=(100, 2))
         for sign in (1, -1):
-            spec = ABWaveSpec(alpha=0.0, lam=1.0, omega=(0.6, 0.8), sign=sign, truncation=60)
+            spec = ABWaveSpec(alpha=0.0, lam=1.0, omega=(0.6, 0.8), sign=sign)
             vals = eval_ab_wave_grid(spec, pts)
             plane = np.exp(1j * (pts @ np.array([0.6, 0.8])))
             assert np.max(np.abs(vals - plane)) <= 1e-8
 
     def test_vanishes_at_origin_for_fractional_flux(self):
-        spec = ABWaveSpec(alpha=0.5, lam=3.0, omega=(0.0, 1.0), sign=1, truncation=50)
+        spec = ABWaveSpec(alpha=0.5, lam=3.0, omega=(0.0, 1.0), sign=1)
         assert eval_ab_wave_grid(spec, [(0.0, 0.0)])[0] == 0.0
 
     def test_truncation_self_consistency(self):
-        s1 = ABWaveSpec(alpha=0.3, lam=1.0, omega=(1, 0), sign=1, truncation=44)
-        s2 = ABWaveSpec(alpha=0.3, lam=1.0, omega=(1, 0), sign=1, truncation=176)
-        a = eval_ab_wave_grid(s1, [(3.0, 1.0)])[0]
-        b = eval_ab_wave_grid(s2, [(3.0, 1.0)])[0]
+        spec = ABWaveSpec(alpha=0.3, lam=1.0, omega=(1, 0), sign=1)
+        a = ab_wave_window(spec, [(3.0, 1.0)], -44, 44)[0]
+        b = ab_wave_window(spec, [(3.0, 1.0)], -176, 176)[0]
         assert abs(a - b) <= 1e-8
 
     def test_doubling_changes_little_inside_policy_radius(self, rng):
-        spec = ABWaveSpec.for_radius(1.2, 2.0, (1.0, 0.0), -1, 4.0)
-        spec2 = ABWaveSpec(alpha=1.2, lam=2.0, omega=(1.0, 0.0), sign=-1,
-                           truncation=2 * spec.truncation)
+        spec = ABWaveSpec(alpha=1.2, lam=2.0, omega=(1.0, 0.0), sign=-1)
+        wide = 2 * _modes_needed(math.sqrt(2.0) * 4.0, 1.2)
         pts = rng.uniform(-2.8, 2.8, size=(50, 2))
-        d = np.abs(eval_ab_wave_grid(spec, pts) - eval_ab_wave_grid(spec2, pts))
+        d = np.abs(eval_ab_wave_grid(spec, pts) - ab_wave_window(spec, pts, -wide, wide))
         assert np.max(d) < 1e-8
 
     def test_flux_shift_reindexes_modes(self, rng):
@@ -141,8 +132,8 @@ class TestWaveValues:
             x = rng.uniform(-4, 4, 2)
             if np.hypot(*x) < 0.2:
                 continue
-            sa = ABWaveSpec(alpha=alpha, lam=1.5, omega=(1.0, 0.0), sign=1, truncation=60)
-            sa2 = ABWaveSpec(alpha=alpha + 2.0, lam=1.5, omega=(1.0, 0.0), sign=1, truncation=60)
+            sa = ABWaveSpec(alpha=alpha, lam=1.5, omega=(1.0, 0.0), sign=1)
+            sa2 = ABWaveSpec(alpha=alpha + 2.0, lam=1.5, omega=(1.0, 0.0), sign=1)
             g = azimuth(x, (1.0, 0.0))
             lhs = ab_wave_window(sa2, x[None], -40, 44)[0]
             rhs = np.exp(2j * g) * ab_wave_window(sa, x[None], -42, 42)[0]
@@ -151,17 +142,16 @@ class TestWaveValues:
 
     def test_corner_of_certified_square(self):
         # z = 141 at the corner: the truncation tail must stay below 1e-12 there
-        spec = ABWaveSpec.for_radius(0.0, 100.0, (1.0, 0.0), 1, 10.0 * math.sqrt(2.0))
+        spec = ABWaveSpec(alpha=0.0, lam=100.0, omega=(1.0, 0.0), sign=1)
         assert abs(eval_ab_wave_grid(spec, [(10.0, 10.0)])[0] - np.exp(100.0j)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [20.5, -20.5])
     def test_tail_at_large_flux(self, alpha):
         # modes up to L have orders down to L - |alpha|: the policy must pay for that
-        spec = ABWaveSpec.for_radius(alpha, 100.0, (1.0, 0.0), 1, 10.0)
-        wide = ABWaveSpec(alpha=alpha, lam=100.0, omega=(1.0, 0.0), sign=1,
-                          truncation=2 * spec.truncation)
+        spec = ABWaveSpec(alpha=alpha, lam=100.0, omega=(1.0, 0.0), sign=1)
+        wide = 2 * _modes_needed(10.0 * 10.0, alpha)
         pts = np.array([[0.0, 10.0], [-10.0, 0.0], [7.0, 7.14]])
-        diff = eval_ab_wave_grid(spec, pts) - eval_ab_wave_grid(wide, pts)
+        diff = eval_ab_wave_grid(spec, pts) - ab_wave_window(spec, pts, -wide, wide)
         assert np.max(np.abs(diff)) <= 1e-12
 
     def test_plane_wave_where_series_would_cancel(self):
@@ -169,7 +159,7 @@ class TestWaveValues:
         r, th = np.meshgrid(np.linspace(2.3, 2.45, 16), np.linspace(0.0, 2.0 * math.pi, 64))
         pts = np.stack([(r * np.cos(th)).ravel(), (r * np.sin(th)).ravel()], axis=1)
         for omega in ((1.0, 0.0), (0.6, 0.8)):
-            spec = ABWaveSpec.for_radius(0.0, 25.0, omega, 1, 2.45)
+            spec = ABWaveSpec(alpha=0.0, lam=25.0, omega=omega, sign=1)
             plane = np.exp(5.0j * (pts @ np.array(omega)))
             assert np.max(np.abs(eval_ab_wave_grid(spec, pts) - plane)) <= 1e-13
 
@@ -179,9 +169,10 @@ class TestWaveValues:
         axis = np.linspace(-5.0, 5.0, 201)
         pts = np.stack([a.ravel() for a in np.meshgrid(axis, axis)], axis=1)
         assert len(pts) > 4 * _CHUNK_POINTS
-        spec = ABWaveSpec.for_radius(0.5, 25.0, (1.0, 0.0), 1, 5.0 * math.sqrt(2.0))
+        spec = ABWaveSpec(alpha=0.5, lam=25.0, omega=(1.0, 0.0), sign=1)
+        modes = 2 * _modes_needed(5.0 * 5.0 * math.sqrt(2.0), 0.5) + 1
         peak = alloc_peak(lambda: eval_ab_wave_grid(spec, pts))
-        assert peak <= (2 * spec.truncation + 1) * _CHUNK_POINTS * 8 + 32 * len(pts)
+        assert peak <= modes * _CHUNK_POINTS * 8 + 32 * len(pts)
 
 
 def dense_window_sum(spec, pts, l_min, l_max):
@@ -236,9 +227,8 @@ def test_gauge_shift_on_grid(alpha, n, sign, lam, phi):
     # psi_{alpha+n}(x) = e^{i n gamma} psi_alpha(x), gamma the angle from s*omega to x
     omega = (math.cos(phi), math.sin(phi))
     pts = full_grid(4.0, 41)
-    r_max = 4.0 * math.sqrt(2.0)
-    psi = eval_ab_wave_grid(ABWaveSpec.for_radius(alpha, lam, omega, sign, r_max), pts)
-    shifted = eval_ab_wave_grid(ABWaveSpec.for_radius(alpha + n, lam, omega, sign, r_max), pts)
+    psi = eval_ab_wave_grid(ABWaveSpec(alpha, lam, omega, sign), pts)
+    shifted = eval_ab_wave_grid(ABWaveSpec(alpha + n, lam, omega, sign), pts)
     gam = np.array([azimuth(x, (sign * omega[0], sign * omega[1])) for x in pts])
     assert np.max(np.abs(shifted - np.exp(1j * n * gam) * psi)) <= 1e-12
 
@@ -251,10 +241,8 @@ def test_flux_reflection_on_grid(alpha, sign, lam, phi):
     omega = np.array([math.cos(phi), math.sin(phi)])
     pts = full_grid(4.0, 41)
     mirrored = 2.0 * (pts @ omega)[:, None] * omega - pts
-    r_max = 4.0 * math.sqrt(2.0) + 1e-9
-    psi = eval_ab_wave_grid(ABWaveSpec.for_radius(alpha, lam, tuple(omega), sign, r_max), pts)
-    reflected = eval_ab_wave_grid(ABWaveSpec.for_radius(-alpha, lam, tuple(omega), sign, r_max),
-                                  mirrored)
+    psi = eval_ab_wave_grid(ABWaveSpec(alpha, lam, tuple(omega), sign), pts)
+    reflected = eval_ab_wave_grid(ABWaveSpec(-alpha, lam, tuple(omega), sign), mirrored)
     assert np.max(np.abs(reflected - psi)) <= 1e-12
 
 
@@ -266,14 +254,14 @@ class TestBoundedness:
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
         pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-9]
-        spec = ABWaveSpec.for_radius(alpha, lam, (1.0, 0.0), 1, 5.0 * math.sqrt(2.0) + 0.1)
+        spec = ABWaveSpec(alpha=alpha, lam=lam, omega=(1.0, 0.0), sign=1)
         vals = eval_ab_wave_grid(spec, pts)
         assert float(np.max(np.abs(vals))) <= 10.0
 
 
 class TestPdeResidual:
     def test_residual_shrinks_on_mesh_halving(self, rng):
-        spec = ABWaveSpec.for_radius(0.5, 1.0, (1.0, 0.0), 1, 5.3)
+        spec = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0), sign=1)
         th = rng.uniform(0, 2 * math.pi, 60)
         rr = rng.uniform(1.0, 5.0, 60)
         pts = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
@@ -285,24 +273,24 @@ class TestPdeResidual:
 
 class TestDecay:
     def test_zero_flux_is_exact(self):
-        spec = ABWaveSpec.for_radius(0.0, 1.0, (1.0, 0.0), 1, 210.0)
+        spec = ABWaveSpec(alpha=0.0, lam=1.0, omega=(1.0, 0.0), sign=1)
         out = asymptotic_decay_check(spec, (0.0, 1.0), np.linspace(20, 200, 10))
         assert out.exact and out.slope is None
         assert float(np.max(out.residuals)) < 1e-8
 
     def test_fractional_flux_decay_rate(self):
-        spec = ABWaveSpec.for_radius(0.5, 1.0, (1.0, 0.0), 1, 210.0)
+        spec = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0), sign=1)
         out = asymptotic_decay_check(spec, (0.0, 1.0), np.linspace(20, 200, 13))
         assert not out.exact
         assert out.slope is not None and out.slope <= -1.2
 
     def test_forward_cone_rejected(self):
-        spec = ABWaveSpec.for_radius(0.5, 1.0, (1.0, 0.0), 1, 210.0)
+        spec = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0), sign=1)
         with pytest.raises(DomainError):
             asymptotic_decay_check(spec, (-1.0, 0.0), np.linspace(20, 200, 5))
 
 
-SPEC = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0), truncation=60)
+SPEC = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0))
 
 
 # each non-finite input is refused by the check that names it, before any
@@ -339,7 +327,7 @@ def test_no_points_give_no_values():
 
 
 def test_wave_csv_round_trip(tmp_path, rng):
-    spec = ABWaveSpec(alpha=0.4, lam=1.0, omega=(1.0, 0.0), sign=1, truncation=50)
+    spec = ABWaveSpec(alpha=0.4, lam=1.0, omega=(1.0, 0.0), sign=1)
     pts = rng.uniform(-3, 3, size=(17, 2))
     vals = eval_ab_wave_grid(spec, pts)
     path = tmp_path / "wave.csv"
@@ -347,3 +335,11 @@ def test_wave_csv_round_trip(tmp_path, rng):
     pts2, vals2 = load_wave_csv(path)
     assert np.array_equal(pts, pts2)
     assert np.array_equal(vals, vals2)
+
+
+def test_wave_csv_refuses_a_one_dimensional_point(tmp_path):
+    # one point is a (1, 2) array, as for the evaluators: a bare 2-vector writes nothing
+    path = tmp_path / "wave.csv"
+    with pytest.raises(DomainError, match=r"\(n, 2\) array"):
+        save_wave_csv(path, [1.0, 2.0], [0.5 + 0.5j])
+    assert not path.exists()

@@ -74,7 +74,7 @@ def test_criterion_02_plane_wave_reduction():
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= 10.0]
-    spec = ABWaveSpec(alpha=0.0, lam=1.0, omega=(1.0, 0.0), sign=1, truncation=60)
+    spec = ABWaveSpec(alpha=0.0, lam=1.0, omega=(1.0, 0.0), sign=1)
     t0 = time.perf_counter()
     vals = eval_ab_wave_grid(spec, pts)
     dt = time.perf_counter() - t0
@@ -88,7 +88,7 @@ def test_criterion_03_pde_residual_mesh_halving():
     th = rng.uniform(0.0, 2.0 * math.pi, 100)
     rr = rng.uniform(1.0, 5.0, 100)
     pts = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
-    spec = ABWaveSpec.for_radius(0.5, 1.0, (1.0, 0.0), 1, 5.3)
+    spec = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0), sign=1)
     ratio = pde_residual(spec, pts, 0.02) / pde_residual(spec, pts, 0.01)
     worst = float(np.min(ratio))
     report(3, worst >= 3.5, f"min residual shrink factor = {worst:.3f} (>= 3.5)")

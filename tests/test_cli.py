@@ -250,7 +250,7 @@ def test_exit_code_schema_error(tmp_path):
 
 
 # options whose values the program derives itself: the mode window and strips
-# from the kernel, the wave truncation from the extent
+# from the kernel, the wave truncation from the farthest grid point
 @pytest.mark.parametrize("argv, flag", [
     pytest.param(["recover", "--kernel", "k.csv", "--convex"], "--m-max", id="recover-m-max"),
     pytest.param(["recover", "--kernel", "k.csv", "--convex"], "--strips", id="recover-strips"),
@@ -295,7 +295,7 @@ def test_wave_sign_minus_matches_library(tmp_path):
     assert main(["wave", "--alpha", "0.3", "--sign", "minus", "--extent", "3", "--grid", "21",
                  "--out", str(w)]) == 0
     pts, vals = load_wave_csv(w)
-    spec = ABWaveSpec.for_radius(0.3, 1.0, (1.0, 0.0), -1, 3.0 * math.sqrt(2.0))
+    spec = ABWaveSpec(alpha=0.3, lam=1.0, omega=(1.0, 0.0), sign=-1)
     assert np.array_equal(vals, eval_ab_wave_grid(spec, pts))
     plus = dataclasses.replace(spec, sign=1)
     assert float(np.max(np.abs(vals - eval_ab_wave_grid(plus, pts)))) > 0.1

@@ -168,13 +168,13 @@ class TestStripRecovery:
             assert abs(est.sin_pi_alpha - target) <= 0.5 * sup + 0.02
 
     @staticmethod
-    def too_singular_kernel(n):
+    def too_singular_kernel(n, size=0.3):
         g = sample_kernel(0.4, n)
         th = g.theta
         dmat = th[:, None] - th[None, :]
         np.fill_diagonal(dmat, 1.0)
         # |tau|^{-1}-type perturbation defeats the eps-linear extrapolation model
-        rough = 0.3 / np.abs(np.exp(1j * dmat) - 1.0) ** 1.5
+        rough = size / np.abs(np.exp(1j * dmat) - 1.0) ** 1.5
         vals = g.values + rough
         np.fill_diagonal(vals, 0.0)
         return KernelGrid(n=n, values=vals, delta_coeff=g.delta_coeff)
@@ -195,15 +195,30 @@ class TestStripRecovery:
                            match=rf"= -5\.5\d* exceeds 1 by more than the floor {floor};"):
             recover_flux_from_strip(gp, default_strips(n))
 
-    @pytest.mark.parametrize("sup", [0.02, 0.05])
-    def test_smooth_perturbations_settle(self, sup):
+    def test_small_too_singular_perturbation_fails_the_cross_check(self):
+        # the strips alone read 0.734 for sin(0.4*pi) = 0.951 and raise nothing;
+        # the verdict's residual, against the mode reading, exposes the kernel
+        gp = self.too_singular_kernel(1024, size=0.01)
+        assert abs(recover_flux_from_strip(gp, default_strips(1024)).sin_pi_alpha
+                   - math.sin(0.4 * math.pi)) > 0.2
+        assert recover_flux(gp, obstacle_convex=True).residual > 0.2
+
+    # flips at modes -13 and -16: the limit phase is read at the flip, not 16
+    # modes above it, on the modes |m| <= 3 that the perturbation loads
+    @pytest.mark.parametrize("alpha, sup", [
+        pytest.param(0.5, 0.02, id="0.02"),
+        pytest.param(0.5, 0.05, id="0.05"),
+        pytest.param(-13.7, 0.02, id="-13.7-0.02"),
+        pytest.param(-16.4, 0.02, id="-16.4-0.02"),
+    ])
+    def test_smooth_perturbations_settle(self, alpha, sup):
         # the `kernel --perturb` recipe, seeds 0-23: quadrature noise of about
         # 1e-3 in the estimates must not read as a too-singular perturbation
-        g = sample_kernel(0.5, 1024)
+        g = sample_kernel(alpha, 1024)
         for seed in range(24):
             verdict = recover_flux(perturb_kernel(g, sup, seed), obstacle_convex=True)
-            assert abs(verdict.alpha - 0.5) <= 1e-6
-            assert abs(verdict.sin_pi_alpha - 1.0) <= 5e-3
+            assert abs(verdict.alpha - alpha) <= 1e-6
+            assert abs(verdict.sin_pi_alpha - math.sin(math.pi * alpha)) <= 5e-3
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_huge_winding(self, extra):
@@ -425,6 +440,7 @@ class TestPipeline:
 
     def test_verdict_json_fields(self):
         verdict = recover_flux(sample_kernel(0.5, 1024), obstacle_convex=True)
-        # the CLI's serializer: every field must be a plain JSON value
+        # the CLI's serializer: every field must be a plain JSON value, in the order
+        # that `recover` has always written them
         payload = json.loads(json.dumps(dataclasses.asdict(verdict), allow_nan=False))
-        assert set(payload) == {"alpha", "ceil_alpha", "sin_pi_alpha", "residual", "witness"}
+        assert list(payload) == ["alpha", "ceil_alpha", "sin_pi_alpha", "residual", "witness"]
