@@ -14,7 +14,8 @@ Truncating at |l| <= L is safe once L clears the Bessel transition region
 nu ~ z + O(z^(1/3)), z = sqrt(lam)*|x|, beyond which J_nu(z) dies
 super-exponentially; the evaluators take L = ceil(z + 10*z^(1/3)) + 12 +
 floor(|alpha|) with z at the farthest of their points, which keeps the tail
-below 1e-13 (measured for z <= 600).
+below 1e-13 (measured for z <= 600).  Points are finite (n, 2) arrays
+(errors.points), and a z past the ladder's range specfun.X_MAX is refused.
 
 Each of the two Bessel ladders (orders l - alpha for l >= ceil(alpha), alpha - l
 below) is summed by Horner's rule in i^s * exp(+-i*gamma), highest order
@@ -32,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import DomainError, PrecisionError
 from .io import as_complex, read_table, write_table
-from .specfun import bessel_j_ladder
+from .specfun import X_MAX, bessel_j_ladder
 
 __all__ = [
     "ABWaveSpec",
@@ -57,22 +59,22 @@ _CHUNK_POINTS = 8192
 
 
 def _unit(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2,):
-        raise DomainError(f"{name} must be a 2-vector")
-    if not abs(float(v @ v) - 1.0) <= 1e-12:   # NaN fails too
-        raise DomainError(f"{name} must be a unit vector, |{name}|^2 = {float(v @ v)!r}")
+    v = errors.vector(v, name)
+    n2 = sum(c * c for c in v.tolist())     # in Python floats an overflow is inf, and refused
+    if not abs(n2 - 1.0) <= 1e-12:
+        raise DomainError(f"{name} must be a unit vector, |{name}|^2 = {n2!r}")
     return v
 
 
-def _points(points) -> np.ndarray:
-    """points as an (n, 2) float array; DomainError unless it has that shape and is finite."""
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 2:
-        raise DomainError(f"points must be an (n, 2) array, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("points must be finite")
-    return p
+def _wave_points(spec: "ABWaveSpec", points) -> tuple[np.ndarray, float]:
+    """points as by errors.points, and z = sqrt(lam) * max|x|, their largest Bessel
+    argument; DomainError for a z past specfun.X_MAX."""
+    points = errors.points(points)
+    with np.errstate(over="ignore"):    # an |x| that overflows is inf, and refused
+        z = math.sqrt(spec.lam) * float(np.max(np.hypot(*points.T), initial=0.0))
+    if not z <= X_MAX:
+        raise DomainError(f"points too far out: sqrt(lam) * max|x| = {z:.6g} exceeds {X_MAX:g}")
+    return points, z
 
 
 def _modes_needed(z: float, alpha: float) -> int:
@@ -107,9 +109,9 @@ class ABWaveSpec:
 
 def azimuth(x, omega) -> float:
     """Counterclockwise angle from omega to x, in [0, 2*pi).  x must be nonzero."""
-    x = np.asarray(x, dtype=float)
+    x = errors.vector(x, "x")
     omega = _unit(omega, "omega")
-    if float(x @ x) == 0.0:
+    if not np.any(x):
         raise DomainError("azimuth is undefined at x = 0")
     a = math.atan2(x[1], x[0]) - math.atan2(omega[1], omega[0])
     return a % (2.0 * math.pi)
@@ -158,7 +160,7 @@ def ab_wave_window(spec: ABWaveSpec, points, l_min: int, l_max: int) -> np.ndarr
     batches of _CHUNK_POINTS points."""
     if l_min > l_max:
         raise DomainError("empty mode window")
-    points = _points(points)
+    points = _wave_points(spec, points)[0]
     psi = np.empty(points.shape[0], dtype=complex)
     order = np.argsort(np.hypot(points[:, 0], points[:, 1]), kind="stable")
     for start in range(0, points.shape[0], _CHUNK_POINTS):
@@ -169,9 +171,8 @@ def ab_wave_window(spec: ABWaveSpec, points, l_min: int, l_max: int) -> np.ndarr
 
 def eval_ab_wave_grid(spec: ABWaveSpec, points) -> np.ndarray:
     """Wave values at an (n, 2) array of points, on the modes [-L, L] of the farthest one."""
-    points = _points(points)
-    r_top = float(np.max(np.hypot(points[:, 0], points[:, 1]), initial=0.0))
-    trunc = _modes_needed(math.sqrt(spec.lam) * r_top, spec.alpha)
+    points, z = _wave_points(spec, points)
+    trunc = _modes_needed(z, spec.alpha)
     return ab_wave_window(spec, points, -trunc, trunc)
 
 
@@ -181,9 +182,7 @@ class DecayCheck:
 
     slope: float | None
     residuals: np.ndarray
-    radii: np.ndarray
     coefficient: complex
-    exact: bool
 
 
 def _geometric_term(spec: ABWaveSpec, points: np.ndarray) -> np.ndarray:
@@ -226,15 +225,13 @@ def asymptotic_decay_check(spec: ABWaveSpec, direction, radii) -> DecayCheck:
     residuals = np.abs(psi - geo - c0 * wave_phase)
 
     if float(np.max(residuals)) < 1e-8:
-        return DecayCheck(slope=None, residuals=residuals, radii=radii,
-                          coefficient=complex(c0), exact=True)
+        return DecayCheck(slope=None, residuals=residuals, coefficient=complex(c0))
 
     keep = (radii < r_top) & (residuals > 1e-13)
     if int(np.count_nonzero(keep)) < 2:
         raise PrecisionError("not enough usable radii below the fit anchor")
     slope = float(np.polyfit(np.log(radii[keep]), np.log(residuals[keep]), 1)[0])
-    return DecayCheck(slope=slope, residuals=residuals, radii=radii,
-                      coefficient=complex(c0), exact=False)
+    return DecayCheck(slope=slope, residuals=residuals, coefficient=complex(c0))
 
 
 def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:
@@ -246,10 +243,11 @@ def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"step h must be positive and finite, got {h}")
-    points = _points(points)
-    r2 = points[:, 0] ** 2 + points[:, 1] ** 2
+    points = errors.points(points)
+    with np.errstate(over="ignore"):    # A0 -> 0 where |x|^2 overflows
+        r2 = points[:, 0] ** 2 + points[:, 1] ** 2
     if float(np.min(r2, initial=math.inf)) < (4.0 * h) ** 2:
-        raise DomainError("stencil too close to the flux line at the origin")
+        raise DomainError("points must lie 4h or more from the flux line at the origin")
     e1 = np.array([h, 0.0])
     e2 = np.array([0.0, h])
     stencil = np.concatenate([points, points + e1, points - e1, points + e2, points - e2])
@@ -268,7 +266,7 @@ def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:
 
 def save_wave_csv(path, points, values) -> None:
     """Grid dump with columns x1,x2,re,im."""
-    points = _points(points)
+    points = errors.points(points)
     values = np.asarray(values, dtype=complex)
     write_table(path, "x1,x2,re,im", [points[:, 0], points[:, 1], values.real, values.imag])
 

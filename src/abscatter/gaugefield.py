@@ -13,7 +13,9 @@ The eikonal phase of a ray is
     Phi_s(x, xi) = -s * int_0^inf A(x + s*t*xi) . xi dt,       s = +1 or -1,
 defined off the backward cone (s * xhat.xihat >= -1 + delta with delta = 0.1).
 The flux part has the closed form -s*alpha*(x cross xi)*atan2(|x cross xi|,
-s*x.xi)/|x cross xi|.
+s*x.xi)/|x cross xi|.  Fields and gauges take finite (n, 2) point arrays
+(errors.points); the ray functions take (phase, x, xi) with finite 2-vectors x
+and xi (errors.vector), and their sign s from the EikonalPhase, which checks it.
 
 Every integral of a smooth part along a piece of a line (full lines for the
 X-ray data, half rays for the eikonal phases and the ray field integral,
@@ -34,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import errors
 from .errors import DomainError, FluxConvergenceWarning, SamplingError, SchemaError
 
 __all__ = [
@@ -69,6 +72,9 @@ _NODES_PER_WIDTH = 6.0
 
 # Trapezoid nodes on each circle of the flux functional.
 _CIRCLE_NODES = 2048
+
+# phase_decomposition's largest |x|, in widths of a bump: its nested rule has <= 951 nodes.
+_DECOMPOSITION_REACH = 150.0
 
 # winding_number's first sampling of the circle, and how often it may double.
 _WINDING_SAMPLES, _WINDING_DOUBLINGS = 1024, 8
@@ -128,13 +134,6 @@ def _aprime_parts(pot) -> list:
             + [(c, c.gradient) for c in pot.grad_l.components])
 
 
-def _pts(x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise DomainError(f"points must be an (n, 2) array, got shape {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class _Gaussian:
     """Envelope strength * exp(-|x - center|^2 / (2 width^2)): a finite 2-vector
@@ -146,8 +145,7 @@ class _Gaussian:
     width: float
 
     def __post_init__(self):
-        if np.shape(self.center) != (2,) or not np.all(np.isfinite(self.center)):
-            raise DomainError(f"center must be a finite 2-vector, got {self.center!r}")
+        object.__setattr__(self, "center", tuple(errors.vector(self.center, "center").tolist()))
         if not math.isfinite(self.strength):
             raise DomainError(f"strength must be finite, got {self.strength}")
         w2 = self.width * self.width
@@ -167,7 +165,7 @@ class _Gaussian:
         """(x - center, envelope) at (n, 2) points x; both are 0 where the scaled
         squared offset overflows, so every field is 0 there."""
         with np.errstate(over="ignore"):
-            d = _pts(x) - np.asarray(self.center)
+            d = errors.points(x) - np.asarray(self.center)
             q = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / (2.0 * self.width ** 2)
         d[np.isinf(q)] = 0.0
         return d, self.strength * np.exp(-q)
@@ -218,11 +216,11 @@ class ScalarMixture:
     components: tuple[GaussianScalar, ...] = ()
 
     def __call__(self, x) -> np.ndarray:
-        p = _pts(x)
+        p = errors.points(x)
         return sum((c.value(p) for c in self.components), np.zeros(len(p)))
 
     def gradient(self, x) -> np.ndarray:
-        p = _pts(x)
+        p = errors.points(x)
         return sum((c.gradient(p) for c in self.components), np.zeros_like(p))
 
     def __add__(self, other: "ScalarMixture") -> "ScalarMixture":
@@ -250,8 +248,9 @@ class VectorPotential:
 
     def flux_part(self, x) -> np.ndarray:
         """alpha * (-x2, x1) / |x|^2; DomainError for a point whose |x|^2 underflows or is 0."""
-        p = _pts(x)
-        r2 = (p * p).sum(axis=1)
+        p = errors.points(x)
+        with np.errstate(over="ignore"):    # the field is 0 where |x|^2 overflows
+            r2 = (p * p).sum(axis=1)
         small = np.nonzero(r2 < np.finfo(float).tiny)[0]
         if small.size:
             raise DomainError(f"point {p[small[0]].tolist()} is too close to the flux line: "
@@ -259,16 +258,15 @@ class VectorPotential:
         return self.alpha * np.stack([-p[:, 1], p[:, 0]], axis=1) / r2[:, None]
 
     def aprime(self, x) -> np.ndarray:
-        p = _pts(x)
+        p = errors.points(x)
         return sum((b.vector(p) for b in self.bumps), np.zeros_like(p)) + self.grad_l.gradient(p)
 
     def a_total(self, x) -> np.ndarray:
-        p = _pts(x)
-        return self.flux_part(p) + self.aprime(p)
+        return self.flux_part(x) + self.aprime(x)
 
     def b_field(self, x) -> np.ndarray:
         """Magnetic field of A' (the flux part carries none away from 0)."""
-        p = _pts(x)
+        p = errors.points(x)
         return sum((b.curl(p) for b in self.bumps), np.zeros(len(p)))
 
     def to_config(self) -> dict:
@@ -321,7 +319,7 @@ class GaugeElement:
     l_field: ScalarMixture = ScalarMixture()
 
     def __call__(self, x) -> np.ndarray:
-        p = _pts(x)
+        p = errors.points(x)
         return np.exp(1j * (self.winding * np.arctan2(p[:, 1], p[:, 0]) + self.l_field(p)))
 
 
@@ -406,34 +404,23 @@ class EikonalPhase:
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
-            raise DomainError("sign must be +1 or -1")
+            raise DomainError(f"sign must be +1 or -1, got {self.sign!r}")
 
 
-def _ray_args(sign: int, x, xi) -> tuple[np.ndarray, np.ndarray]:
-    """(x, xi) as arrays; DomainError unless sign is +1 or -1, x and xi are finite
-    2-vectors and xi is nonzero."""
-    if sign not in (-1, 1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    out = []
-    for name, v in (("x", x), ("xi", xi)):
-        try:
-            a = np.asarray(v, dtype=float)
-            ok = a.shape == (2,) and bool(np.all(np.isfinite(a)))
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise DomainError(f"{name} must be a finite 2-vector, got {v!r}")
-        out.append(a)
-    if not np.any(out[1]):
+def _ray_args(x, xi) -> tuple[np.ndarray, np.ndarray]:
+    """(x, xi) as finite 2-vectors; DomainError unless they are, and xi is nonzero."""
+    x, xi = errors.vector(x, "x"), errors.vector(xi, "xi")
+    if not np.any(xi):
         raise DomainError("xi must be nonzero")
-    return out[0], out[1]
+    return x, xi
 
 
 def _check_region(sign: int, x: np.ndarray, xi: np.ndarray) -> None:
     nx = float(np.hypot(*x))
     nxi = float(np.hypot(*xi))
-    if nx <= DELTA_REGION or nxi <= DELTA_REGION:
-        raise DomainError(f"|x| and |xi| must exceed {DELTA_REGION}")
+    if not (nx > DELTA_REGION and nxi > DELTA_REGION and math.isfinite(nx * nxi)):
+        raise DomainError(f"|x| and |xi| must exceed {DELTA_REGION} with a finite product "
+                          f"(it bounds x . xi), got {nx:.6g} and {nxi:.6g}")
     cosang = float(x @ xi) / (nx * nxi)
     if sign * cosang < -1.0 + DELTA_REGION:
         raise DomainError(
@@ -444,7 +431,7 @@ def _check_region(sign: int, x: np.ndarray, xi: np.ndarray) -> None:
 def eikonal_phase(phase: EikonalPhase, x, xi) -> float:
     """Phi_s(x, xi) = -s * int_0^inf A(x + s*t*xi) . xi dt on the allowed region."""
     s = phase.sign
-    x, xi = _ray_args(s, x, xi)
+    x, xi = _ray_args(x, xi)
     _check_region(s, x, xi)
     pot = phase.potential
 
@@ -462,7 +449,7 @@ def eikonal_phase(phase: EikonalPhase, x, xi) -> float:
 
 def phase_gradient(phase: EikonalPhase, x, xi) -> np.ndarray:
     """Central-difference gradient of the phase in x (step 1e-5 * (1 + |x|))."""
-    x, xi = _ray_args(phase.sign, x, xi)
+    x, xi = _ray_args(x, xi)
     h = 1e-5 * (1.0 + float(np.hypot(*x)))
     grad = np.empty(2)
     for i in range(2):
@@ -474,22 +461,23 @@ def phase_gradient(phase: EikonalPhase, x, xi) -> np.ndarray:
 
 def phase_gradient_check(phase: EikonalPhase, x, xi) -> float:
     """|xi . (grad_x Phi - A(x))|; zero for exact phases, <= 1e-6 here."""
-    x, xi = _ray_args(phase.sign, x, xi)
+    x, xi = _ray_args(x, xi)
     grad = phase_gradient(phase, x, xi)
     return abs(float(xi @ (grad - phase.potential.a_total(x[None])[0])))
 
 
-def ray_field_integral(pot: VectorPotential, x, xi, sign: int) -> float:
-    """int_0^inf B(x + sign*t*xi) dt along the phase ray (smooth part only)."""
-    x, xi = _ray_args(sign, x, xi)
-    return float(_segment_integrals([(b, b.curl) for b in pot.bumps], x, sign * xi, lo=0.0)[0])
+def ray_field_integral(phase: EikonalPhase, x, xi) -> float:
+    """int_0^inf B(x + s*t*xi) dt along the phase ray (smooth part only)."""
+    x, xi = _ray_args(x, xi)
+    return float(_segment_integrals([(b, b.curl) for b in phase.potential.bumps], x,
+                                    phase.sign * xi, lo=0.0)[0])
 
 
 def gradient_formula(phase: EikonalPhase, x, xi) -> np.ndarray:
     """Closed-form gradient: (-s*xi2*I_B + A1, +s*xi1*I_B + A2), I_B the ray field integral."""
     s = phase.sign
-    x, xi = _ray_args(s, x, xi)
-    ib = ray_field_integral(phase.potential, x, xi, s)
+    x, xi = _ray_args(x, xi)
+    ib = ray_field_integral(phase, x, xi)
     a = phase.potential.a_total(x[None])[0]
     return np.array([-s * xi[1] * ib + a[0], s * xi[0] * ib + a[1]])
 
@@ -506,11 +494,15 @@ def phase_decomposition(phase: EikonalPhase, x, xi) -> float:
     terms the rearrangement relies on.
     """
     s = phase.sign
-    x, xi = _ray_args(s, x, xi)
+    x, xi = _ray_args(x, xi)
     _check_region(s, x, xi)
     pot = phase.potential
     if pot.alpha != 0.0:
         raise DomainError("decomposition identity requires a smooth potential (alpha = 0)")
+    reach = float(np.hypot(*x))     # term1's nested rule grows with |x| / width
+    if any(reach > _DECOMPOSITION_REACH * b.width for b in pot.bumps):
+        raise DomainError(f"x is too far out for the decomposition: |x| = {reach:.6g} exceeds "
+                          f"{_DECOMPOSITION_REACH:g} widths of a bump")
     aprime, origin = _aprime_parts(pot), np.zeros(2)
 
     def b_segments(b):
@@ -519,7 +511,7 @@ def phase_decomposition(phase: EikonalPhase, x, xi) -> float:
 
     cross = float(x[0] * xi[1] - x[1] * xi[0])
     term1 = -s * cross * _segment_integrals([(b, b_segments(b)) for b in pot.bumps], origin,
-                                            s * xi, lo=0.0, spread=float(np.hypot(*x)))[0]
+                                            s * xi, lo=0.0, spread=reach)[0]
     term2 = _segment_integrals(aprime, origin, x, 0.0, 1.0)[0]
     term3 = -_segment_integrals(aprime, origin, s * xi, lo=0.0)[0]
     return float(term1 + term2 + term3)

@@ -190,7 +190,6 @@ class ParityReport:
     matched: bool
     certificate: int | None
     max_phase_discrepancy: float
-    message: str
 
 
 def flux_parity_test(raw1: Sinogram, raw2: Sinogram) -> ParityReport:
@@ -212,8 +211,7 @@ def flux_parity_test(raw1: Sinogram, raw2: Sinogram) -> ParityReport:
     phase2 = np.exp(1j * raw2.values)
     disc = float(np.max(np.abs(phase2 - phase1)))
     if disc > 1e-6:
-        return ParityReport(matched=False, certificate=None, max_phase_discrepancy=disc,
-                            message=f"phase data disagree (max discrepancy {disc:.3e})")
+        return ParityReport(matched=False, certificate=None, max_phase_discrepancy=disc)
 
     # flux part of raw is -alpha*pi*sgn(p); p < 0 lines read the difference
     # with a + sign
@@ -230,8 +228,7 @@ def flux_parity_test(raw1: Sinogram, raw2: Sinogram) -> ParityReport:
         raise DataInconsistencyError(
             f"odd certificate {n} contradicts matching phase data"
         )
-    return ParityReport(matched=True, certificate=n, max_phase_discrepancy=disc,
-                        message=f"phases agree; flux difference certificate {n}")
+    return ParityReport(matched=True, certificate=n, max_phase_discrepancy=disc)
 
 
 SINOGRAM_META = {"n_p": int, "n_phi": int, "p_max": float}

@@ -514,6 +514,8 @@ def test_cli_import_loads_no_process_pool():
     (["kernel", "--alpha", "0.5", "--perturb", "-0.1"], 2),
     (["wave", "--alpha", "0.5", "--grid", "0"], 2),
     (["wave", "--alpha", "0.5", "--grid", "1"], 2),
+    # sqrt(lam) * max|x| overflows: refused before the truncation is sized from it
+    (["wave", "--alpha", "0.5", "--energy", "1e308", "--extent", "1e155", "--grid", "3"], 3),
 ])
 def test_bad_kernel_and_wave_inputs_write_nothing(tmp_path, argv, code):
     out = tmp_path / "out.csv"
