@@ -243,6 +243,8 @@ def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"step h must be positive and finite, got {h}")
+    if h * h < np.finfo(float).tiny:    # the Laplacian divides by h^2
+        raise DomainError(f"step h = {h} is too small: its square underflows")
     points = errors.points(points)
     with np.errstate(over="ignore"):    # A0 -> 0 where |x|^2 overflows
         r2 = points[:, 0] ** 2 + points[:, 1] ** 2

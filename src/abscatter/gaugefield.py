@@ -318,6 +318,13 @@ class GaugeElement:
     winding: int
     l_field: ScalarMixture = ScalarMixture()
 
+    def __post_init__(self):
+        try:        # winding * theta is a float product
+            float(self.winding)
+        except OverflowError:
+            raise DomainError(f"winding of magnitude 1e{math.log10(abs(self.winding)):.0f} "
+                              f"has no float value") from None
+
     def __call__(self, x) -> np.ndarray:
         p = errors.points(x)
         return np.exp(1j * (self.winding * np.arctan2(p[:, 1], p[:, 0]) + self.l_field(p)))

@@ -31,7 +31,7 @@ from .smatrix import (
     KernelGrid,
     PartialWaveSMatrix,
     StripDomain,
-    _gauge_factors,
+    _gauge_phase,
     _row_blocks,
     _spectrum,
     strip_integral,
@@ -166,11 +166,9 @@ def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxE
     if len(strips) < 2:
         raise DomainError("need at least two strip domains")
     a, b = strips[0].a, strips[0].b
-    eps = []
-    for st in strips:
-        if st.a != a or st.b != b:
-            raise DomainError("strips must share the same (a, b)")
-        eps.append(st.eps)
+    if any((st.a, st.b) != (a, b) for st in strips):
+        raise DomainError("strips must share the same (a, b)")
+    eps = np.array([st.eps for st in strips])
     if np.any(np.diff(eps) >= 0.0):
         raise DomainError("strip widths must decrease")
 
@@ -179,7 +177,6 @@ def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxE
     ests = np.array([-v.real / norm for v in values]) * (-1.0 if winding % 2 else 1.0)
 
     # linear-in-eps model: s(eps) ~ s* + C*eps
-    eps = np.array(eps)
     extr = (ests[1:] * eps[:-1] - ests[:-1] * eps[1:]) / (eps[:-1] - eps[1:])
     floor = 2.0 * math.pi / grid.n / eps[-1]
     if extr.size >= 2:
@@ -203,9 +200,9 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
 
     Conjugation by w shifts the spectrum w modes with the sign (-1)^w: each |n| <= n_range
     scores Re((-1)^n C[n]), C[n] = sum_m conj(S1[m]) S2[m + n] by FFTs.  The shifts within
-    1e-9 of the top score (a flat spectrum ties a parity) are checked by max-norm residual,
-    delta parts apart: the least wins, ties to the least n, equivalent if it is <= 1e-3.
-    n_range stays below half the period of windings on N points, N or 2N for odd N.
+    1e-9 of the top score (a flat spectrum ties a parity) are checked by the max-norm of S2 less
+    S1 times _gauge_phase(N, n), deltas apart: the least wins, ties to the least n, equivalent
+    if it is <= 1e-3.  n_range stays below half the winding period on N points, N or 2N for odd N.
     """
     if s1.n != s2.n:
         raise DomainError("kernel grids must have equal size")
@@ -219,13 +216,11 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
     shifts = np.arange(-n_range, n_range + 1)
     scores = np.where(shifts % 2, -1.0, 1.0) * corr[shifts % s1.n].real
 
-    def residual(n):        # conjugate_kernel's arithmetic, in row blocks
-        row_f, col_f = _gauge_factors(s1.n, n)
-        res = abs(s2.delta_coeff - s1.delta_coeff * (-1.0 if n % 2 else 1.0))
+    def residual(n):        # s1 times the phase grid less s2, in row blocks
+        phase = _gauge_phase(s1.n, n)
+        res = abs(s2.delta_coeff - s1.delta_coeff * phase[0, 0].real)
         for rows in _row_blocks(s1.n):
-            diff = s1.values[rows] * row_f[rows, None]
-            diff *= col_f
-            diff -= s2.values[rows]
+            diff = s1.values[rows] * phase[rows] - s2.values[rows]
             np.fill_diagonal(diff[:, rows.start:], 0.0)
             res = np.maximum(res, np.max(np.abs(diff)))
         return float(res)

@@ -73,14 +73,13 @@ def write_table(path, row_header: str, columns, meta: dict | None = None) -> Non
 
 
 def _format_block(cols, start: int) -> bytes:
-    """Rows start .. start + _WRITE_ROWS as ASCII text; each distinct column value formatted once."""
-    cells = np.empty((min(_WRITE_ROWS, cols[0].size - start), 2 * len(cols)), dtype=object)
-    cells[:, 1::2] = ","
-    cells[:, -1] = "\n"
+    """Rows start .. start + _WRITE_ROWS as ASCII text; each distinct value and separator once."""
+    cells = np.empty((min(_WRITE_ROWS, cols[0].size - start), len(cols)), dtype=object)
     for i, c in enumerate(c[start:start + _WRITE_ROWS] for c in cols):
         key = c.view(np.uint64) if c.dtype.kind == "f" else c   # bits keep -0.0 and NaNs apart
         keys, inverse = np.unique(key, return_inverse=True)
-        cells[:, 2 * i] = np.array([*map(str, keys.view(c.dtype).tolist())], dtype=object)[inverse]
+        texts = np.array([*map(str, keys.view(c.dtype).tolist())], dtype=object)
+        cells[:, i] = (texts + ("," if i + 1 < len(cols) else "\n"))[inverse]
     return "".join(cells.ravel().tolist()).encode("ascii")
 
 

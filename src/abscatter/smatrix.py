@@ -71,6 +71,17 @@ def _roots(n: int) -> np.ndarray:
     return out
 
 
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """Read-only n x n grid [j, k] = row[(j - k) % n]: window n-1-j of the doubled, reversed row."""
+    return np.lib.stride_tricks.sliding_window_view(np.tile(row[::-1], 2), len(row))[-2::-1]
+
+
+def _gauge_phase(n: int, winding: int) -> np.ndarray:
+    """(-1)^w e^{i w (theta_j - theta_k)}, a read-only circulant grid: +-_roots(n)[w(j-k) mod n]."""
+    u = _roots(n)[winding % n * np.arange(n) % n]
+    return _circulant(-u if winding % 2 else u)
+
+
 @dataclass(frozen=True)
 class PartialWaveSMatrix:
     """Diagonal unitary action on angular modes m in [-m_max, m_max]."""
@@ -177,9 +188,7 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
     rvals = np.zeros(n, dtype=complex)
     rvals[1:] = (1j * math.sin(math.pi * turns) / math.pi) \
         * roots[math.ceil(alpha) % n * np.arange(1, n) % n] / (1.0 - roots[1:])
-    # values[j, k] = rvals[(j - k) % n] is window n-1-j of the doubled, reversed row
-    values = np.lib.stride_tricks.sliding_window_view(np.tile(rvals[::-1], 2), n)[n - 1::-1]
-    return KernelGrid(n=n, values=values, delta_coeff=complex(math.cos(math.pi * turns)),
+    return KernelGrid(n=n, values=_circulant(rvals), delta_coeff=complex(math.cos(math.pi * turns)),
                       alpha_hint=float(alpha))
 
 
@@ -188,8 +197,8 @@ def strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> co
 
     Rows supply theta; values along theta' = theta - tau are linearly
     interpolated on the grid, so the strip must be at least 4 cells wide
-    (eps >= 4 * spacing).  A winding conjugates the gathered stencil entries
-    only, with conjugate_kernel's arithmetic.  For the flux-alpha kernel, -Re
+    (eps >= 4 * spacing).  Each gathered stencil entry (j, k) is multiplied once by
+    _gauge_phase(n, winding)[j, k], as in conjugate_kernel.  For the flux-alpha kernel, -Re
     tends to (b - a) * sin(pi*(alpha + winding)) * log(2) / pi as eps -> 0.
     """
     h = grid.spacing
@@ -218,16 +227,11 @@ def strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> co
     w_0 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
     w_p1 = -(t + 1.0) * t * (t - 2.0) / 2.0
     w_p2 = (t + 1.0) * t * (t - 1.0) / 6.0
-    if winding:
-        row_f, col_f = _gauge_factors(grid.n, winding)
-        row_f = row_f[rows][:, None]
+    phase = _gauge_phase(grid.n, winding)
     vals = np.zeros((rows.size, tau.size), dtype=complex)
     for off, w in ((-1, w_m1), (0, w_0), (1, w_p1), (2, w_p2)):
         cols = (rows[:, None] - (i0 + off)[None, :]) % grid.n
-        entries = grid.values[rows[:, None], cols]
-        if winding:
-            entries = entries * row_f * col_f[cols]
-        vals += entries * w[None, :]
+        vals += grid.values[rows[:, None], cols] * phase[rows[:, None], cols] * w[None, :]
     return complex(np.sum(w_theta[rows][:, None] * w_tau[None, :] * vals))
 
 
@@ -302,33 +306,25 @@ def extract_mode(grid: KernelGrid, m: int) -> complex:
     return complex(_spectrum(grid)[m % grid.n])
 
 
-def _gauge_factors(n: int, winding: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column factors (-1)^w e^{i w theta_j}, e^{-i w theta_k} of the conjugation
-    by winding w on the n-point grid; entry (j, k) is multiplied by the row factor first."""
-    u = _roots(n)[winding % n * np.arange(n) % n]
-    return -u if winding % 2 else u, np.conj(u)
-
-
 def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
     """Gauge conjugation by integer winding n in kernel form.
 
     S'(theta, theta') = exp(i*n*theta) S(theta, theta') exp(-i*n*(theta'+pi)),
-    i.e. values pick up exp(i*n*(theta-theta'))*(-1)^n and the delta
-    coefficient flips sign for odd n (a rank-one row and column scaling).
+    i.e. entry (j, k) is multiplied once by _gauge_phase(n, winding)[j, k] =
+    (-1)^n exp(i*n*(theta_j-theta_k)), and the delta coefficient by its diagonal (-1)^n.
     For the flux-alpha kernel this lands exactly on the flux-(alpha+n) kernel;
     the alpha hint shifts by n, or becomes None where that is not a finite float.
     """
     winding = int(winding)
-    row_f, col_f = _gauge_factors(grid.n, winding)
-    new_vals = grid.values * row_f[:, None]
-    new_vals *= col_f
+    phase = _gauge_phase(grid.n, winding)
+    new_vals = grid.values * phase
     np.fill_diagonal(new_vals, 0.0)
     try:
         hint = grid.alpha_hint + winding if grid.alpha_hint is not None else math.inf
     except OverflowError:       # the winding has no float value
         hint = math.inf
     return KernelGrid(n=grid.n, values=new_vals,
-                      delta_coeff=grid.delta_coeff * (-1.0 if winding % 2 else 1.0),
+                      delta_coeff=grid.delta_coeff * phase[0, 0].real,
                       alpha_hint=hint if math.isfinite(hint) else None)
 
 

@@ -307,6 +307,11 @@ SPEC = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0))
     pytest.param(lambda: pde_residual(SPEC, [(2.0, 1.0)], 0.0), "step h", id="residual-h-0"),
     pytest.param(lambda: pde_residual(SPEC, [(2.0, 1.0)], math.nan), "step h",
                  id="residual-h-nan"),
+    # h * h underflows: 1e-200 would divide by zero, 1e-160 overflow the Laplacian
+    pytest.param(lambda: pde_residual(SPEC, [(2.0, 1.0)], 1e-200), "step h = 1e-200 .* underflows",
+                 id="residual-h-square-zero"),
+    pytest.param(lambda: pde_residual(SPEC, [(2.0, 1.0)], 1e-160), "step h = 1e-160 .* underflows",
+                 id="residual-h-square-subnormal"),
     pytest.param(lambda: pde_residual(SPEC, [(2.0, math.nan)], 0.01), "points must be finite",
                  id="residual-nan-point"),
     pytest.param(lambda: asymptotic_decay_check(SPEC, (0.0, 1.0), [20.0, 30.0, math.nan]),

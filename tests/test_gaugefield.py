@@ -120,6 +120,14 @@ class TestGaugeTransform:
         assert np.array_equal(out.aprime(x), generic_potential.aprime(x))
         assert np.array_equal(out.v(x), generic_potential.v(x))
 
+    @pytest.mark.parametrize("winding", [10**400, -10**400])
+    def test_winding_without_float_value(self, generic_potential, winding):
+        # winding * theta is a float product: refused at construction, named by its size
+        with pytest.raises(DomainError, match="winding of magnitude 1e400"):
+            GaugeElement(winding)
+        with pytest.raises(DomainError, match="winding"):
+            gauge_transform(generic_potential, GaugeElement(winding=winding))
+
     def test_flux_additivity(self, generic_potential):
         base = flux(generic_potential, [30.0, 40.0]).estimate
         l_field = ScalarMixture((GaussianScalar((1.0, 0.0), 0.5, 0.7),))

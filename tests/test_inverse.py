@@ -270,7 +270,7 @@ class TestConjugation:
         assert rep.n == w and rep.residual <= 1e-12 and rep.equivalent
 
     def test_memory_peak_below_one_kernel(self, alloc_peak):
-        # the search walks row blocks with rank-one phases: no n x n temporaries
+        # the search walks row blocks of the circulant phase view: no n x n temporaries
         n = 1024
         g = sample_kernel(0.3, n)
         shifted = conjugate_kernel(g, 1)

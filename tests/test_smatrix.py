@@ -304,14 +304,15 @@ class TestConjugation:
         assert abs(g.delta_coeff - target.delta_coeff) <= 1e-15
         assert g.alpha_hint == 2.5
 
-    @pytest.mark.parametrize("w", [50, 200, -200])
+    @pytest.mark.parametrize("w", [1, 50, 200, -200])
     def test_no_drift_with_winding(self, w):
-        # the gauge factors and the kernel read one table of roots of unity, so
-        # the error does not grow with w; 0.375 + w is exact
+        # the gauge phase and the kernel read one table of roots of unity, and each
+        # entry takes one phase, so the error does not grow with w; 0.375 + w is exact.
+        # The drift measures 3.7e-17, 8.3e-17, 7.4e-17, 1.5e-16 (delta 1.1e-16 at w = 1)
         g = conjugate_kernel(sample_kernel(0.375, 1024), w)
         target = sample_kernel(0.375 + w, 1024)
-        assert np.max(np.abs(g.values - target.values)) <= 4e-15 * np.max(np.abs(target.values))
-        assert abs(g.delta_coeff - target.delta_coeff) <= 4e-15
+        assert np.max(np.abs(g.values - target.values)) <= 3e-16 * np.max(np.abs(target.values))
+        assert abs(g.delta_coeff - target.delta_coeff) <= 3e-16
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_huge_winding(self, extra):

@@ -8,7 +8,7 @@ recover_flux widens its mode window until it holds the flip.
 The winding search returns the exhaustive search's report whenever a winding
 relates the kernels, since conjugation shifts the spectrum.  The table
 of roots of unity behind every grid phase is within an ulp of the exact
-roots, and its gauge factors repeat after n windings."""
+roots, and its gauge phase repeats after n windings."""
 
 import math
 
@@ -28,7 +28,7 @@ from abscatter.inverse import (
 )
 from abscatter.smatrix import (
     KernelGrid,
-    _gauge_factors,
+    _gauge_phase,
     _roots,
     _spectrum,
     build_partial_wave,
@@ -115,12 +115,11 @@ def test_roots_table_is_within_an_ulp(n):
 
 @PROPERTY
 @given(st.integers(64, 512), st.integers(-1000, 1000))
-def test_gauge_factors_repeat_after_n_windings(n, w):
-    # bit for bit, with the row factor's sign (-1)^n
-    row, col = _gauge_factors(n, w)
-    row_n, col_n = _gauge_factors(n, w + n)
-    assert row_n.tobytes() == (-row if n % 2 else row).tobytes()
-    assert col_n.tobytes() == col.tobytes()
+def test_gauge_phase_repeats_after_n_windings(n, w):
+    # bit for bit, with the sign (-1)^n; the grid is a read-only view
+    phase, phase_n = _gauge_phase(n, w), _gauge_phase(n, w + n)
+    assert not phase.flags.writeable
+    assert phase_n.tobytes() == (-phase if n % 2 else phase).tobytes()
 
 
 @pytest.mark.parametrize("parity", [0, 1])
