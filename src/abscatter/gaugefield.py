@@ -247,15 +247,19 @@ class VectorPotential:
                                   f"of the {name} components overflows")
 
     def flux_part(self, x) -> np.ndarray:
-        """alpha * (-x2, x1) / |x|^2; DomainError for a point whose |x|^2 underflows or is 0."""
+        """alpha * ((-x2, x1) / |x|^2), 0 where |x|^2 overflows; DomainError for a point whose
+        |x|^2 underflows or is 0, or where the field itself overflows."""
         p = errors.points(x)
-        with np.errstate(over="ignore"):    # the field is 0 where |x|^2 overflows
+        with np.errstate(all="ignore"):     # both refusals below read the non-finite entries
             r2 = (p * p).sum(axis=1)
-        small = np.nonzero(r2 < np.finfo(float).tiny)[0]
-        if small.size:
-            raise DomainError(f"point {p[small[0]].tolist()} is too close to the flux line: "
-                              f"its |x|^2 underflows")
-        return self.alpha * np.stack([-p[:, 1], p[:, 0]], axis=1) / r2[:, None]
+            field = self.alpha * (np.stack([-p[:, 1], p[:, 0]], axis=1) / r2[:, None])
+        tiny = np.finfo(float).tiny
+        bad = np.nonzero((r2 < tiny) | ~np.isfinite(field).all(axis=1))[0]
+        if bad.size:
+            why = ("its |x|^2 underflows" if r2[bad[0]] < tiny
+                   else f"the field of flux alpha = {self.alpha:g} overflows there")
+            raise DomainError(f"point {p[bad[0]].tolist()} is too close to the flux line: {why}")
+        return field
 
     def aprime(self, x) -> np.ndarray:
         p = errors.points(x)
@@ -347,8 +351,10 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
         raise DomainError("radii must be a nonempty ascending sequence of finite numbers")
     if radii[0] <= pot.obstacle_radius:
         raise DomainError("radii must exceed the obstacle radius")
-    if float(radii[0]) ** 2 < np.finfo(float).tiny:     # A's flux part divides by |x|^2
-        raise DomainError(f"radius {radii[0]:.6g} is too small: its square underflows")
+    for r in radii.tolist():    # A's flux part divides by |x|^2; a float r * r overflows to inf
+        if not np.finfo(float).tiny <= r * r < math.inf:
+            raise DomainError(f"radius {r:.6g} is out of range: its square "
+                              f"{'over' if abs(r) > 1.0 else 'under'}flows")
     th = 2.0 * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
     tangent = np.stack([-np.sin(th), np.cos(th)], axis=1)
     seq = []

@@ -139,10 +139,10 @@ def _flux_from_eigenvalues(eig: np.ndarray, m: int) -> FluxEstimate:
                         sin_pi_alpha=math.sin(math.pi * alpha), residual=residual)
 
 
-def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxEstimate:
+def recover_flux_from_strip(grid: KernelGrid, winding: int = 0) -> FluxEstimate:
     """sin(pi*alpha) by Richardson extrapolation of normalized strip integrals, and the witness.
 
-    strips must share (a, b) and run over decreasing eps (typically halving).
+    The strips are default_strips(grid.n): they share (a, b) and halve eps.
     Each strip yields -Re(integral) * pi / ((b-a)*log 2); successive linear
     extrapolations against eps must settle: TooSingularError is raised when
     the last correction is larger than the one before it and than the
@@ -162,17 +162,9 @@ def recover_flux_from_strip(grid: KernelGrid, strips, winding: int = 0) -> FluxE
     strip integrals scale like eps; over eps*(b-a) they tend to -2i*sin(pi*alpha)/pi, and the
     least stays above 0.05 exactly when the principal-value singularity survives.
     """
-    strips = list(strips)
-    if len(strips) < 2:
-        raise DomainError("need at least two strip domains")
-    a, b = strips[0].a, strips[0].b
-    if any((st.a, st.b) != (a, b) for st in strips):
-        raise DomainError("strips must share the same (a, b)")
+    strips = default_strips(grid.n)
     eps = np.array([st.eps for st in strips])
-    if np.any(np.diff(eps) >= 0.0):
-        raise DomainError("strip widths must decrease")
-
-    norm = (b - a) * math.log(2.0) / math.pi
+    norm = (strips[0].b - strips[0].a) * math.log(2.0) / math.pi
     values = [strip_integral(grid, st, winding) for st in strips]
     ests = np.array([-v.real / norm for v in values]) * (-1.0 if winding % 2 else 1.0)
 
@@ -258,10 +250,9 @@ def recover_flux(grid: KernelGrid, obstacle_convex: bool) -> FluxEstimate:
         raise DomainError(
             "flux recovery from kernel data requires the convex-obstacle hypothesis"
         )
-    strips = default_strips(grid.n)
     modes = recover_flux_from_modes(grid)
     winding = 1 - modes.ceil_alpha     # the strip bias grows with ceil(alpha)
-    strip_est = recover_flux_from_strip(grid, strips, winding)
+    strip_est = recover_flux_from_strip(grid, winding)
     residual = max(modes.residual,
                    abs(math.sin(math.pi * modes.alpha) - strip_est.sin_pi_alpha))
     return replace(modes, sin_pi_alpha=strip_est.sin_pi_alpha, residual=residual,

@@ -195,8 +195,8 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
 def strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> complex:
     """Integral of the regular part of conjugate_kernel(grid, winding) over the strip.
 
-    Rows supply theta; values along theta' = theta - tau are linearly
-    interpolated on the grid, so the strip must be at least 4 cells wide
+    Rows supply theta; values along theta' = theta - tau come from a 4-point
+    Lagrange stencil along the row, so the strip must be at least 4 cells wide
     (eps >= 4 * spacing).  Each gathered stencil entry (j, k) is multiplied once by
     _gauge_phase(n, winding)[j, k], as in conjugate_kernel.  For the flux-alpha kernel, -Re
     tends to (b - a) * sin(pi*(alpha + winding)) * log(2) / pi as eps -> 0.

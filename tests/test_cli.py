@@ -65,6 +65,22 @@ def test_flux_radius_whose_square_underflows_is_named(pot_path, capsys):
     assert "radius 1e-200" in captured.err and "underflows" in captured.err
 
 
+@pytest.mark.parametrize("radii, named", [("1e160", "1e+160"), ("10,1e200", "1e+200")])
+def test_flux_radius_whose_square_overflows_is_named(pot_path, capsys, radii, named):
+    # the field is 0 where |x|^2 overflows: such a circle would read a flux of 0
+    assert main(["flux", "--config", pot_path, "--radii", radii]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"radius {named}" in captured.err and "overflows" in captured.err
+
+
+def test_flux_of_a_huge_flux(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    save_potential_json(VectorPotential(alpha=1e300), path)
+    assert main(["flux", "--config", str(path), "--radii", "1e10,2e10"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["alpha"] / 1e300 - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("config", [
     "[1, 2]",
     '{"alpha": 0.5, "bumps": [{"center": [1], "strength": 1.0, "width": 0.5}]}',

@@ -70,6 +70,25 @@ class TestFlux:
             with pytest.raises(DomainError, match="finite"):
                 flux(pot, radii)
 
+    @pytest.mark.parametrize("radii, named", [
+        pytest.param([1e160], r"1e\+160 .*its square overflows", id="1e160"),
+        pytest.param([10.0, 1e200], r"1e\+200 .*its square overflows", id="10,1e200"),
+        pytest.param([1e-200, 10.0], r"1e-200 .*its square underflows", id="1e-200,10"),
+    ])
+    def test_radius_whose_square_leaves_the_floats_is_named(self, radii, named):
+        # A's flux part is 0 where |x|^2 overflows: such a circle would read no circulation
+        with pytest.raises(DomainError, match=f"radius {named}"):
+            flux(VectorPotential(alpha=0.3), radii)
+
+    def test_huge_flux(self):
+        # alpha * (-x2, x1) would overflow at |x| = 1e10 where the field is 1e290
+        pot = VectorPotential(alpha=1e300)
+        assert np.array_equal(pot.flux_part([[1e10, 0.0]]), [[0.0, 1e290]])
+        assert abs(flux(pot, [1e10, 2e10]).estimate / 1e300 - 1.0) <= 1e-12
+        with pytest.raises(DomainError, match=r"point \[1e-10, 0.0\] .*flux alpha = 1e\+300 "
+                                              r"overflows"):
+            pot.flux_part([[1.0, 0.0], [1e-10, 0.0]])
+
 
 class TestWinding:
     def test_plain_windings(self):
