@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .io import as_complex, read_table, write_table
 from .specfun import X_MAX, bessel_j_ladder
 
@@ -43,16 +43,10 @@ __all__ = [
     "azimuth",
     "eval_ab_wave_grid",
     "ab_wave_window",
-    "asymptotic_decay_check",
-    "DecayCheck",
     "pde_residual",
     "save_wave_csv",
     "load_wave_csv",
 ]
-
-# Decay checks are only meaningful outside a cone around the excluded
-# direction; |xhat + sign*omega| must exceed this.
-DECAY_CONE_WIDTH = 0.5
 
 # Points per batch of the mode sum; bounds the Bessel ladders' memory.
 _CHUNK_POINTS = 8192
@@ -174,64 +168,6 @@ def eval_ab_wave_grid(spec: ABWaveSpec, points) -> np.ndarray:
     points, z = _wave_points(spec, points)
     trunc = _modes_needed(z, spec.alpha)
     return ab_wave_window(spec, points, -trunc, trunc)
-
-
-@dataclass(frozen=True)
-class DecayCheck:
-    """Result of comparing the wave against its two-term far-field form."""
-
-    slope: float | None
-    residuals: np.ndarray
-    coefficient: complex
-
-
-def _geometric_term(spec: ABWaveSpec, points: np.ndarray) -> np.ndarray:
-    omega = np.asarray(spec.omega, dtype=float)
-    gam = _azimuth_grid(points, -spec.sign * omega)
-    plane = np.exp(1j * math.sqrt(spec.lam) * (points @ omega))
-    return np.exp(1j * spec.alpha * (gam - math.pi)) * plane
-
-
-def asymptotic_decay_check(spec: ABWaveSpec, direction, radii) -> DecayCheck:
-    """Fit the decay rate of the remainder after the far-field leading terms.
-
-    The wave minus exp(i*alpha*(gamma(x; -s*omega) - pi)) * plane wave leaves
-    a circular wave c0 * exp(-s*i*sqrt(lam)*r) / sqrt(r) plus lower order;
-    c0 is fitted at the largest radius, and the least-squares slope of
-    log(remainder) vs log(r) over the other radii is returned.  If every
-    remainder is already below 1e-8 (zero-flux case) the expansion is exact
-    to working precision and no slope is fitted.
-    """
-    xhat = _unit(direction, "direction")
-    omega = np.asarray(spec.omega, dtype=float)
-    if float(np.hypot(*(xhat + spec.sign * omega))) <= DECAY_CONE_WIDTH:
-        raise DomainError(
-            "direction lies in the excluded cone: |xhat + sign*omega| must exceed "
-            f"{DECAY_CONE_WIDTH}"
-        )
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 3 or not np.all(np.isfinite(radii)) or np.any(np.diff(radii) <= 0.0):
-        raise DomainError("radii must be finite and ascending with at least 3 entries")
-    if radii[0] < 20.0:
-        raise DomainError("decay fit needs radii >= 20")
-
-    points = radii[:, None] * xhat[None, :]
-    psi = eval_ab_wave_grid(spec, points)
-    geo = _geometric_term(spec, points)
-    wave_phase = np.exp(-1j * spec.sign * math.sqrt(spec.lam) * radii) / np.sqrt(radii)
-
-    r_top = radii[-1]
-    c0 = (psi[-1] - geo[-1]) / wave_phase[-1]
-    residuals = np.abs(psi - geo - c0 * wave_phase)
-
-    if float(np.max(residuals)) < 1e-8:
-        return DecayCheck(slope=None, residuals=residuals, coefficient=complex(c0))
-
-    keep = (radii < r_top) & (residuals > 1e-13)
-    if int(np.count_nonzero(keep)) < 2:
-        raise PrecisionError("not enough usable radii below the fit anchor")
-    slope = float(np.polyfit(np.log(radii[keep]), np.log(residuals[keep]), 1)[0])
-    return DecayCheck(slope=slope, residuals=residuals, coefficient=complex(c0))
 
 
 def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:

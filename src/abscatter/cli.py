@@ -142,7 +142,7 @@ def _cmd_gauge_check(args) -> None:
 # a value below it (an unset flag has none) is refused with exit 2 before any work.
 _FLOORS = {
     "wave": {"--grid": 2},
-    "kernel": {"--n": 64},
+    "kernel": {"--n": 64, "--seed": 0},
     "radon --quantity V": {"--n-p": 64, "--n-phi": 64, "--invert": 1},
     "radon --quantity A": {"--n-p": 1, "--n-phi": 1},
     "gauge-check": {"--n-range": 0},

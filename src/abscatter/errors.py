@@ -10,16 +10,8 @@ class DomainError(AbScatterError, ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class PrecisionError(AbScatterError):
-    """Requested evaluation cannot meet the declared accuracy budget."""
-
-
 class ResolutionError(AbScatterError):
     """A sampled object is too coarse for the requested operation."""
-
-
-class SamplingError(AbScatterError):
-    """Adaptive sampling failed to resolve the data within its refinement cap."""
 
 
 class DataInconsistencyError(AbScatterError):

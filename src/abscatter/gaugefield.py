@@ -18,12 +18,10 @@ s*x.xi)/|x cross xi|.  Fields and gauges take finite (n, 2) point arrays
 and xi (errors.vector), and their sign s from the EikonalPhase, which checks it.
 
 Every integral of a smooth part along a piece of a line (full lines for the
-X-ray data, half rays for the eikonal phases and the ray field integral,
-finite segments in the phase decomposition) goes through _segment_integrals,
-one Gauss-Legendre rule per Gaussian component: the segment is clipped to the
-component's own disk |y - c| <= 8.5 w (widened by the nested segment length
-in the phase decomposition), and the node count depends on that disk and the
-width only.
+X-ray data, half rays for the eikonal phases and the ray field integral) goes
+through _segment_integrals, one Gauss-Legendre rule per Gaussian component: the
+segment is clipped to the component's own disk |y - c| <= 8.5 w, and the node
+count is the same 51 for every component and base point.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .errors import DomainError, FluxConvergenceWarning, SamplingError, SchemaError
+from .errors import DomainError, FluxConvergenceWarning, SchemaError
 
 __all__ = [
     "GaussianBump",
@@ -47,7 +45,6 @@ __all__ = [
     "GaugeElement",
     "FluxResult",
     "flux",
-    "winding_number",
     "gauge_transform",
     "EikonalPhase",
     "eikonal_phase",
@@ -55,7 +52,6 @@ __all__ = [
     "phase_gradient_check",
     "gradient_formula",
     "ray_field_integral",
-    "phase_decomposition",
     "save_potential_json",
     "load_potential_json",
 ]
@@ -73,33 +69,25 @@ _NODES_PER_WIDTH = 6.0
 # Trapezoid nodes on each circle of the flux functional.
 _CIRCLE_NODES = 2048
 
-# phase_decomposition's largest |x|, in widths of a bump: its nested rule has <= 951 nodes.
-_DECOMPOSITION_REACH = 150.0
-
-# winding_number's first sampling of the circle, and how often it may double.
-_WINDING_SAMPLES, _WINDING_DOUBLINGS = 1024, 8
-
 
 @lru_cache(maxsize=8)
 def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def _segment_integrals(parts, x0, d, lo: float = -math.inf, hi: float = math.inf,
-                       spread: float = 0.0) -> np.ndarray:
-    """Sum over (component, field) parts of int_lo^hi field(x0 + t*d) dt, for each
+def _segment_integrals(parts, x0, d, lo: float = -math.inf) -> np.ndarray:
+    """Sum over (component, field) parts of int_lo^inf field(x0 + t*d) dt, for each
     base point x0 (a 2-vector or (m, 2) rows).
 
     field maps (k, 2) points to k values; a vector field (k x 2 values) is
     integrated as the 1-form field . d.  A field is negligible beyond
-    H = _ENVELOPE_CUT * w + spread from its component's center c, where spread
-    covers a field that averages the component over a segment of that length.
-    Each segment is clipped to the disk |y - c| <= H, and one that misses it
-    costs nothing; an offset from c that overflows counts as a miss.  Central
-    nodes of an n-point rule on a chord of the disk sit at most about pi*H/n
-    apart, which integrates a Gaussian of width w to about exp(-2*(n*w/H)**2);
-    each component's rule has n = _NODES_PER_WIDTH * H / w nodes (51 without
-    spread), whatever x0 is, so the integrals are smooth in the base point.
+    H = _ENVELOPE_CUT * w from its component's center c.  Each segment is
+    clipped to the disk |y - c| <= H, and one that misses it costs nothing; an
+    offset from c that overflows counts as a miss.  Central nodes of an n-point
+    rule on a chord of the disk sit at most about pi*H/n apart, which integrates
+    a Gaussian of width w to about exp(-2*(n*w/H)**2); each component's rule has
+    n = _NODES_PER_WIDTH * _ENVELOPE_CUT = 51 nodes, whatever x0 is, so the
+    integrals are smooth in the base point.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     d = np.asarray(d, dtype=float)
@@ -107,18 +95,18 @@ def _segment_integrals(parts, x0, d, lo: float = -math.inf, hi: float = math.inf
     u = d / nd
     out = np.zeros(x0.shape[0])
     for comp, field in parts:
-        h = _ENVELOPE_CUT * comp.width + spread
+        h = _ENVELOPE_CUT * comp.width
         with np.errstate(over="ignore", invalid="ignore"):
             r = x0 - np.asarray(comp.center)
             miss = np.abs(r[:, 0] * u[1] - r[:, 1] * u[0])  # distance of c from the line
             half = np.sqrt(h - miss) * np.sqrt(h + miss) / nd  # NaN where the line misses
             mid = -(r @ u) / nd
-            a, b = np.maximum(mid - half, lo), np.minimum(mid + half, hi)
+            a, b = np.maximum(mid - half, lo), mid + half
             idx = np.flatnonzero(b > a)
         if idx.size == 0:
             continue
         a, b = a[idx], b[idx]
-        gx, gw = _leggauss(math.ceil(_NODES_PER_WIDTH * (_ENVELOPE_CUT + spread / comp.width)))
+        gx, gw = _leggauss(math.ceil(_NODES_PER_WIDTH * _ENVELOPE_CUT))
         center, radius = 0.5 * (a + b), 0.5 * (b - a)
         t = center[:, None] + radius[:, None] * gx
         vals = np.asarray(field((x0[idx][:, None, :] + t[:, :, None] * d).reshape(-1, 2)))
@@ -238,6 +226,9 @@ class VectorPotential:
     obstacle_radius: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.obstacle_radius)):
+            raise DomainError(f"alpha and R0 must be finite, got {self.alpha} "
+                              f"and {self.obstacle_radius}")
         # a sum of components stays below the sum of their bounds: A' sums the bumps
         # and grad(L) (so its check covers B, the bumps alone), V its own
         for name, comps in (("bumps and gradL", (*self.bumps, *self.grad_l.components)),
@@ -288,14 +279,11 @@ class VectorPotential:
             raise SchemaError(f"bad potential config: expected a JSON object, "
                               f"got {type(cfg).__name__}")
         try:
-            alpha, r0 = float(cfg["alpha"]), float(cfg.get("R0", 0.0))
-            if not (math.isfinite(alpha) and math.isfinite(r0)):
-                raise ValueError(f"alpha and R0 must be finite, got {alpha} and {r0}")
-            return cls(alpha=alpha,
+            return cls(alpha=float(cfg["alpha"]),
                        bumps=_components(GaussianBump, cfg.get("bumps", [])),
                        grad_l=ScalarMixture(_components(GaussianScalar, cfg.get("gradL", []))),
                        v=ScalarMixture(_components(GaussianScalar, cfg.get("V", []))),
-                       obstacle_radius=r0)
+                       obstacle_radius=float(cfg.get("R0", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad potential config: {exc}") from exc
 
@@ -369,34 +357,6 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
             FluxConvergenceWarning,
         )
     return FluxResult(estimate=seq[-1], sequence=tuple(seq))
-
-
-def winding_number(g, radius: float) -> int:
-    """Total phase increment of g around |x| = radius, divided by 2*pi.
-
-    Works from sampled values only.  Accepted samplings must keep successive
-    phase jumps below pi/2: jumps in [pi/2, pi] double the sampling, and the
-    margin guards against jumps past pi, which alias back into (-pi, pi] and
-    would corrupt the count silently (SamplingError past the refinement cap).
-    """
-    if not 0.0 < radius < math.inf:
-        raise DomainError(f"radius must be positive and finite, got {radius}")
-    n = _WINDING_SAMPLES
-    for _ in range(_WINDING_DOUBLINGS + 1):
-        th = 2.0 * math.pi * np.arange(n + 1) / n
-        pts = radius * np.stack([np.cos(th), np.sin(th)], axis=1)
-        vals = np.asarray(g(pts), dtype=complex)
-        if np.any(np.abs(vals) < 1e-12):
-            raise DomainError("gauge values must be unimodular (nonzero)")
-        jumps = np.angle(vals[1:] / vals[:-1])
-        if float(np.max(np.abs(jumps))) < 0.5 * math.pi:
-            total = float(jumps.sum()) / (2.0 * math.pi)
-            n_int = round(total)
-            if abs(total - n_int) > 0.1:
-                raise SamplingError(f"phase increment {total:.4f} is not near an integer")
-            return int(n_int)
-        n *= 2
-    raise SamplingError("phase jumps stayed >= pi/2 after refinement cap")
 
 
 def gauge_transform(pot: VectorPotential, g: GaugeElement) -> VectorPotential:
@@ -493,38 +453,3 @@ def gradient_formula(phase: EikonalPhase, x, xi) -> np.ndarray:
     ib = ray_field_integral(phase, x, xi)
     a = phase.potential.a_total(x[None])[0]
     return np.array([-s * xi[1] * ib + a[0], s * xi[0] * ib + a[1]])
-
-
-def phase_decomposition(phase: EikonalPhase, x, xi) -> float:
-    """Three-term split of the phase for globally smooth potentials.
-
-        Phi_s = -s*(x cross xi) * int_0^inf int_0^1 B(tau*x + s*t*xi) dtau dt
-                + int_0^1 x . A(tau*x) dtau
-                - s * int_0^inf A(s*t*xi) . xi dt
-
-    The split moves integration paths through the origin, so it requires the
-    smooth family (alpha = 0); the singular flux part breaks the boundary
-    terms the rearrangement relies on.
-    """
-    s = phase.sign
-    x, xi = _ray_args(x, xi)
-    _check_region(s, x, xi)
-    pot = phase.potential
-    if pot.alpha != 0.0:
-        raise DomainError("decomposition identity requires a smooth potential (alpha = 0)")
-    reach = float(np.hypot(*x))     # term1's nested rule grows with |x| / width
-    if any(reach > _DECOMPOSITION_REACH * b.width for b in pot.bumps):
-        raise DomainError(f"x is too far out for the decomposition: |x| = {reach:.6g} exceeds "
-                          f"{_DECOMPOSITION_REACH:g} widths of a bump")
-    aprime, origin = _aprime_parts(pot), np.zeros(2)
-
-    def b_segments(b):
-        # int_0^1 B_b(y + tau*x) dtau for each outer point y = s*t*xi
-        return lambda y: _segment_integrals([(b, b.curl)], y, x, 0.0, 1.0)
-
-    cross = float(x[0] * xi[1] - x[1] * xi[0])
-    term1 = -s * cross * _segment_integrals([(b, b_segments(b)) for b in pot.bumps], origin,
-                                            s * xi, lo=0.0, spread=reach)[0]
-    term2 = _segment_integrals(aprime, origin, x, 0.0, 1.0)[0]
-    term3 = -_segment_integrals(aprime, origin, s * xi, lo=0.0)[0]
-    return float(term1 + term2 + term3)

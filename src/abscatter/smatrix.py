@@ -22,7 +22,10 @@ the spectrum both use these weights; the spectrum takes its mode phases from one
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,8 +79,18 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.tile(row[::-1], 2), len(row))[-2::-1]
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; DomainError naming `name` for a bool or any value that is not an
+    integer (int() would truncate 2.5 to 2)."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _gauge_phase(n: int, winding: int) -> np.ndarray:
     """(-1)^w e^{i w (theta_j - theta_k)}, a read-only circulant grid: +-_roots(n)[w(j-k) mod n]."""
+    winding = _integer(winding, "winding")
     u = _roots(n)[winding % n * np.arange(n) % n]
     return _circulant(-u if winding % 2 else u)
 
@@ -118,7 +131,8 @@ class KernelGrid:
 
     values[j, k] holds the regular part at (theta_j, theta_k); diagonal
     entries are stored as 0 and are not data (the kernel is distributional
-    there).  delta_coeff carries the delta part exactly.  values may be a
+    there).  delta_coeff carries the delta part exactly.  Both must be finite: a
+    NaN or infinite entry is refused, naming the first.  values may be a
     read-only view: sample_kernel's is a view of its 2n-value row, exact as
     the flux kernel is circulant.  No kernel operation writes into its input;
     a caller that edits entries takes np.array(grid.values).
@@ -133,6 +147,15 @@ class KernelGrid:
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (self.n, self.n):
             raise DomainError(f"values must be ({self.n}, {self.n})")
+        if not cmath.isfinite(self.delta_coeff):
+            raise DomainError(f"delta_coeff must be finite, got {self.delta_coeff}")
+        with np.errstate(all="ignore"):     # the sum is finite if every entry is
+            total = self.values.sum()
+        bad = () if cmath.isfinite(total) else np.argwhere(~np.isfinite(self.values))
+        if len(bad):
+            j, k = bad[0].tolist()
+            raise DomainError(f"kernel values must be finite, got {self.values[j, k]} "
+                              f"at entry ({j}, {k})")
 
     @property
     def theta(self) -> np.ndarray:
@@ -172,7 +195,7 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
     size cannot be allocated is still refused first, as the kernel operations
     form dense grids.
     """
-    if n < 64:
+    if _integer(n, "grid size n") < 64:
         raise DomainError("grid size must be >= 64")
     if not math.isfinite(alpha):
         raise DomainError(f"flux must be finite, got {alpha}")
@@ -257,8 +280,8 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
 
     amplitude(theta, omega) is the smooth kernel F, called once on the open
     grids theta[:, None], omega[None, :]; an amplitude that fails there with
-    TypeError or ValueError, or whose result does not broadcast to n x n, is
-    refused with DomainError.  The composition is
+    TypeError or ValueError, or whose result does not broadcast to n x n or is
+    not finite, is refused with DomainError.  The composition is
         S(theta, omega) = s(theta - omega)
                           - 2*pi*i * [ delta_coeff * F(theta, omega)
                                        + p.v. int s_reg(theta - t) F(t, omega) dt ].
@@ -270,8 +293,11 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
     theta, omega = grid.theta[:, None], grid.theta[None, :]
     try:
         fmat = np.broadcast_to(np.asarray(amplitude(theta, omega), dtype=complex), (n, n))
+        if not np.isfinite(fmat).all():
+            raise ValueError("it holds NaN or infinite values")
     except (TypeError, ValueError) as exc:     # ValueError: the result does not broadcast
-        raise DomainError(f"amplitude must broadcast to {n} x {n} on open grids: {exc}") from exc
+        raise DomainError(f"amplitude must be finite and broadcast to {n} x {n} on open grids: "
+                          f"{exc}") from exc
     fmat = np.ascontiguousarray(fmat)
 
     new_vals = np.empty((n, n), dtype=complex)
@@ -315,7 +341,6 @@ def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
     For the flux-alpha kernel this lands exactly on the flux-(alpha+n) kernel;
     the alpha hint shifts by n, or becomes None where that is not a finite float.
     """
-    winding = int(winding)
     phase = _gauge_phase(grid.n, winding)
     new_vals = grid.values * phase
     np.fill_diagonal(new_vals, 0.0)
@@ -334,6 +359,8 @@ def perturb_kernel(grid: KernelGrid, size: float, seed: int) -> KernelGrid:
     sup-norm size; the diagonal stays zero and the delta part is kept."""
     if not 0.0 <= size < math.inf:
         raise DomainError(f"perturbation size must be finite and >= 0, got {size}")
+    if _integer(seed, "seed") < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     terms = [(*rng.integers(-3, 4, size=2), rng.normal() + 1j * rng.normal()) for _ in range(3)]
     roots, j = _roots(grid.n), np.arange(grid.n)

@@ -217,6 +217,8 @@ def test_exit_code_numeric_domain_error(tmp_path):
     pytest.param(["gauge-check", "--kernel1", "missing.csv", "--kernel2", "missing.csv",
                   "--n-range", "-1"], "--n-range", id="gauge-check-n-range--1"),
     pytest.param(["wave", "--alpha", "0.5", "--grid", "1"], "--grid", id="wave-grid-1"),
+    pytest.param(["kernel", "--alpha", "0.3", "--n", "64", "--perturb", "0.1", "--seed", "-1"],
+                 "--seed", id="kernel-seed--1"),
 ])
 def test_argument_below_its_floor_exits_two_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from abscatter.errors import DomainError, FluxConvergenceWarning, SamplingError
+from abscatter.errors import DomainError, FluxConvergenceWarning, SchemaError
 from abscatter.gaugefield import (
     EikonalPhase,
     GaugeElement,
@@ -17,12 +17,10 @@ from abscatter.gaugefield import (
     gauge_transform,
     gradient_formula,
     load_potential_json,
-    phase_decomposition,
     phase_gradient,
     phase_gradient_check,
     ray_field_integral,
     save_potential_json,
-    winding_number,
 )
 
 
@@ -36,6 +34,47 @@ def random_region_point(rng, sign):
             continue
         if sign * float(x @ xi) / (nx * nxi) >= -0.8:
             return x, xi
+
+
+def winding_of(g, radius, samples=2**14):
+    """Phase increment of g around |x| = radius over 2 pi, from np.unwrap on dense
+    samples; the samples must be close enough that no step turns by pi / 2."""
+    th = np.linspace(0.0, 2.0 * math.pi, samples + 1)
+    vals = g(radius * np.stack([np.cos(th), np.sin(th)], axis=1))
+    assert np.max(np.abs(np.abs(vals) - 1.0)) <= 1e-12
+    phase = np.unwrap(np.angle(vals))
+    assert np.max(np.abs(np.diff(phase))) < 0.5 * math.pi
+    turns = (phase[-1] - phase[0]) / (2.0 * math.pi)
+    assert abs(turns - round(turns)) <= 1e-9
+    return round(turns)
+
+
+def decomposition_terms(pot, sign, x, xi):
+    """The three terms of the split of the eikonal phase of A' (alpha = 0 makes A' all of A),
+        -s (x cross xi) int_0^inf int_0^1 B(tau x + s t xi) dtau dt,
+        int_0^1 x . A'(tau x) dtau  and  -s int_0^inf A'(s t xi) . xi dt,
+    by scipy.integrate; the rays stop at t = T, where s t xi is 12 widths past every
+    component's center and past x (the Gaussian fields are below 1e-31 there)."""
+    from scipy import integrate
+    x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+    comps = (*pot.bumps, *pot.grad_l.components)
+    t_max = (max(math.hypot(*c.center) + 12.0 * c.width for c in comps)
+             + math.hypot(*x)) / math.hypot(*xi)
+
+    def b(y):
+        return float(pot.b_field(y[None])[0])
+
+    def a(y):
+        return pot.aprime(y[None])[0]
+
+    tol = {"epsabs": 1e-10, "epsrel": 1e-10}
+    cross = float(x[0] * xi[1] - x[1] * xi[0])
+    inner = integrate.dblquad(lambda tau, t: b(tau * x + sign * t * xi), 0.0, t_max, 0.0, 1.0,
+                              **tol)[0]
+    return (-sign * cross * inner,
+            integrate.quad(lambda tau: float(x @ a(tau * x)), 0.0, 1.0, **tol)[0],
+            -sign * integrate.quad(lambda t: float(a(sign * t * xi) @ xi), 0.0, t_max,
+                                   limit=200, **tol)[0])
 
 
 class TestFlux:
@@ -92,37 +131,22 @@ class TestFlux:
 
 class TestWinding:
     def test_plain_windings(self):
-        assert winding_number(GaugeElement(winding=3), 5.0) == 3
-        assert winding_number(GaugeElement(winding=0), 5.0) == 0
+        assert winding_of(GaugeElement(winding=3), 5.0) == 3
+        assert winding_of(GaugeElement(winding=0), 5.0) == 0
 
     def test_contractible_phase(self):
         g = GaugeElement(winding=0,
                          l_field=ScalarMixture((GaussianScalar((1.0, 1.0), 1.2, 0.8),)))
-        assert winding_number(g, 5.0) == 0
+        assert winding_of(g, 5.0) == 0
 
     def test_mixed_gauge(self):
         g = GaugeElement(winding=-2,
                          l_field=ScalarMixture((GaussianScalar((0.5, 0.0), 0.7, 1.0),)))
-        assert winding_number(g, 6.0) == -2
+        assert winding_of(g, 6.0) == -2
 
-    def test_adaptive_refinement(self):
-        # 600 turns force refinement well past the initial 1024 samples
-        g = GaugeElement(winding=600)
-        assert winding_number(g, 3.0) == 600
-
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_bad_radius(self, radius):
-        with pytest.raises(DomainError, match="radius"):
-            winding_number(GaugeElement(winding=1), radius)
-
-    def test_refinement_cap(self):
-        # bits 17, 15, 13, 11 and 9 keep frac(W/n) in [1/4, 3/4] for n = 1024..2^18,
-        # so every sampling through the eight doublings sees jumps >= pi/2
-        w = 2**17 + 2**15 + 2**13 + 2**11 + 2**9
-        with pytest.raises(SamplingError, match="refinement cap"):
-            winding_number(GaugeElement(winding=w), 3.0)
-        # without bit 17 the jumps first fall below pi/2 at the eighth doubling
-        assert winding_number(GaugeElement(winding=w - 2**17), 3.0) == w - 2**17
+    def test_six_hundred_turns(self):
+        # 600 turns in 2**14 samples: each step turns by 0.23
+        assert winding_of(GaugeElement(winding=600), 3.0) == 600
 
 
 class TestGaugeTransform:
@@ -218,20 +242,26 @@ class TestEikonal:
                 assert float(np.max(np.abs(lhs - rhs))) <= 1e-6
 
     def test_decomposition_for_smooth_potentials(self, smooth_potential, rng):
-        ph = EikonalPhase(sign=1, potential=smooth_potential)
-        checked = 0
-        while checked < 10:
-            x, xi = random_region_point(rng, 1)
-            if float(x @ xi) / (np.hypot(*x) * np.hypot(*xi)) < 0.5:
-                continue
-            d = abs(eikonal_phase(ph, x, xi) - phase_decomposition(ph, x, xi))
-            assert d <= 1e-6
-            checked += 1
+        for sign in (1, -1):
+            ph = EikonalPhase(sign=sign, potential=smooth_potential)
+            for _ in range(4):
+                x, xi = random_region_point(rng, sign)
+                split = sum(decomposition_terms(smooth_potential, sign, x, xi))
+                assert abs(eikonal_phase(ph, x, xi) - split) <= 1e-8
 
     def test_decomposition_requires_smoothness(self, generic_potential):
-        ph = EikonalPhase(sign=1, potential=generic_potential)
-        with pytest.raises(DomainError):
-            phase_decomposition(ph, (2.0, 0.0), (1.0, 0.5))
+        # the split moves paths through the origin; with flux 0.8 there, the smooth
+        # terms miss the flux part's phase -s alpha (x cross xi) atan2(|x cross xi|,
+        # s x . xi) / |x cross xi|, which is not small
+        x, xi = np.array([2.0, 0.0]), np.array([1.0, 0.5])
+        for sign in (1, -1):
+            phase = eikonal_phase(EikonalPhase(sign=sign, potential=generic_potential), x, xi)
+            split = sum(decomposition_terms(generic_potential, sign, x, xi))
+            cross = float(x[0] * xi[1] - x[1] * xi[0])
+            flux_part = -sign * 0.8 * cross * math.atan2(abs(cross), sign * float(x @ xi)) \
+                / abs(cross)
+            assert abs(flux_part) >= 0.3
+            assert abs(phase - split - flux_part) <= 1e-8
 
     @pytest.fixture
     def wide_potential(self):
@@ -280,7 +310,7 @@ class TestEikonal:
 
     @pytest.mark.parametrize("x, xi, match", BAD_RAYS)
     @pytest.mark.parametrize("fn", [eikonal_phase, phase_gradient, phase_gradient_check,
-                                    ray_field_integral, gradient_formula, phase_decomposition])
+                                    ray_field_integral, gradient_formula])
     def test_bad_ray_arguments(self, fn, x, xi, match, smooth_potential):
         with pytest.raises(DomainError, match=match):
             fn(EikonalPhase(sign=1, potential=smooth_potential), x, xi)
@@ -301,6 +331,21 @@ def test_potential_json_round_trip(tmp_path, generic_potential):
     path2 = tmp_path / "pot2.json"
     save_potential_json(back, path2)
     assert path.read_text() == path2.read_text()
+
+
+@pytest.mark.parametrize("alpha, r0", [(math.nan, 0.0), (math.inf, 0.0), (0.3, math.nan),
+                                       (0.3, -math.inf)])
+def test_non_finite_flux_or_obstacle_radius_is_refused(alpha, r0):
+    # a NaN flux would later be blamed on the point: "too close to the flux line"
+    with pytest.raises(DomainError, match="alpha and R0 must be finite"):
+        VectorPotential(alpha=alpha, obstacle_radius=r0)
+    with pytest.raises(SchemaError, match="alpha and R0 must be finite"):
+        VectorPotential.from_config({"alpha": alpha, "R0": r0})
+
+
+def test_gauge_transform_past_the_float_range_is_refused():
+    with pytest.raises(DomainError, match="alpha and R0 must be finite, got inf"):
+        gauge_transform(VectorPotential(alpha=1.7e308), GaugeElement(winding=10**308))
 
 
 def test_potential_schema_errors(tmp_path):

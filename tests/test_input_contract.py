@@ -32,7 +32,6 @@ from abscatter.gaugefield import (
     VectorPotential,
     eikonal_phase,
     gradient_formula,
-    phase_decomposition,
     phase_gradient,
     phase_gradient_check,
     ray_field_integral,
@@ -43,7 +42,6 @@ BUMP = GaussianBump(center=(1.5, -0.5), strength=1.0, width=0.9)
 SCALAR = GaussianScalar(center=(0.0, 1.0), strength=0.6, width=1.1)
 MIXTURE = ScalarMixture((SCALAR,))
 POT = VectorPotential(alpha=0.8, bumps=(BUMP,), grad_l=MIXTURE, v=MIXTURE)
-SMOOTH = VectorPotential(alpha=0.0, bumps=(BUMP,), grad_l=MIXTURE)   # for the decomposition
 
 # one coordinate in two is ordinary; the rest are the edge values every check must meet
 coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
@@ -99,7 +97,6 @@ RAY_FUNCTIONS = {
     "phase_gradient_check": (phase_gradient_check, POT, ()),
     "ray_field_integral": (ray_field_integral, POT, ()),
     "gradient_formula": (gradient_formula, POT, (2,)),
-    "phase_decomposition": (phase_decomposition, SMOOTH, ()),
 }
 
 

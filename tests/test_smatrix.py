@@ -135,6 +135,28 @@ class TestKernelGrid:
         with pytest.raises(DomainError):
             sample_kernel(0.5, 32)
 
+    @pytest.mark.parametrize("n", [64.5, 64.0, "64", None])
+    def test_grid_size_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match=f"grid size n must be an integer, got {n!r}"):
+            sample_kernel(0.5, n)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_entry_is_named(self, entry):
+        vals = np.array(sample_kernel(0.3, 64).values)
+        vals[9, 2] = vals[5, 7] = entry     # the first in row-major order is named
+        with pytest.raises(DomainError, match=r"kernel values must be finite, .* \(5, 7\)"):
+            KernelGrid(n=64, values=vals, delta_coeff=1.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, complex(math.inf, 0.0)])
+    def test_non_finite_delta_is_refused(self, delta):
+        with pytest.raises(DomainError, match="delta_coeff must be finite"):
+            KernelGrid(n=64, values=sample_kernel(0.3, 64).values, delta_coeff=delta)
+
+    def test_entries_whose_sum_overflows_are_accepted(self):
+        # every entry is finite; only their sum leaves the floats
+        vals = np.full((64, 64), complex(1e308, -1e308))
+        assert KernelGrid(n=64, values=vals, delta_coeff=1.0).values[3, 4] == vals[3, 4]
+
     @pytest.mark.parametrize("n", [10**8, 10**10])
     def test_grid_too_large_to_hold(self, n):
         # 1.5e8 GiB, or more than the index type counts: the grid allocation
@@ -261,6 +283,14 @@ class TestCompose:
         with pytest.raises(DomainError, match="broadcast to 300 x 300"):
             compose_with_amplitude(sample_kernel(0.37, 300), amplitude)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitude_is_named(self, bad):
+        # one bad value would spread through the product to a whole column
+        def amplitude(t, w):
+            return np.where((t > 1.0) & (w < 0.5), bad, 0.01 * np.cos(t - w))
+        with pytest.raises(DomainError, match="amplitude must be finite"):
+            compose_with_amplitude(sample_kernel(0.37, 128), amplitude)
+
 
 def unblocked_composition(grid, fmat):
     """compose_with_amplitude's formula as one product with the full weight matrix."""
@@ -273,6 +303,13 @@ def unblocked_composition(grid, fmat):
 
 
 class TestPerturb:
+    @pytest.mark.parametrize("seed, says", [(-1, "seed must be >= 0, got -1"),
+                                            (2.5, "seed must be an integer, got 2.5"),
+                                            (True, "seed must be an integer, got True")])
+    def test_seed_must_be_a_non_negative_integer(self, seed, says):
+        with pytest.raises(DomainError, match=says):
+            perturb_kernel(sample_kernel(0.3, 64), 0.1, seed)
+
     def test_memory_peak(self, alloc_peak):
         # the noise is summed in row blocks into the result (1.50 grids; 3.00
         # with a full noise grid beside the result)
@@ -322,6 +359,17 @@ class TestConjugation:
         got, want = conjugate_kernel(g, 10**400 + extra), conjugate_kernel(g, extra)
         assert np.array_equal(got.values, want.values) and got.delta_coeff == want.delta_coeff
         assert got.alpha_hint is None and want.alpha_hint == 0.3 + extra
+
+    @pytest.mark.parametrize("winding", [2.5, 2.0, True, "2", None])
+    def test_winding_must_be_an_integer(self, winding):
+        # int() would truncate 2.5 to 2, and True counts as 1
+        g = sample_kernel(0.5, 64)
+        for call in (lambda: conjugate_kernel(g, winding),
+                     lambda: strip_integral(g, StripDomain(0.5, 2.5, 0.5), winding=winding)):
+            with pytest.raises(DomainError, match=f"winding must be an integer, got {winding!r}"):
+                call()
+        assert np.array_equal(conjugate_kernel(g, np.int64(2)).values,
+                              conjugate_kernel(g, 2).values)
 
     def test_hint_past_the_float_range_is_none(self):
         g = KernelGrid(n=64, values=sample_kernel(0.3, 64).values, delta_coeff=1.0,
