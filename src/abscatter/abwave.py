@@ -92,10 +92,11 @@ class ABWaveSpec:
     sign: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise DomainError(f"flux must be finite, got {self.alpha}")
-        if not 0.0 < self.lam < math.inf:
-            raise DomainError(f"energy must be positive and finite, got {self.lam}")
+        object.__setattr__(self, "alpha", errors.real(self.alpha, "flux alpha"))
+        object.__setattr__(self, "lam", errors.real(self.lam, "energy lam"))
+        object.__setattr__(self, "sign", errors.integer(self.sign, "sign"))
+        if self.lam <= 0.0:
+            raise DomainError(f"energy lam must be positive, got {self.lam}")
         _unit(self.omega, "omega")
         if self.sign not in (-1, 1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
@@ -111,15 +112,11 @@ def azimuth(x, omega) -> float:
     return a % (2.0 * math.pi)
 
 
-def _azimuth_grid(points: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    a = np.arctan2(points[:, 1], points[:, 0]) - math.atan2(omega[1], omega[0])
-    return np.mod(a, 2.0 * math.pi)
-
-
 def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> np.ndarray:
     """ab_wave_window on one batch of points."""
-    omega_eff = spec.sign * np.asarray(spec.omega, dtype=float)
-    gam = _azimuth_grid(points, omega_eff)
+    omega = spec.sign * np.asarray(spec.omega, dtype=float)   # gamma(x; s*omega), in [0, 2*pi)
+    gam = np.mod(np.arctan2(points[:, 1], points[:, 0]) - math.atan2(omega[1], omega[0]),
+                 2.0 * math.pi)
     # one ladder column per distinct argument, gathered back per point
     z, at = np.unique(math.sqrt(spec.lam) * np.hypot(*points.T), return_inverse=True)
     ca = math.ceil(spec.alpha)
@@ -152,8 +149,9 @@ def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> 
 def ab_wave_window(spec: ABWaveSpec, points, l_min: int, l_max: int) -> np.ndarray:
     """Series restricted to modes l in [l_min, l_max] at an (n, 2) array of points, in
     batches of _CHUNK_POINTS points."""
+    l_min, l_max = errors.integer(l_min, "l_min"), errors.integer(l_max, "l_max")
     if l_min > l_max:
-        raise DomainError("empty mode window")
+        raise DomainError(f"empty mode window: l_min = {l_min} > l_max = {l_max}")
     points = _wave_points(spec, points)[0]
     psi = np.empty(points.shape[0], dtype=complex)
     order = np.argsort(np.hypot(points[:, 0], points[:, 1]), kind="stable")
@@ -177,14 +175,14 @@ def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:
     -Lap(psi) + 2i*A0.grad(psi) + |A0|^2 psi - lam*psi.  Points must stay off
     the origin by a few h.
     """
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"step h must be positive and finite, got {h}")
-    if h * h < np.finfo(float).tiny:    # the Laplacian divides by h^2
-        raise DomainError(f"step h = {h} is too small: its square underflows")
+    h = errors.real(h, "step h")
+    if h <= 0.0 or h * h < np.finfo(float).tiny:    # the Laplacian divides by h^2
+        raise DomainError(f"step h = {h} must be positive, and not so small that its square "
+                          f"underflows")
     points = errors.points(points)
     with np.errstate(over="ignore"):    # A0 -> 0 where |x|^2 overflows
         r2 = points[:, 0] ** 2 + points[:, 1] ** 2
-    if float(np.min(r2, initial=math.inf)) < (4.0 * h) ** 2:
+    if float(np.min(r2, initial=math.inf)) < 16.0 * h * h:     # (4h)^2, inf past the floats
         raise DomainError("points must lie 4h or more from the flux line at the origin")
     e1 = np.array([h, 0.0])
     e2 = np.array([0.0, h])

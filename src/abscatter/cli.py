@@ -28,8 +28,8 @@ import sys
 
 # numpy and the layer modules load inside the command that uses them, so
 # --version, --help and refused arguments return without importing them
-from . import __version__
-from .errors import AbScatterError, DomainError, SchemaError
+from . import __version__, errors
+from .errors import AbScatterError, SchemaError
 
 
 def _json_out(payload: dict, path: str | None) -> None:
@@ -62,11 +62,8 @@ def _cmd_wave(args) -> None:
     phi = math.radians(args.omega_deg)
     omega = (math.cos(phi), math.sin(phi))
     spec = abwave.ABWaveSpec(args.alpha, args.energy, omega, sign)
-    try:
-        axis = np.linspace(-args.extent, args.extent, args.grid)
-    except ValueError:      # --grid exceeds numpy's maximum array size
-        raise DomainError(f"a {args.grid} x {args.grid} grid is more than can be "
-                          f"allocated") from None
+    errors.allocatable((args.grid, args.grid, 2), f"a {args.grid} x {args.grid} grid")
+    axis = np.linspace(-args.extent, args.extent, args.grid)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
     # keep the flux line out of the evaluation set

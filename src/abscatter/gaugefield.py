@@ -134,8 +134,8 @@ class _Gaussian:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(errors.vector(self.center, "center").tolist()))
-        if not math.isfinite(self.strength):
-            raise DomainError(f"strength must be finite, got {self.strength}")
+        object.__setattr__(self, "strength", errors.real(self.strength, "strength"))
+        object.__setattr__(self, "width", errors.real(self.width, "width"))
         w2 = self.width * self.width
         if not (self.width > 0.0 and np.finfo(float).tiny <= w2 < math.inf):
             raise DomainError(f"width must be positive with a finite square of at least "
@@ -192,8 +192,7 @@ def _component_configs(components) -> list[dict]:
 
 
 def _components(cls, entries) -> tuple:
-    return tuple(cls(center=tuple(float(t) for t in e["center"]), strength=float(e["strength"]),
-                     width=float(e["width"]))
+    return tuple(cls(center=e["center"], strength=e["strength"], width=e["width"])
                  for e in entries)
 
 
@@ -226,9 +225,8 @@ class VectorPotential:
     obstacle_radius: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.obstacle_radius)):
-            raise DomainError(f"alpha and R0 must be finite, got {self.alpha} "
-                              f"and {self.obstacle_radius}")
+        object.__setattr__(self, "alpha", errors.real(self.alpha, "flux alpha"))
+        object.__setattr__(self, "obstacle_radius", errors.real(self.obstacle_radius, "R0"))
         # a sum of components stays below the sum of their bounds: A' sums the bumps
         # and grad(L) (so its check covers B, the bumps alone), V its own
         for name, comps in (("bumps and gradL", (*self.bumps, *self.grad_l.components)),
@@ -279,11 +277,11 @@ class VectorPotential:
             raise SchemaError(f"bad potential config: expected a JSON object, "
                               f"got {type(cfg).__name__}")
         try:
-            return cls(alpha=float(cfg["alpha"]),
+            return cls(alpha=cfg["alpha"],
                        bumps=_components(GaussianBump, cfg.get("bumps", [])),
                        grad_l=ScalarMixture(_components(GaussianScalar, cfg.get("gradL", []))),
                        v=ScalarMixture(_components(GaussianScalar, cfg.get("V", []))),
-                       obstacle_radius=float(cfg.get("R0", 0.0)))
+                       obstacle_radius=cfg.get("R0", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad potential config: {exc}") from exc
 
@@ -311,11 +309,8 @@ class GaugeElement:
     l_field: ScalarMixture = ScalarMixture()
 
     def __post_init__(self):
-        try:        # winding * theta is a float product
-            float(self.winding)
-        except OverflowError:
-            raise DomainError(f"winding of magnitude 1e{math.log10(abs(self.winding)):.0f} "
-                              f"has no float value") from None
+        object.__setattr__(self, "winding", errors.integer(self.winding, "winding"))
+        errors.real(self.winding, "winding")     # winding * theta is a float product
 
     def __call__(self, x) -> np.ndarray:
         p = errors.points(x)
@@ -334,8 +329,8 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
     The estimate is the largest-radius value; a FluxConvergenceWarning fires
     when the top two radii still differ by more than 1e-3.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or not np.all(np.isfinite(radii)) or np.any(np.diff(radii) <= 0.0):
+    radii = np.array([errors.real(r, "radius") for r in radii])
+    if radii.size == 0 or np.any(np.diff(radii) <= 0.0):
         raise DomainError("radii must be a nonempty ascending sequence of finite numbers")
     if radii[0] <= pot.obstacle_radius:
         raise DomainError("radii must exceed the obstacle radius")
@@ -376,6 +371,7 @@ class EikonalPhase:
     potential: VectorPotential
 
     def __post_init__(self):
+        object.__setattr__(self, "sign", errors.integer(self.sign, "sign"))
         if self.sign not in (-1, 1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign!r}")
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import errors
 from .errors import DataInconsistencyError, DomainError, IntegerFluxError, TooSingularError
 from .smatrix import (
     KernelGrid,
@@ -198,8 +199,7 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
     """
     if s1.n != s2.n:
         raise DomainError("kernel grids must have equal size")
-    if n_range < 0:
-        raise DomainError("n_range must be >= 0")
+    n_range = errors.integer(n_range, "n_range", 0)
     period = s1.n if s1.n % 2 == 0 else 2 * s1.n
     if 2 * n_range >= period:
         raise DomainError(f"n_range {n_range} reaches half the winding period {period} on "

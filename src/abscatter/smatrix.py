@@ -23,14 +23,13 @@ the spectrum both use these weights; the spectrum takes its mode phases from one
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import errors
 from .errors import DomainError, ResolutionError
 from .io import grid_columns, read_table, write_table
 
@@ -79,18 +78,9 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.tile(row[::-1], 2), len(row))[-2::-1]
 
 
-def _integer(value, name: str) -> int:
-    """value as an int; DomainError naming `name` for a bool or any value that is not an
-    integer (int() would truncate 2.5 to 2)."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _gauge_phase(n: int, winding: int) -> np.ndarray:
     """(-1)^w e^{i w (theta_j - theta_k)}, a read-only circulant grid: +-_roots(n)[w(j-k) mod n]."""
-    winding = _integer(winding, "winding")
+    winding = errors.integer(winding, "winding")
     u = _roots(n)[winding % n * np.arange(n) % n]
     return _circulant(-u if winding % 2 else u)
 
@@ -104,7 +94,7 @@ class PartialWaveSMatrix:
     eigenvalues: np.ndarray
 
     def eigenvalue(self, m: int) -> complex:
-        if abs(m) > self.m_max:
+        if abs(m := errors.integer(m, "mode m")) > self.m_max:
             raise DomainError(f"mode {m} outside [-{self.m_max}, {self.m_max}]")
         return complex(self.eigenvalues[m + self.m_max])
 
@@ -115,14 +105,13 @@ class PartialWaveSMatrix:
 
 def build_partial_wave(alpha: float, m_max: int) -> PartialWaveSMatrix:
     """Exact eigenvalues: exp(i*pi*alpha) for m >= alpha, exp(-i*pi*alpha) below."""
-    if m_max < 1:
-        raise DomainError("m_max must be >= 1")
-    if not math.isfinite(alpha):
-        raise DomainError(f"flux must be finite, got {alpha}")
+    m_max, alpha = errors.integer(m_max, "m_max", 1), errors.real(alpha, "flux alpha")
+    phase = errors.real(math.pi * alpha, "the phase pi * flux alpha")
+    errors.allocatable(2 * m_max + 1, f"a window of 2 m_max + 1 = {2 * m_max + 1} modes")
     m = np.arange(-m_max, m_max + 1)
-    up = np.exp(1j * math.pi * alpha)
+    up = np.exp(1j * phase)
     eig = np.where(m >= alpha, up, np.conj(up))
-    return PartialWaveSMatrix(alpha=float(alpha), m_max=int(m_max), eigenvalues=eig)
+    return PartialWaveSMatrix(alpha=alpha, m_max=m_max, eigenvalues=eig)
 
 
 @dataclass
@@ -195,24 +184,15 @@ def sample_kernel(alpha: float, n: int) -> KernelGrid:
     size cannot be allocated is still refused first, as the kernel operations
     form dense grids.
     """
-    if _integer(n, "grid size n") < 64:
-        raise DomainError("grid size must be >= 64")
-    if not math.isfinite(alpha):
-        raise DomainError(f"flux must be finite, got {alpha}")
-    # the dense size first, so a grid whose operations could not be held fails before any
-    # other work; the probe is never written, so it takes no resident memory
-    try:
-        np.empty((n, n), dtype=complex)
-    except (MemoryError, ValueError):   # ValueError: n * n overflows the index type
-        raise DomainError(f"a {n} x {n} kernel grid needs {16 * n * n / 2**30:.3g} GiB, "
-                          f"more than can be allocated") from None
+    n, alpha = errors.integer(n, "grid size n", 64), errors.real(alpha, "flux alpha")
+    errors.allocatable((n, n), f"a {n} x {n} kernel grid of {16 * n * n >> 30} GiB", complex)
     # the regular part at tau = theta_j, j = 1 .. n-1; alpha mod 2 is exact and odd in alpha
     turns, roots = math.remainder(alpha, 2.0), _roots(n)
     rvals = np.zeros(n, dtype=complex)
     rvals[1:] = (1j * math.sin(math.pi * turns) / math.pi) \
         * roots[math.ceil(alpha) % n * np.arange(1, n) % n] / (1.0 - roots[1:])
     return KernelGrid(n=n, values=_circulant(rvals), delta_coeff=complex(math.cos(math.pi * turns)),
-                      alpha_hint=float(alpha))
+                      alpha_hint=alpha)
 
 
 def strip_integral(grid: KernelGrid, strip: StripDomain, winding: int = 0) -> complex:
@@ -329,7 +309,7 @@ def _spectrum(grid: KernelGrid) -> np.ndarray:
 
 def extract_mode(grid: KernelGrid, m: int) -> complex:
     """Eigenvalue on the angular mode exp(i*m*theta) by grid quadrature."""
-    return complex(_spectrum(grid)[m % grid.n])
+    return complex(_spectrum(grid)[errors.integer(m, "mode m") % grid.n])
 
 
 def conjugate_kernel(grid: KernelGrid, winding: int) -> KernelGrid:
@@ -357,10 +337,9 @@ def perturb_kernel(grid: KernelGrid, size: float, seed: int) -> KernelGrid:
     """The kernel plus three smooth terms c e^{i(a theta + b theta')} (`kernel --perturb`):
     a, b in [-3, 3] and complex normal c from default_rng(seed), scaled together to
     sup-norm size; the diagonal stays zero and the delta part is kept."""
-    if not 0.0 <= size < math.inf:
-        raise DomainError(f"perturbation size must be finite and >= 0, got {size}")
-    if _integer(seed, "seed") < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    size, seed = errors.real(size, "perturbation size"), errors.integer(seed, "seed", 0)
+    if size < 0.0:
+        raise DomainError(f"perturbation size must be >= 0, got {size}")
     rng = np.random.default_rng(seed)
     terms = [(*rng.integers(-3, 4, size=2), rng.normal() + 1j * rng.normal()) for _ in range(3)]
     roots, j = _roots(grid.n), np.arange(grid.n)

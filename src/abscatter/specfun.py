@@ -20,12 +20,16 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from . import errors
 
 __all__ = ["bessel_j_ladder"]
 
 # Largest argument accepted; accuracy is declared for x <= 500.
 X_MAX = 1.0e4
+
+# Largest top order mu + count - 1 of a ladder: past about 1.25 * X_MAX, J_nu(x) underflows
+# to 0 for every accepted x, and the waves need orders up to about X_MAX + 228 + 2|alpha|.
+ORDER_MAX = 2.0 * X_MAX
 
 # Below this argument the recurrence's per-step growth 2(mu+k)/x could pass the
 # headroom above its rescale threshold; the leading term of the power series,
@@ -41,7 +45,7 @@ def _miller_ladder(mu: float, skip: int, count: int, x: np.ndarray) -> np.ndarra
     contamination by the dominant solution is below 1e-15.
     """
     n = x.size
-    xmin, xmax = float(np.min(x)), float(np.max(x))
+    xmin, xmax = float(np.min(x, initial=math.inf)), float(np.max(x, initial=0.0))
     top = skip + count - 1
     k_start = int(math.ceil(max(top, xmax) + 15.0 * xmax ** (1.0 / 3.0))) + 20
     if k_start % 2 == 1:
@@ -86,44 +90,31 @@ def _miller_ladder(mu: float, skip: int, count: int, x: np.ndarray) -> np.ndarra
     return out
 
 
-def _magnitude(k: int) -> str:
-    """k in full below 1e9, else to three digits (k may exceed the float range)."""
-    if k < 10**9:
-        return str(k)
-    d = len(str(k)) - 1
-    return f"{k / 10**d:.2f}e{d}"
-
-
 def bessel_j_ladder(mu: float, count: int, x) -> np.ndarray:
     """J_{mu+k}(x) for k = 0..count-1, vectorized over x.
 
     Returns shape (count,) for scalar x, else (count, len(x)).  One backward
     recurrence per argument batch, normalized at the fractional order
     mu - floor(mu) (no Gamma(mu + 1) overflow), costs about one order.
-    Absolute error <= 1e-10 for orders in [0, 200] and x in [0, 500].
+    Absolute error <= 1e-10 for orders in [0, 200] and x in [0, 500].  Orders
+    past ORDER_MAX are refused.
     """
-    if not 0.0 <= mu < math.inf:
-        raise DomainError(f"base order must be finite and >= 0, got {mu}")
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    mu, count = errors.real(mu, "base order mu"), errors.integer(count, "count", 1)
+    if mu < 0.0 or count - 1 > ORDER_MAX - mu:     # exact for any int count
+        raise errors.DomainError(f"the orders mu .. mu + count - 1 (count = {count}) must lie in "
+                                 f"[0, {ORDER_MAX:g}]: J_nu underflows past it at x <= {X_MAX:g}")
     scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((xa >= 0.0) & (xa <= X_MAX)):
-        raise DomainError(f"arguments must lie in [0, {X_MAX:g}]")
+        raise errors.DomainError(f"arguments must lie in [0, {X_MAX:g}]")
     tiny = xa < _TINY_X
-    try:
-        # tiny arguments ride along at max(x_max, 1); their columns are then
-        # overwritten by the leading term x^nu * 2^-nu / Gamma(nu + 1) (x/2
-        # would lose bits to underflow at subnormal x)
-        k0 = math.floor(mu)
-        out = _miller_ladder(mu - k0, k0, count, np.where(tiny, max(np.max(xa), 1.0), xa))
-        if tiny.any():
-            nu = mu + np.arange(count)
-            scale = np.exp2(-nu) * np.exp([-math.lgamma(v + 1.0) for v in nu])
-            out[:, tiny] = np.power(xa[tiny], nu[:, None]) * scale[:, None]
-    except (MemoryError, ValueError, OverflowError) as exc:
-        # ValueError/OverflowError: the shape overflows numpy's index type
-        gib = 8 * (count * xa.size + (math.floor(mu) + count) // 2) >> 30
-        raise DomainError(f"a ladder of {_magnitude(count)} orders at {xa.size} arguments "
-                          f"needs {_magnitude(gib)} GiB and cannot be allocated") from exc
+    # tiny arguments ride along at max(x_max, 1); their columns are then
+    # overwritten by the leading term x^nu * 2^-nu / Gamma(nu + 1) (x/2
+    # would lose bits to underflow at subnormal x)
+    k0 = math.floor(mu)
+    out = _miller_ladder(mu - k0, k0, count, np.where(tiny, np.max(xa, initial=1.0), xa))
+    if tiny.any():
+        nu = mu + np.arange(count)
+        scale = np.exp2(-nu) * np.exp([-math.lgamma(v + 1.0) for v in nu])
+        out[:, tiny] = np.power(xa[tiny], nu[:, None]) * scale[:, None]
     return out[:, 0] if scalar else out

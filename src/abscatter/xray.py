@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import (
     DataInconsistencyError,
     DomainError,
@@ -103,7 +104,13 @@ def line_integrals(pot: VectorPotential, offsets, angles, quantity: str) -> np.n
 
 
 def sinogram_axes(n_p: int, n_phi: int, p_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical sinogram grids: n_p offsets across [-p_max, p_max], n_phi angles k*pi/n_phi."""
+    """Canonical sinogram grids: n_p offsets across [-p_max, p_max], n_phi angles k*pi/n_phi,
+    for an n_p x n_phi sinogram that can be allocated and a p_max > 0 with 2 p_max finite."""
+    n_p, n_phi = errors.integer(n_p, "n_p", 1), errors.integer(n_phi, "n_phi", 1)
+    p_max = errors.real(p_max, "p_max")
+    if not 0.0 < 2.0 * p_max < math.inf:
+        raise DomainError(f"p_max must be positive with 2 p_max finite, got {p_max}")
+    errors.allocatable((n_p, n_phi), f"a {n_p} x {n_phi} sinogram")
     return np.linspace(-p_max, p_max, n_p), np.arange(n_phi) * math.pi / n_phi
 
 
@@ -113,11 +120,8 @@ def radon_forward(pot: VectorPotential, n_p: int, n_phi: int, p_max: float) -> S
     Uses the per-component Gauss-Legendre rules of line_integrals, on each
     component's own window, whatever p_max is.
     """
-    if n_p < 64 or n_phi < 64:
-        raise DomainError("sinogram grid sizes must be >= 64")
-    if not (math.isfinite(p_max) and p_max > 0.0):
-        raise DomainError(f"p_max must be finite and positive, got {p_max}")
-    offsets, angles = sinogram_axes(n_p, n_phi, p_max)
+    offsets, angles = sinogram_axes(errors.integer(n_p, "n_p", 64),
+                                    errors.integer(n_phi, "n_phi", 64), p_max)
     return Sinogram(offsets=offsets, angles=angles,
                     values=line_integrals(pot, offsets, angles, "V"))
 
@@ -144,17 +148,15 @@ def radon_invert(sino: Sinogram, grid_n: int) -> np.ndarray:
     reconstruction_axes.  Accuracy contract: for phantoms well inside p_max,
     relative L2 error a few percent at 128 offsets x 180 angles.
     """
-    offsets = sino.offsets
+    offsets, grid_n = sino.offsets, errors.integer(grid_n, "grid_n")
     n_p = offsets.size
     if grid_n < 1 or n_p < 2:
         raise DomainError(f"FBP needs grid_n >= 1 and at least 2 offsets, got {grid_n} and {n_p}")
     # the image grids first, so a size that cannot be held fails before any other work
-    try:
-        axes = reconstruction_axes(sino, grid_n)
-        xx, yy = np.meshgrid(axes, axes, indexing="ij")
-        image = np.zeros((grid_n, grid_n))
-    except (MemoryError, ValueError):   # ValueError: grid_n exceeds numpy's maximum size
-        raise DomainError(f"a {grid_n} x {grid_n} image is more than can be allocated") from None
+    errors.allocatable((3, grid_n, grid_n), f"a {grid_n} x {grid_n} image")
+    axes = reconstruction_axes(sino, grid_n)
+    xx, yy = np.meshgrid(axes, axes, indexing="ij")
+    image = np.zeros((grid_n, grid_n))
     dp = offsets[1] - offsets[0]
     if np.max(np.abs(np.diff(offsets) - dp)) > 1e-9 * abs(dp):
         raise DomainError("FBP requires a uniform offset grid")

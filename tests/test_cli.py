@@ -554,7 +554,7 @@ def test_bad_wave_geometry_exits_two_naming_the_flag(tmp_path, capsys, flag, val
 
 # near the float maximum the phase first * gam of the short ladder would
 # overflow (a RuntimeWarning, an error under this suite's settings); the long
-# ladder is tried first and fails to allocate
+# ladder is tried first and passes the ladder's top order
 @pytest.mark.parametrize("alpha", ["1e18", "1e300", "1.7e308", "-1.7e308"])
 def test_wave_ladder_too_large_exits_three_at_once(tmp_path, capsys, alpha):
     out = tmp_path / "w.csv"
@@ -562,7 +562,7 @@ def test_wave_ladder_too_large_exits_three_at_once(tmp_path, capsys, alpha):
     assert main(["wave", f"--alpha={alpha}", "--grid", "11", "--out", str(out)]) == 3
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "orders" in err and "GiB" in err
+    assert err.count("\n") == 1 and "must lie in [0, 20000]" in err
     assert not out.exists()
 
 
@@ -575,6 +575,25 @@ def test_kernel_grid_too_large_exits_three_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "100000000 x 100000000" in err and "GiB" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["radon", "--config", "{cfg}", "--n-p", str(10**30), "--n-phi", "64"],
+     f"a {10**30} x 64 sinogram"),
+    (["radon", "--config", "{cfg}", "--quantity", "A", "--n-p", "8", "--n-phi", str(10**30)],
+     f"a 8 x {10**30} sinogram"),
+    (["kernel", "--alpha", "0.3", "--n", str(10**400)], f"a {10**400} x {10**400} kernel grid"),
+], ids=["radon-n-p", "radon-a-n-phi", "kernel-n"])
+def test_huge_size_exits_three_at_once(tmp_path, capsys, argv, size):
+    # refused as numpy's largest array is passed, before any file is written
+    out, cfg = tmp_path / "out.csv", tmp_path / "p.json"
+    save_potential_json(VectorPotential(alpha=0.3), cfg)
+    start = time.perf_counter()
+    assert main([a.replace("{cfg}", str(cfg)) for a in argv] + ["--out", str(out)]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and size in err and "more than can be allocated" in err
     assert not out.exists()
 
 

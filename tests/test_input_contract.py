@@ -1,11 +1,13 @@
-"""Every public evaluator of points or ray pairs meets one contract: it returns
-finite values of its documented shape, or raises a DomainError whose message
-names the bad argument.  Any other exception fails, and so does a
-RuntimeWarning (an error under this suite's settings)."""
+"""Every public evaluator of points or ray pairs, and every public scalar parameter, meets
+one contract: the call returns finite values of its documented shape, or raises a
+DomainError whose message names the bad argument.  Any other exception fails, and so does
+a RuntimeWarning (an error under this suite's settings)."""
 
+import functools
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +33,24 @@ from abscatter.gaugefield import (
     ScalarMixture,
     VectorPotential,
     eikonal_phase,
+    flux,
     gradient_formula,
     phase_gradient,
     phase_gradient_check,
     ray_field_integral,
 )
+from abscatter.inverse import detect_conjugation
+from abscatter.smatrix import (
+    StripDomain,
+    build_partial_wave,
+    conjugate_kernel,
+    extract_mode,
+    perturb_kernel,
+    sample_kernel,
+    strip_integral,
+)
+from abscatter.specfun import bessel_j_ladder
+from abscatter.xray import radon_forward, radon_invert, sinogram_axes
 
 SPEC = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0))
 BUMP = GaussianBump(center=(1.5, -0.5), strength=1.0, width=0.9)
@@ -145,3 +160,109 @@ def test_ray_functions_meet_the_contract(name, x, xi, sign):
 def test_azimuth_meets_the_contract(x):
     out = finite_or_named(lambda: azimuth(x, (0.6, 0.8)), r"\bx\b")
     assert out is None or out.shape == ()
+
+
+# the edge values every scalar check must meet; each parameter adds one small valid value
+EDGES = [0, -1, 2.5, True, math.nan, math.inf, -math.inf, 1e308, 1e-200, 10**400, "3", None]
+PTS = np.array([[2.0, 1.0], [-1.5, 0.5]])
+K64 = sample_kernel(0.3, 64)
+
+
+@functools.cache
+def sinogram():
+    return radon_forward(POT, 64, 64, 8.0)
+
+
+def refused_as(kind: str, value) -> bool:
+    """Whether the integer or real check itself refuses value (an integer's lower bound aside)."""
+    if kind == "integer":
+        return isinstance(value, bool) or not isinstance(value, int)
+    try:
+        return not math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return True
+
+
+# (kind, a valid value, the call with the value in the parameter's place, shape of its
+# result, a pattern naming the parameter)
+SCALAR_PARAMETERS = {
+    "sample_kernel alpha": ("real", 0.3, lambda v: sample_kernel(v, 64).values, (64, 64),
+                            r"\balpha\b"),
+    "sample_kernel n": ("integer", 64, lambda v: sample_kernel(0.3, v).values, (64, 64), r"\bn\b"),
+    "perturb_kernel size": ("real", 0.1, lambda v: perturb_kernel(K64, v, 3).values, (64, 64),
+                            r"\bsize\b"),
+    "perturb_kernel seed": ("integer", 3, lambda v: perturb_kernel(K64, 0.1, v).values, (64, 64),
+                            r"\bseed\b"),
+    "build_partial_wave alpha": ("real", 0.3, lambda v: build_partial_wave(v, 4).eigenvalues,
+                                 (9,), r"\balpha\b"),
+    "build_partial_wave m_max": ("integer", 4, lambda v: build_partial_wave(0.3, v).eigenvalues,
+                                 (9,), r"\bm_max\b"),
+    "PartialWaveSMatrix.eigenvalue m": ("integer", 1,
+                                        lambda v: build_partial_wave(0.3, 4).eigenvalue(v), (),
+                                        r"\bm\b"),
+    "extract_mode m": ("integer", 1, lambda v: extract_mode(K64, v), (), r"\bm\b"),
+    "conjugate_kernel winding": ("integer", 2, lambda v: conjugate_kernel(K64, v).values,
+                                 (64, 64), r"\bwinding\b"),
+    "strip_integral winding": ("integer", 2, lambda v: strip_integral(
+        K64, StripDomain(0.5, 2.5, 0.5), winding=v), (), r"\bwinding\b"),
+    "bessel_j_ladder mu": ("real", 0.5, lambda v: bessel_j_ladder(v, 3, 1.0), (3,), r"\bmu\b"),
+    "bessel_j_ladder count": ("integer", 3, lambda v: bessel_j_ladder(0.5, v, 1.0), (3,),
+                              r"\bcount\b"),
+    "ABWaveSpec alpha": ("real", 0.5, lambda v: eval_ab_wave_grid(ABWaveSpec(v, 1.0, (1.0, 0.0)),
+                                                                  PTS), (2,), r"\balpha\b"),
+    "ABWaveSpec lam": ("real", 1.0, lambda v: eval_ab_wave_grid(ABWaveSpec(0.5, v, (1.0, 0.0)),
+                                                                PTS), (2,), r"\blam\b"),
+    "ABWaveSpec sign": ("integer", 1, lambda v: eval_ab_wave_grid(
+        ABWaveSpec(0.5, 1.0, (1.0, 0.0), v), PTS), (2,), r"\bsign\b"),
+    "ab_wave_window l_min": ("integer", -3, lambda v: ab_wave_window(SPEC, PTS, v, 3), (2,),
+                             r"\bl_min\b"),
+    "ab_wave_window l_max": ("integer", 3, lambda v: ab_wave_window(SPEC, PTS, -3, v), (2,),
+                             r"\bl_max\b"),
+    "pde_residual h": ("real", 1e-3, lambda v: pde_residual(SPEC, PTS, v), (2,), r"\bh\b"),
+    "GaussianBump strength": ("real", 1.0, lambda v: GaussianBump((1.5, -0.5), v, 0.9).vector(PTS),
+                              (2, 2), r"\bstrength\b"),
+    "GaussianBump width": ("real", 0.9, lambda v: GaussianBump((1.5, -0.5), 1.0, v).curl(PTS),
+                           (2,), r"\bwidth\b"),
+    "GaussianScalar strength": ("real", 0.6, lambda v: GaussianScalar((0.0, 1.0), v, 1.1).value(
+        PTS), (2,), r"\bstrength\b"),
+    "VectorPotential alpha": ("real", 0.8, lambda v: VectorPotential(alpha=v).a_total(PTS),
+                              (2, 2), r"\balpha\b"),
+    "VectorPotential R0": ("real", 0.5, lambda v: flux(
+        VectorPotential(alpha=0.8, obstacle_radius=v), [10.0, 20.0]).sequence, (2,), r"\bR0\b"),
+    "GaugeElement winding": ("integer", 2, lambda v: GaugeElement(v, MIXTURE)(PTS), (2,),
+                             r"\bwinding\b"),
+    "EikonalPhase sign": ("integer", 1, lambda v: eikonal_phase(
+        EikonalPhase(v, POT), (2.0, 1.0), (1.0, 0.0)), (), r"\bsign\b"),
+    "flux radii": ("real", 20.0, lambda v: flux(POT, [10.0, v]).sequence, (2,), r"\bradi(i|us)\b"),
+    "sinogram_axes n_p": ("integer", 8, lambda v: np.concatenate(sinogram_axes(v, 8, 8.0)), (16,),
+                          r"\bn_p\b"),
+    "sinogram_axes n_phi": ("integer", 8, lambda v: np.concatenate(sinogram_axes(8, v, 8.0)),
+                            (16,), r"\bn_phi\b"),
+    "radon_forward n_p": ("integer", 64, lambda v: radon_forward(POT, v, 64, 8.0).values,
+                          (64, 64), r"\bn_p\b"),
+    "radon_forward n_phi": ("integer", 64, lambda v: radon_forward(POT, 64, v, 8.0).values,
+                            (64, 64), r"\bn_phi\b"),
+    "radon_forward p_max": ("real", 8.0, lambda v: radon_forward(POT, 64, 64, v).values,
+                            (64, 64), r"\bp_max\b"),
+    "radon_invert grid_n": ("integer", 8, lambda v: radon_invert(sinogram(), v), (8, 8),
+                            r"\bgrid_n\b"),
+    "detect_conjugation n_range": ("integer", 3, lambda v: detect_conjugation(
+        K64, conjugate_kernel(K64, 1), v).residual, (), r"\bn_range\b"),
+}
+
+
+# the picks are a finite space: hypothesis stops once it has tried every one
+@pytest.mark.parametrize("name", SCALAR_PARAMETERS)
+@settings(max_examples=3 * len(EDGES), derandomize=True, deadline=None)
+@given(pick=st.integers(0, len(EDGES)))
+def test_scalar_parameters_meet_the_contract(name, pick):
+    # pick 0 is the valid value; a value the scalar check refuses must be refused by name
+    kind, valid, call, shape, names = SCALAR_PARAMETERS[name]
+    value = [valid, *EDGES][pick]
+    refused = refused_as(kind, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = finite_or_named(lambda: call(value), names if refused else "")
+    assert not (refused and out is not None), f"{value!r} was accepted"
+    assert out is None or out.shape == shape
+    assert pick or out is not None, "the valid value was refused"

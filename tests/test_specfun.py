@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abscatter.errors import DomainError
-from abscatter.specfun import bessel_j_ladder
+from abscatter.specfun import ORDER_MAX, X_MAX, bessel_j_ladder
 
 
 def series_oracle(nu: float, x: float, terms: int = 60) -> float:
@@ -130,8 +134,12 @@ def test_ladder_matches_scipy(mu, count, xs, near_twelve):
     # [9, 12] is where an ascending series would lose digits to cancellation
     jv = pytest.importorskip("scipy.special").jv
     x = np.array(xs + near_twelve)
-    lad = bessel_j_ladder(mu, count, x)
-    assert np.max(np.abs(lad - jv(mu + np.arange(count)[:, None], x))) <= 1e-13
+    nu = mu + np.arange(count)
+    ref = jv(nu[:, None], x)
+    # jv returns 0 below about 2e-305 (as in test_small_argument_ladder_matches_scipy)
+    for i in np.flatnonzero((x > 0.0) & (x < 1e-300)):
+        ref[:, i] = [float(mp.besselj(v, mp.mpf(x[i]))) for v in nu]
+    assert np.max(np.abs(bessel_j_ladder(mu, count, x) - ref)) <= 1e-13
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -179,7 +187,40 @@ def test_small_argument_ladder_matches_scipy(mu, count, xs):
 
 
 def test_ladder_too_large_to_allocate():
-    with pytest.raises(DomainError, match="1.00e18 orders at 1 arguments"):
+    # the top order mu + count - 1 is refused past ORDER_MAX before anything is
+    # allocated, whether the count or the base order carries it
+    with pytest.raises(DomainError, match=r"\(count = 10{18}\) must lie in \[0, 20000\]"):
         bessel_j_ladder(0.5, 10**18, [3.0])
-    with pytest.raises(DomainError, match="cannot be allocated"):
+    with pytest.raises(DomainError, match=r"\(count = 1\) must lie in \[0, 20000\]"):
         bessel_j_ladder(1e300, 1, 5.0)
+    with pytest.raises(DomainError, match="base order mu must be a finite float"):
+        bessel_j_ladder(10**400, 1, 5.0)
+
+
+def test_ladder_reaches_its_top_order():
+    # past 1.25 X_MAX every value underflows to 0, so the top order 2 X_MAX is exact zeros;
+    # half an order more is refused
+    assert ORDER_MAX == 2.0 * X_MAX
+    assert np.array_equal(bessel_j_ladder(ORDER_MAX - 5.0, 6, [X_MAX, 1.0]), np.zeros((6, 2)))
+    with pytest.raises(DomainError, match=r"\(count = 6\) must lie in \[0, 20000\]"):
+        bessel_j_ladder(ORDER_MAX - 4.5, 6, 1.0)
+
+
+def test_huge_count_is_refused_under_a_memory_limit():
+    # 10**9 orders would fill 8 GB: under a 2 GiB address-space limit a ladder that
+    # allocated before refusing ends in MemoryError, not in a full machine
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30,) * 2)\n"
+            "from abscatter.errors import DomainError\n"
+            "from abscatter.specfun import bessel_j_ladder\n"
+            "try:\n    bessel_j_ladder(0.5, 10**9, 1.0)\n"
+            "except DomainError as exc:\n    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and "(count = 1000000000) must lie in [0, 20000]" in out.stdout, \
+        out.stdout + out.stderr
+
+
+def test_no_arguments_give_no_values():
+    assert bessel_j_ladder(0.5, 3, []).shape == (3, 0)

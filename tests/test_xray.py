@@ -28,6 +28,7 @@ from abscatter.xray import (
     radon_invert,
     reconstruction_axes,
     save_sinogram_csv,
+    sinogram_axes,
 )
 
 
@@ -167,7 +168,8 @@ class TestRadonForward:
                           for p, f in zip(pp.flat, ff.flat)], pp.shape)
         assert float(np.max(np.abs(got - v_closed_form(comps, pp, ff)))) <= 1e-10
 
-    @pytest.mark.parametrize("p_max", [0.0, -8.0, math.nan, math.inf])
+    # 10**400 has no float value; at 1e308 the offsets' span 2 p_max overflows
+    @pytest.mark.parametrize("p_max", [0.0, -8.0, math.nan, math.inf, 10**400, 1e308])
     def test_bad_p_max_rejected(self, p_max):
         with pytest.raises(DomainError, match="p_max"):
             radon_forward(gaussian_v((0, 0), 1, 1), 64, 64, p_max)
@@ -190,6 +192,16 @@ class TestRadonForward:
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
             radon_forward(gaussian_v((0, 0), 1, 1), 32, 64, 8.0)
+
+    @pytest.mark.parametrize("n_p, n_phi", [(10**30, 64), (64, 10**30)])
+    def test_grid_too_large_to_hold(self, n_p, n_phi):
+        # the sinogram's size is probed before its axes are built, for the V sinogram
+        # and for the axes of an A sinogram alike
+        says = rf"a {n_p} x {n_phi} sinogram is more than can be allocated"
+        with pytest.raises(DomainError, match=says):
+            radon_forward(gaussian_v((0, 0), 1, 1), n_p, n_phi, 8.0)
+        with pytest.raises(DomainError, match=says):
+            sinogram_axes(n_p, n_phi, 8.0)
 
 
 class TestRadonInvert:
@@ -258,6 +270,7 @@ class TestRadonInvert:
     @pytest.mark.parametrize("n_p, grid_n, match", [
         (128, 0, "grid_n >= 1"), (128, -5, "grid_n >= 1"), (1, 64, "at least 2 offsets"),
         (0, 64, "at least 2 offsets"), (128, 10**21, "more than can be allocated"),
+        (128, 10.5, "grid_n must be an integer, got 10.5"),
     ])
     def test_bad_image_or_offsets_rejected(self, n_p, grid_n, match):
         # refused before the filter runs: 10**21 pixels a side exceeds numpy's
