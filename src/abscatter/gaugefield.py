@@ -19,9 +19,9 @@ and xi (errors.vector), and their sign s from the EikonalPhase, which checks it.
 
 Every integral of a smooth part along a piece of a line (full lines for the
 X-ray data, half rays for the eikonal phases and the ray field integral) goes
-through _segment_integrals, one Gauss-Legendre rule per Gaussian component: the
-segment is clipped to the component's own disk |y - c| <= 8.5 w, and the node
-count is the same 51 for every component and base point.
+through _segment_integrals, one pass over (m, 2) rows of base points per ray function
+call, with one Gauss-Legendre rule per Gaussian component: the segment is clipped to the
+component's own disk |y - c| <= 8.5 w, with the same 51 nodes for every component and row.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ def _leggauss(nodes: int):
 
 
 def _segment_integrals(parts, x0, d, lo: float = -math.inf) -> np.ndarray:
-    """Sum over (component, field) parts of int_lo^inf field(x0 + t*d) dt, for each
-    base point x0 (a 2-vector or (m, 2) rows).
+    """Sum over (component, field) parts of int_lo^inf field(x0 + t*d) dt per (m, 2) row x0.
 
     field maps (k, 2) points to k values; a vector field (k x 2 values) is
     integrated as the 1-form field . d.  A field is negligible beyond
@@ -89,8 +88,6 @@ def _segment_integrals(parts, x0, d, lo: float = -math.inf) -> np.ndarray:
     n = _NODES_PER_WIDTH * _ENVELOPE_CUT = 51 nodes, whatever x0 is, so the
     integrals are smooth in the base point.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    d = np.asarray(d, dtype=float)
     nd = math.hypot(d[0], d[1])
     u = d / nd
     out = np.zeros(x0.shape[0])
@@ -329,7 +326,10 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
     The estimate is the largest-radius value; a FluxConvergenceWarning fires
     when the top two radii still differ by more than 1e-3.
     """
-    radii = np.array([errors.real(r, "radius") for r in radii])
+    try:
+        radii = np.array([errors.real(r, "radius") for r in radii])
+    except TypeError:       # not iterable
+        raise DomainError(f"radii must be a sequence of numbers, got {radii!r:.80}") from None
     if radii.size == 0 or np.any(np.diff(radii) <= 0.0):
         raise DomainError("radii must be a nonempty ascending sequence of finite numbers")
     if radii[0] <= pot.obstacle_radius:
@@ -342,10 +342,14 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
     tangent = np.stack([-np.sin(th), np.cos(th)], axis=1)
     seq = []
     for r in radii:
-        pts = r * np.stack([np.cos(th), np.sin(th)], axis=1)
-        a = pot.a_total(pts)
-        circ = float((a * tangent).sum() * r * (2.0 * math.pi / _CIRCLE_NODES))
-        seq.append(circ / (2.0 * math.pi))
+        terms = pot.a_total(r * np.stack([np.cos(th), np.sin(th)], axis=1)) * tangent
+        # 2 pi alpha overflows before alpha: sum the terms scaled below 1 by 2^-e (exact)
+        e = math.frexp(float(np.abs(terms).max()))[1]
+        circ = float(np.ldexp(terms, -e).sum() * r * (2.0 * math.pi / _CIRCLE_NODES))
+        try:
+            seq.append(math.ldexp(circ / (2.0 * math.pi), e))
+        except OverflowError:
+            raise DomainError(f"the flux estimate at radius {r:.6g} overflows") from None
     if len(seq) >= 2 and abs(seq[-1] - seq[-2]) > 1e-3:
         warnings.warn(
             f"flux values at the top radii differ by {abs(seq[-1] - seq[-2]):.2e}",
@@ -384,61 +388,56 @@ def _ray_args(x, xi) -> tuple[np.ndarray, np.ndarray]:
     return x, xi
 
 
-def _check_region(sign: int, x: np.ndarray, xi: np.ndarray) -> None:
-    nx = float(np.hypot(*x))
+def _phases(phase: EikonalPhase, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Phi_s at each of the (m, 2) base points rows: each row's region is checked in order
+    and its flux part taken in closed form; A' is integrated in one pass over all rows."""
+    s, pot = phase.sign, phase.potential
     nxi = float(np.hypot(*xi))
-    if not (nx > DELTA_REGION and nxi > DELTA_REGION and math.isfinite(nx * nxi)):
-        raise DomainError(f"|x| and |xi| must exceed {DELTA_REGION} with a finite product "
-                          f"(it bounds x . xi), got {nx:.6g} and {nxi:.6g}")
-    cosang = float(x @ xi) / (nx * nxi)
-    if sign * cosang < -1.0 + DELTA_REGION:
-        raise DomainError(
-            f"(x, xi) in the backward cone: sign*cos = {sign * cosang:.4f} < {-1 + DELTA_REGION}"
-        )
+    flux_parts = []
+    for x in rows:
+        nx = float(np.hypot(*x))
+        if not (nx > DELTA_REGION and nxi > DELTA_REGION and math.isfinite(nx * nxi)):
+            raise DomainError(f"|x| and |xi| must exceed {DELTA_REGION} with a finite product "
+                              f"(it bounds x . xi), got {nx:.6g} and {nxi:.6g}")
+        dot = float(x @ xi)
+        cos = s * dot / (nx * nxi)
+        if cos < -1.0 + DELTA_REGION:
+            raise DomainError(f"(x, xi) in the backward cone: sign*cos = {cos:.4f} < "
+                              f"{-1 + DELTA_REGION}")
+        cross = float(x[0] * xi[1] - x[1] * xi[0])
+        dcross = abs(cross)
+        ray_int = math.atan2(dcross, s * dot) / dcross if dcross > 1e-14 else 1.0 / (s * dot)
+        flux_parts.append(-s * pot.alpha * cross * ray_int)
+    # -s * A' . xi = -A' . d along the ray direction d = s*xi
+    return np.array(flux_parts) - _segment_integrals(_aprime_parts(pot), rows, s * xi, lo=0.0)
 
 
 def eikonal_phase(phase: EikonalPhase, x, xi) -> float:
     """Phi_s(x, xi) = -s * int_0^inf A(x + s*t*xi) . xi dt on the allowed region."""
-    s = phase.sign
     x, xi = _ray_args(x, xi)
-    _check_region(s, x, xi)
-    pot = phase.potential
-
-    cross = float(x[0] * xi[1] - x[1] * xi[0])
-    dot = float(x @ xi)
-    dcross = abs(cross)
-    if dcross > 1e-14:
-        ray_int = math.atan2(dcross, s * dot) / dcross
-    else:
-        ray_int = 1.0 / (s * dot)
-    val = -s * pot.alpha * cross * ray_int
-    # -s * A' . xi = -A' . d along the ray direction d = s*xi
-    return val - float(_segment_integrals(_aprime_parts(pot), x, s * xi, lo=0.0)[0])
+    return float(_phases(phase, x[None], xi)[0])
 
 
 def phase_gradient(phase: EikonalPhase, x, xi) -> np.ndarray:
-    """Central-difference gradient of the phase in x (step 1e-5 * (1 + |x|))."""
+    """Central-difference gradient of the phase in x (step h = 1e-5 * (1 + |x|)), from the
+    phases at x + h e1, x - h e1, x + h e2, x - h e2."""
     x, xi = _ray_args(x, xi)
     h = 1e-5 * (1.0 + float(np.hypot(*x)))
-    grad = np.empty(2)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        grad[i] = (eikonal_phase(phase, x + e, xi) - eikonal_phase(phase, x - e, xi)) / (2.0 * h)
-    return grad
+    e1, e2 = h * np.eye(2)
+    p = _phases(phase, np.stack([x + e1, x - e1, x + e2, x - e2]), xi)
+    return (p[0::2] - p[1::2]) / (2.0 * h)
 
 
 def phase_gradient_check(phase: EikonalPhase, x, xi) -> float:
     """|xi . (grad_x Phi - A(x))|; zero for exact phases, <= 1e-6 here."""
     x, xi = _ray_args(x, xi)
-    grad = phase_gradient(phase, x, xi)
-    return abs(float(xi @ (grad - phase.potential.a_total(x[None])[0])))
+    return abs(float(xi @ (phase_gradient(phase, x, xi) - phase.potential.a_total(x[None])[0])))
 
 
 def ray_field_integral(phase: EikonalPhase, x, xi) -> float:
     """int_0^inf B(x + s*t*xi) dt along the phase ray (smooth part only)."""
     x, xi = _ray_args(x, xi)
-    return float(_segment_integrals([(b, b.curl) for b in phase.potential.bumps], x,
+    return float(_segment_integrals([(b, b.curl) for b in phase.potential.bumps], x[None],
                                     phase.sign * xi, lo=0.0)[0])
 
 

@@ -225,7 +225,8 @@ def detect_conjugation(s1: KernelGrid, s2: KernelGrid, n_range: int) -> Conjugat
 def default_strips(n: int) -> list[StripDomain]:
     """Strips over (0, pi) with halving widths from max(0.1, 8h) down to no less than
     4h, h = 2*pi/n: two on coarse grids, three (0.1, 0.05, 0.025) from n = 1006 on."""
-    h = 2.0 * math.pi / n
+    n = errors.integer(n, "grid size n", 1)
+    h = 2.0 * math.pi / errors.real(n, "grid size n")      # an int past the floats has no h
     base = max(0.1, 8.0 * h)
     if not base < math.pi / 4.0:
         raise DomainError(f"the default strips on a {n}-point grid need widths {base:.4g} and "

@@ -164,7 +164,9 @@ class StripDomain:
     eps: float
 
     def __post_init__(self):
-        if not 0.0 <= self.a < self.b <= 2.0 * math.pi + 1e-12:    # NaN fails too
+        for name in ("a", "b", "eps"):
+            object.__setattr__(self, name, errors.real(getattr(self, name), f"strip {name}"))
+        if not 0.0 <= self.a < self.b <= 2.0 * math.pi + 1e-12:
             raise DomainError("strip angles must satisfy 0 <= a < b <= 2*pi")
         if not self.eps > 0.0:
             raise DomainError("eps must be positive")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from abscatter import gaugefield
 from abscatter.errors import DomainError, FluxConvergenceWarning, SchemaError
 from abscatter.gaugefield import (
     EikonalPhase,
@@ -124,6 +125,9 @@ class TestFlux:
         pot = VectorPotential(alpha=1e300)
         assert np.array_equal(pot.flux_part([[1e10, 0.0]]), [[0.0, 1e290]])
         assert abs(flux(pot, [1e10, 2e10]).estimate / 1e300 - 1.0) <= 1e-12
+        # the circulation 2 pi 1e308 overflows; the estimate 1e308 does not
+        assert abs(flux(VectorPotential(alpha=1e308), [10.0, 20.0]).estimate / 1e308 - 1.0) \
+            <= 1e-12
         with pytest.raises(DomainError, match=r"point \[1e-10, 0.0\] .*flux alpha = 1e\+300 "
                                               r"overflows"):
             pot.flux_part([[1.0, 0.0], [1e-10, 0.0]])
@@ -231,6 +235,48 @@ class TestEikonal:
             for _ in range(25):
                 x, xi = random_region_point(rng, sign)
                 assert phase_gradient_check(ph, x, xi) <= 1e-6
+
+    def test_gradient_is_the_central_difference_of_the_phase(self, generic_potential, rng):
+        # the stencil's four phases in one pass are eikonal_phase's to a few ulps: a
+        # gradient within 8 eps * max|phase| / h of the per-axis differences
+        for sign in (1, -1):
+            ph = EikonalPhase(sign=sign, potential=generic_potential)
+            for _ in range(10):
+                x, xi = random_region_point(rng, sign)
+                h = 1e-5 * (1.0 + float(np.hypot(*x)))
+                stencil = [(eikonal_phase(ph, x + e, xi), eikonal_phase(ph, x - e, xi))
+                           for e in h * np.eye(2)]
+                ref = np.array([(p - m) / (2.0 * h) for p, m in stencil])
+                bound = 8.0 * np.finfo(float).eps * np.max(np.abs(stencil)) / h
+                assert np.max(np.abs(phase_gradient(ph, x, xi) - ref)) <= bound
+
+    def test_one_segment_pass_per_ray_call(self, generic_potential, monkeypatch):
+        passes = []
+        segment_integrals = gaugefield._segment_integrals
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return segment_integrals(*args, **kwargs)
+
+        monkeypatch.setattr(gaugefield, "_segment_integrals", counted)
+        ph = EikonalPhase(sign=1, potential=generic_potential)
+        x, xi = (2.0, 1.0), (0.5, 1.0)
+        for fn in (eikonal_phase, phase_gradient, phase_gradient_check, ray_field_integral,
+                   gradient_formula):
+            passes.clear()
+            fn(ph, x, xi)
+            assert len(passes) == 1, fn.__name__
+        # a phase, its gradient check and the gradient formula: one ray of the X-ray benchmark
+        passes.clear()
+        eikonal_phase(ph, x, xi), phase_gradient_check(ph, x, xi), gradient_formula(ph, x, xi)
+        assert len(passes) == 3
+
+    def test_stencil_rows_keep_their_order_and_refusals(self):
+        # h = 1.100001e-5: x + h e1 lies in the region, and x - h e1, the next row, does not
+        ph = EikonalPhase(sign=1, potential=VectorPotential(alpha=0.3))
+        with pytest.raises(DomainError, match=r"\|x\| and \|xi\| must exceed 0.1 .* "
+                                              r"got 0.09999 and 1$"):
+            phase_gradient(ph, (0.100001, 0.0), (0.0, 1.0))
 
     def test_gradient_matches_field_integral_formula(self, generic_potential, rng):
         for sign in (1, -1):

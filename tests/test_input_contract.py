@@ -8,6 +8,7 @@ import math
 import re
 import tempfile
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from abscatter.gaugefield import (
     phase_gradient_check,
     ray_field_integral,
 )
-from abscatter.inverse import detect_conjugation
+from abscatter.inverse import default_strips, detect_conjugation
 from abscatter.smatrix import (
     StripDomain,
     build_partial_wave,
@@ -162,6 +163,24 @@ def test_azimuth_meets_the_contract(x):
     assert out is None or out.shape == ()
 
 
+# (call with the value in the array argument's place, a pattern naming the argument,
+# values that are no array of numbers the call takes)
+ARRAY_ARGUMENTS = {
+    "flux radii": (lambda v: flux(POT, v), r"\bradi(i|us)\b",
+                   [5.0, None, "abc", [[10.0], [20.0, 30.0]], [10.0, 10**400]]),
+    "bessel_j_ladder x": (lambda v: bessel_j_ladder(0.5, 3, v), r"\bx\b",
+                          ["abc", None, [[1.0], [2.0, 3.0]], [1.0, "y"], [1.0, 10**400]]),
+}
+
+
+@pytest.mark.parametrize("name, value", [(name, value) for name, (_, _, values)
+                                         in ARRAY_ARGUMENTS.items() for value in values])
+def test_array_arguments_are_refused_by_name(name, value):
+    call, names, _ = ARRAY_ARGUMENTS[name]
+    with pytest.raises(DomainError, match=names):
+        call(value)
+
+
 # the edge values every scalar check must meet; each parameter adds one small valid value
 EDGES = [0, -1, 2.5, True, math.nan, math.inf, -math.inf, 1e308, 1e-200, 10**400, "3", None]
 PTS = np.array([[2.0, 1.0], [-1.5, 0.5]])
@@ -205,6 +224,15 @@ SCALAR_PARAMETERS = {
                                  (64, 64), r"\bwinding\b"),
     "strip_integral winding": ("integer", 2, lambda v: strip_integral(
         K64, StripDomain(0.5, 2.5, 0.5), winding=v), (), r"\bwinding\b"),
+    # a strip's own checks (strip_integral refuses a strip narrower than its grid on its own)
+    "StripDomain a": ("real", 0.5, lambda v: np.array(astuple(StripDomain(v, 2.5, 0.5))), (3,),
+                      r"\ba\b"),
+    "StripDomain b": ("real", 2.5, lambda v: np.array(astuple(StripDomain(0.5, v, 0.5))), (3,),
+                      r"\bb\b"),
+    "StripDomain eps": ("real", 0.5, lambda v: np.array(astuple(StripDomain(0.5, 2.5, v))),
+                        (3,), r"\beps\b"),
+    "default_strips n": ("integer", 1024, lambda v: np.array([st.eps for st in default_strips(v)]),
+                         (3,), r"\bn\b"),
     "bessel_j_ladder mu": ("real", 0.5, lambda v: bessel_j_ladder(v, 3, 1.0), (3,), r"\bmu\b"),
     "bessel_j_ladder count": ("integer", 3, lambda v: bessel_j_ladder(0.5, v, 1.0), (3,),
                               r"\bcount\b"),
