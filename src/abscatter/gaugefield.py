@@ -12,8 +12,8 @@ keeps every oracle in closed form:
 The eikonal phase of a ray is
     Phi_s(x, xi) = -s * int_0^inf A(x + s*t*xi) . xi dt,       s = +1 or -1,
 defined off the backward cone (s * xhat.xihat >= -1 + delta with delta = 0.1).
-The flux part has the closed form -s*alpha*(x cross xi)*atan2(|x cross xi|,
-s*x.xi)/|x cross xi|.  Fields and gauges take finite (n, 2) point arrays
+The flux part enters every integral of A as alpha times the angle its path
+sweeps about the flux line (_flux_term).  Fields and gauges take finite (n, 2) point arrays
 (errors.points); the ray functions take (phase, x, xi) with finite 2-vectors x
 and xi (errors.vector), and their sign s from the EikonalPhase, which checks it.
 
@@ -111,6 +111,15 @@ def _segment_integrals(parts, x0, d, lo: float = -math.inf) -> np.ndarray:
             vals = vals @ d
         out[idx] += (vals.reshape(t.shape) @ gw) * radius
     return out
+
+
+def _flux_term(alpha: float, angle):
+    """alpha * angle, the flux part's integral along a path sweeping angle about the flux line."""
+    with np.errstate(over="ignore"):
+        term = alpha * np.asarray(angle)
+    if not np.isfinite(term).all():
+        raise DomainError(f"flux alpha = {alpha:g} times the angle its path sweeps overflows")
+    return term
 
 
 def _aprime_parts(pot) -> list:
@@ -321,10 +330,11 @@ class FluxResult:
 
 
 def flux(pot: VectorPotential, radii) -> FluxResult:
-    """(1/2pi) * circulation of A over circles |x| = r, reported per radius.
+    """(1/2pi) * circulation of A over circles |x| = r, reported per radius: a circle sweeps
+    2pi, so each value is alpha plus the trapezoid circulation of A' over 2pi.
 
-    The estimate is the largest-radius value; a FluxConvergenceWarning fires
-    when the top two radii still differ by more than 1e-3.
+    The estimate is the largest-radius value; a FluxConvergenceWarning fires when
+    the A' circulations at the top two radii still differ by more than 1e-3.
     """
     try:
         radii = np.array([errors.real(r, "radius") for r in radii])
@@ -334,28 +344,20 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
         raise DomainError("radii must be a nonempty ascending sequence of finite numbers")
     if radii[0] <= pot.obstacle_radius:
         raise DomainError("radii must exceed the obstacle radius")
-    for r in radii.tolist():    # A's flux part divides by |x|^2; a float r * r overflows to inf
-        if not np.finfo(float).tiny <= r * r < math.inf:
-            raise DomainError(f"radius {r:.6g} is out of range: its square "
-                              f"{'over' if abs(r) > 1.0 else 'under'}flows")
     th = 2.0 * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
-    tangent = np.stack([-np.sin(th), np.cos(th)], axis=1)
-    seq = []
-    for r in radii:
-        terms = pot.a_total(r * np.stack([np.cos(th), np.sin(th)], axis=1)) * tangent
-        # 2 pi alpha overflows before alpha: sum the terms scaled below 1 by 2^-e (exact)
-        e = math.frexp(float(np.abs(terms).max()))[1]
-        circ = float(np.ldexp(terms, -e).sum() * r * (2.0 * math.pi / _CIRCLE_NODES))
-        try:
-            seq.append(math.ldexp(circ / (2.0 * math.pi), e))
-        except OverflowError:
-            raise DomainError(f"the flux estimate at radius {r:.6g} overflows") from None
-    if len(seq) >= 2 and abs(seq[-1] - seq[-2]) > 1e-3:
-        warnings.warn(
-            f"flux values at the top radii differ by {abs(seq[-1] - seq[-2]):.2e}",
-            FluxConvergenceWarning,
-        )
-    return FluxResult(estimate=seq[-1], sequence=tuple(seq))
+    circle, tangent = (np.stack([np.cos(th), np.sin(th)], axis=1),
+                       np.stack([-np.sin(th), np.cos(th)], axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):      # refused below by name
+        # r * mean(A' . t), divided before the sum: 2048 terms near 1e307 sum past the floats
+        circ = np.array([r * (pot.aprime(r * circle) * tangent / _CIRCLE_NODES).sum()
+                         for r in radii])
+        seq = pot.alpha + circ
+    if not np.isfinite(seq).all():
+        raise DomainError(f"the flux at radius {radii[~np.isfinite(seq)][0]:.6g} is not finite")
+    if len(circ) >= 2 and abs(circ[-1] - circ[-2]) > 1e-3:
+        warnings.warn(f"flux values at the top radii differ by {abs(circ[-1] - circ[-2]):.2e}",
+                      FluxConvergenceWarning)
+    return FluxResult(estimate=float(seq[-1]), sequence=tuple(seq.tolist()))
 
 
 def gauge_transform(pot: VectorPotential, g: GaugeElement) -> VectorPotential:
@@ -389,27 +391,24 @@ def _ray_args(x, xi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phases(phase: EikonalPhase, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Phi_s at each of the (m, 2) base points rows: each row's region is checked in order
-    and its flux part taken in closed form; A' is integrated in one pass over all rows."""
-    s, pot = phase.sign, phase.potential
+    """Phi_s at each (m, 2) base point row, its region checked in order: -alpha times the angle
+    the ray sweeps, less A' integrated in one pass over all rows."""
+    d, pot = phase.sign * xi, phase.potential      # the ray direction
     nxi = float(np.hypot(*xi))
-    flux_parts = []
+    angles = []
     for x in rows:
         nx = float(np.hypot(*x))
         if not (nx > DELTA_REGION and nxi > DELTA_REGION and math.isfinite(nx * nxi)):
             raise DomainError(f"|x| and |xi| must exceed {DELTA_REGION} with a finite product "
                               f"(it bounds x . xi), got {nx:.6g} and {nxi:.6g}")
-        dot = float(x @ xi)
-        cos = s * dot / (nx * nxi)
+        dot = float(x @ d)
+        cos = dot / (nx * nxi)
         if cos < -1.0 + DELTA_REGION:
             raise DomainError(f"(x, xi) in the backward cone: sign*cos = {cos:.4f} < "
                               f"{-1 + DELTA_REGION}")
-        cross = float(x[0] * xi[1] - x[1] * xi[0])
-        dcross = abs(cross)
-        ray_int = math.atan2(dcross, s * dot) / dcross if dcross > 1e-14 else 1.0 / (s * dot)
-        flux_parts.append(-s * pot.alpha * cross * ray_int)
-    # -s * A' . xi = -A' . d along the ray direction d = s*xi
-    return np.array(flux_parts) - _segment_integrals(_aprime_parts(pot), rows, s * xi, lo=0.0)
+        angles.append(math.atan2(x[0] * d[1] - x[1] * d[0], dot))    # swept from x to d
+    # Phi_s = -s * int_0^inf A(x + s*t*xi) . xi dt = -int_0^inf A(x + t*d) . d dt
+    return -_flux_term(pot.alpha, angles) - _segment_integrals(_aprime_parts(pot), rows, d, lo=0.0)
 
 
 def eikonal_phase(phase: EikonalPhase, x, xi) -> float:
@@ -423,8 +422,9 @@ def phase_gradient(phase: EikonalPhase, x, xi) -> np.ndarray:
     phases at x + h e1, x - h e1, x + h e2, x - h e2."""
     x, xi = _ray_args(x, xi)
     h = 1e-5 * (1.0 + float(np.hypot(*x)))
-    e1, e2 = h * np.eye(2)
-    p = _phases(phase, np.stack([x + e1, x - e1, x + e2, x - e2]), xi)
+    with np.errstate(over="ignore"):    # _phases refuses a row past the floats by name
+        rows = x + h * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    p = _phases(phase, rows, xi)
     return (p[0::2] - p[1::2]) / (2.0 * h)
 
 

@@ -2,9 +2,9 @@
 
 Lines are parameterized parallel-beam style: offset p and direction angle
 phi give the base point x0 = p*(-sin phi, cos phi) and direction
-omega = (cos phi, sin phi).  For the flux part, the full-line integral of
-A0 . omega is exactly alpha*pi*sgn(x0 x omega) (the angle form sweeps half a
-turn along any line missing the origin), so the exponential
+omega = (cos phi, sin phi).  A line missing the origin sweeps half a turn, so the
+full-line integral of A0 . omega is alpha times that angle (gaugefield's rule for
+the flux part), exactly -alpha*pi*sgn(p).  So the exponential
 exp(i * integral) only sees the flux mod 2: equality of the phase data pins
 down flux differences to even integers, which flux_parity_test certifies
 from the raw integrals.
@@ -35,7 +35,7 @@ from .errors import (
     SchemaError,
     UndersampledSinogramWarning,
 )
-from .gaugefield import VectorPotential, _aprime_parts, _segment_integrals
+from .gaugefield import VectorPotential, _aprime_parts, _flux_term, _segment_integrals
 from .io import grid_columns, read_table, write_table
 
 __all__ = [
@@ -95,7 +95,7 @@ def line_integrals(pot: VectorPotential, offsets, angles, quantity: str) -> np.n
         if np.any(np.abs(offsets) < 1e-12):
             raise DomainError("line passes through the origin (flux part singular)")
         parts = _aprime_parts(pot)
-        values = np.repeat(-pot.alpha * math.pi * np.sign(offsets)[:, None], angles.size, axis=1)
+        values = np.tile(-_flux_term(pot.alpha, math.pi * np.sign(offsets))[:, None], angles.size)
     for j, phi in enumerate(angles):
         normal = np.array([-math.sin(phi), math.cos(phi)])
         omega = np.array([math.cos(phi), math.sin(phi)])

@@ -58,31 +58,44 @@ def test_flux_non_finite_radii_exit_three(pot_path, capsys, radii):
 
 
 def test_flux_radius_whose_square_underflows_is_named(pot_path, capsys):
-    # |x|^2 of the circle's points would be 0: refused before any field is evaluated
-    assert main(["flux", "--config", pot_path, "--radii", "1e-200,10"]) == 3
+    # the circle's |x|^2 underflows, but it sweeps 2 pi about the flux line all the same
+    assert main(["flux", "--config", pot_path, "--radii", "1e-200,10"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert "radius 1e-200" in captured.err and "underflows" in captured.err
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"alpha": 0.7, "sequence": [0.7, 0.7]}
 
 
-@pytest.mark.parametrize("radii, named", [("1e160", "1e+160"), ("10,1e200", "1e+200")])
-def test_flux_radius_whose_square_overflows_is_named(pot_path, capsys, radii, named):
-    # the field is 0 where |x|^2 overflows: such a circle would read a flux of 0
-    assert main(["flux", "--config", pot_path, "--radii", radii]) == 3
+@pytest.mark.parametrize("radii", [pytest.param("1e160", id="1e160-1e+160"),
+                                   pytest.param("10,1e200", id="10,1e200-1e+200")])
+def test_flux_radius_whose_square_overflows_is_named(pot_path, capsys, radii):
+    # the flux field is 0 where |x|^2 overflows, but the flux part is read as alpha times
+    # the 2 pi a circle sweeps, so no radius the floats hold reads a flux of 0
+    assert main(["flux", "--config", pot_path, "--radii", radii]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert f"radius {named}" in captured.err and "overflows" in captured.err
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"alpha": 0.7, "sequence": [0.7] * len(radii.split(","))}
 
 
 def test_flux_of_a_huge_flux(tmp_path, capsys):
     # at 1e308 the circulation 2 pi alpha overflows, the estimate alpha does not
     path = tmp_path / "huge.json"
-    for alpha, radii in ((1e300, "1e10,2e10"), (1e308, "10,20")):
+    for alpha, radii in ((1e300, "1e10,2e10"), (1e308, "10,20"), (1e308, "3,7")):
         save_potential_json(VectorPotential(alpha=alpha), path)
         assert main(["flux", "--config", str(path), "--radii", radii]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert abs(json.loads(captured.out)["alpha"] / alpha - 1.0) <= 1e-12
+        assert json.loads(captured.out)["alpha"] == alpha
+
+
+def test_a_sinogram_of_a_huge_flux_exits_three(tmp_path, capsys):
+    # alpha * pi, every line's flux part, overflows at 1e308: no file, one line naming the flux
+    cfg, out = tmp_path / "huge.json", tmp_path / "a.csv"
+    save_potential_json(VectorPotential(alpha=1e308), cfg)
+    assert main(["radon", "--config", str(cfg), "--quantity", "A", "--n-p", "8", "--n-phi", "8",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "flux alpha = 1e+308" in captured.err and not out.exists()
 
 
 @pytest.mark.parametrize("config", [

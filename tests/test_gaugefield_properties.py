@@ -1,12 +1,17 @@
-"""Property tests: eikonal phases against closed forms, and the eikonal
-gradient identities, over random Gaussian families and region points."""
+"""Property tests: eikonal phases against closed forms, the eikonal gradient
+identities, over random Gaussian families and region points, and the flux part's
+one rule (alpha times the angle a path sweeps) over every finite flux."""
 
 import math
+import re
+import warnings
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from abscatter.errors import DomainError
 from abscatter.gaugefield import (
     EikonalPhase,
     GaussianBump,
@@ -14,10 +19,12 @@ from abscatter.gaugefield import (
     ScalarMixture,
     VectorPotential,
     eikonal_phase,
+    flux,
     gradient_formula,
     phase_gradient,
     phase_gradient_check,
 )
+from abscatter.xray import line_integrals
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -104,3 +111,56 @@ def test_gradient_formula(case):
     ph, x, xi = case
     gap = np.abs(phase_gradient(ph, x, xi) - gradient_formula(ph, x, xi))
     assert float(np.max(gap)) <= 1e-6
+
+
+# alpha * pi overflows from about 5.722e307, and alpha times a ray's angle (at most
+# arccos(-0.9) = 2.69) from about 6.68e307; the subnormals underflow
+NAMED_FLUXES = (1e308, -1e308, 5.7e307, -5.7e307, 1e300, -1e300, 0.0, 5e-324, -2.5e-310)
+fluxes = st.sampled_from(NAMED_FLUXES) | st.floats(allow_nan=False, allow_infinity=False)
+circle_radii = st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                        min_size=1, max_size=3, unique=True).map(sorted)
+line_offsets = st.lists(st.floats(1e-12, 1e12) | st.floats(-1e12, -1e-12), min_size=1,
+                        max_size=4)
+
+
+@st.composite
+def rays(draw):
+    sign = draw(signs)
+    return (sign, *draw(region_points(sign)))
+
+
+def with_named_fluxes(test):
+    # a ray that sweeps 3 pi / 4, past what alpha = 1e308 can carry
+    ray = (1, np.array([-1.0, 1.0]), np.array([1.0, 0.0]))
+    for alpha in NAMED_FLUXES:
+        test = example(alpha=alpha, ray=ray, radii=[3.0, 7.0], offsets=[-2.0, 3.0])(test)
+    return test
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@with_named_fluxes
+@given(alpha=fluxes, ray=rays(), radii=circle_radii, offsets=line_offsets)
+def test_flux_part_is_alpha_times_the_swept_angle(alpha, ray, radii, offsets):
+    pot = VectorPotential(alpha=alpha)
+    # a circle sweeps 2 pi: alpha exactly, at any radius, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert flux(pot, radii).sequence == (alpha,) * len(radii)
+    sign, x, xi = ray
+    c, dot = cross(x, xi), float(x @ xi)
+    angle = (math.copysign(math.atan2(abs(c), sign * dot), c) if abs(c) > 1e-14
+             else c / (sign * dot))
+    names_flux = pytest.raises(DomainError, match=re.escape(f"flux alpha = {alpha:g} "))
+    if math.isfinite(alpha * angle):
+        assert eikonal_phase(EikonalPhase(sign, pot), x, xi) == -sign * alpha * angle
+    else:
+        with names_flux:
+            eikonal_phase(EikonalPhase(sign, pot), x, xi)
+    # a line sweeps half a turn: -alpha pi sgn p on every angle
+    offsets = np.array(offsets)
+    if math.isfinite(alpha * math.pi):
+        values = line_integrals(pot, offsets, [0.0, 2.0], "A")
+        assert np.array_equal(values, np.tile(-alpha * math.pi * np.sign(offsets)[:, None], 2))
+    else:
+        with names_flux:
+            line_integrals(pot, offsets, [0.0, 2.0], "A")

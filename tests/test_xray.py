@@ -321,6 +321,11 @@ class TestALineSinogram:
         with pytest.raises(DomainError, match="finite"):
             a_line_sinogram(pot, [p], [phi])
 
+    def test_huge_flux_is_refused_naming_it(self):
+        # alpha * pi, each line's flux part, overflows at alpha = 1e308
+        with pytest.raises(DomainError, match=r"flux alpha = 1e\+308 times the angle"):
+            a_line_sinogram(VectorPotential(alpha=1e308), *sinogram_axes(4, 4, 8.0))
+
 
 class TestParity:
     def setup_method(self):
