@@ -40,10 +40,8 @@ from .specfun import X_MAX, bessel_j_ladder
 
 __all__ = [
     "ABWaveSpec",
-    "azimuth",
     "eval_ab_wave_grid",
     "ab_wave_window",
-    "pde_residual",
     "save_wave_csv",
     "load_wave_csv",
 ]
@@ -102,16 +100,6 @@ class ABWaveSpec:
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
 
 
-def azimuth(x, omega) -> float:
-    """Counterclockwise angle from omega to x, in [0, 2*pi).  x must be nonzero."""
-    x = errors.vector(x, "x")
-    omega = _unit(omega, "omega")
-    if not np.any(x):
-        raise DomainError("azimuth is undefined at x = 0")
-    a = math.atan2(x[1], x[0]) - math.atan2(omega[1], omega[0])
-    return a % (2.0 * math.pi)
-
-
 def _batch_sum(spec: ABWaveSpec, points: np.ndarray, l_min: int, l_max: int) -> np.ndarray:
     """ab_wave_window on one batch of points."""
     omega = spec.sign * np.asarray(spec.omega, dtype=float)   # gamma(x; s*omega), in [0, 2*pi)
@@ -166,38 +154,6 @@ def eval_ab_wave_grid(spec: ABWaveSpec, points) -> np.ndarray:
     points, z = _wave_points(spec, points)
     trunc = _modes_needed(z, spec.alpha)
     return ab_wave_window(spec, points, -trunc, trunc)
-
-
-def pde_residual(spec: ABWaveSpec, points, h: float) -> np.ndarray:
-    """|((-i*grad - A0)^2 - lam) psi| by second-order central differences.
-
-    A0 = alpha*(-x2, x1)/|x|^2 is divergence free, so the operator reduces to
-    -Lap(psi) + 2i*A0.grad(psi) + |A0|^2 psi - lam*psi.  Points must stay off
-    the origin by a few h.
-    """
-    h = errors.real(h, "step h")
-    if h <= 0.0 or h * h < np.finfo(float).tiny:    # the Laplacian divides by h^2
-        raise DomainError(f"step h = {h} must be positive, and not so small that its square "
-                          f"underflows")
-    points = errors.points(points)
-    with np.errstate(over="ignore"):    # A0 -> 0 where |x|^2 overflows
-        r2 = points[:, 0] ** 2 + points[:, 1] ** 2
-    if float(np.min(r2, initial=math.inf)) < 16.0 * h * h:     # (4h)^2, inf past the floats
-        raise DomainError("points must lie 4h or more from the flux line at the origin")
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    stencil = np.concatenate([points, points + e1, points - e1, points + e2, points - e2])
-    vals = eval_ab_wave_grid(spec, stencil)
-    n = points.shape[0]
-    psi0, psi_xp, psi_xm, psi_yp, psi_ym = (vals[i * n:(i + 1) * n] for i in range(5))
-    lap = (psi_xp + psi_xm + psi_yp + psi_ym - 4.0 * psi0) / (h * h)
-    gx = (psi_xp - psi_xm) / (2.0 * h)
-    gy = (psi_yp - psi_ym) / (2.0 * h)
-    a1 = spec.alpha * (-points[:, 1]) / r2
-    a2 = spec.alpha * points[:, 0] / r2
-    a_sq = a1 * a1 + a2 * a2
-    res = -lap + 2.0j * (a1 * gx + a2 * gy) + a_sq * psi0 - spec.lam * psi0
-    return np.abs(res)
 
 
 def save_wave_csv(path, points, values) -> None:

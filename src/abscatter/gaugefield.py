@@ -1,4 +1,4 @@
-"""Vector potentials, the flux functional, gauge transformations, eikonal phases.
+"""Vector potentials, the flux functional, eikonal phases.
 
 A potential is the singular flux part alpha*(-x2, x1)/|x|^2 plus a smooth
 short-range part A' and a scalar potential V.  The built-in analytic family
@@ -13,9 +13,10 @@ The eikonal phase of a ray is
     Phi_s(x, xi) = -s * int_0^inf A(x + s*t*xi) . xi dt,       s = +1 or -1,
 defined off the backward cone (s * xhat.xihat >= -1 + delta with delta = 0.1).
 The flux part enters every integral of A as alpha times the angle its path
-sweeps about the flux line (_flux_term).  Fields and gauges take finite (n, 2) point arrays
-(errors.points); the ray functions take (phase, x, xi) with finite 2-vectors x
-and xi (errors.vector), and their sign s from the EikonalPhase, which checks it.
+sweeps about the flux line, added to the integral of A' (_path_integral).  Fields take
+finite (n, 2) point arrays (errors.points); the ray functions take (phase, x, xi) with
+finite 2-vectors x and xi (errors.vector), and their sign s from the EikonalPhase, which
+checks it.
 
 Every integral of a smooth part along a piece of a line (full lines for the
 X-ray data, half rays for the eikonal phases and the ray field integral) goes
@@ -42,10 +43,8 @@ __all__ = [
     "GaussianScalar",
     "ScalarMixture",
     "VectorPotential",
-    "GaugeElement",
     "FluxResult",
     "flux",
-    "gauge_transform",
     "EikonalPhase",
     "eikonal_phase",
     "phase_gradient",
@@ -113,13 +112,17 @@ def _segment_integrals(parts, x0, d, lo: float = -math.inf) -> np.ndarray:
     return out
 
 
-def _flux_term(alpha: float, angle):
-    """alpha * angle, the flux part's integral along a path sweeping angle about the flux line."""
+def _path_integral(alpha: float, angle, aprime):
+    """alpha * angle + aprime, the integral of A along a path that sweeps angle about the flux
+    line and along which A' integrates to aprime; DomainError naming the flux where the
+    product or the sum overflows."""
     with np.errstate(over="ignore"):
         term = alpha * np.asarray(angle)
-    if not np.isfinite(term).all():
-        raise DomainError(f"flux alpha = {alpha:g} times the angle its path sweeps overflows")
-    return term
+        total = term + aprime
+    if not np.isfinite(total).all():
+        plus = ", plus the integral of A' along it," if np.isfinite(term).all() else ""
+        raise DomainError(f"flux alpha = {alpha:g} times the angle its path sweeps{plus} overflows")
+    return total
 
 
 def _aprime_parts(pot) -> list:
@@ -216,9 +219,6 @@ class ScalarMixture:
         p = errors.points(x)
         return sum((c.gradient(p) for c in self.components), np.zeros_like(p))
 
-    def __add__(self, other: "ScalarMixture") -> "ScalarMixture":
-        return ScalarMixture(self.components + other.components)
-
 
 @dataclass(frozen=True)
 class VectorPotential:
@@ -263,11 +263,6 @@ class VectorPotential:
     def a_total(self, x) -> np.ndarray:
         return self.flux_part(x) + self.aprime(x)
 
-    def b_field(self, x) -> np.ndarray:
-        """Magnetic field of A' (the flux part carries none away from 0)."""
-        p = errors.points(x)
-        return sum((b.curl(p) for b in self.bumps), np.zeros(len(p)))
-
     def to_config(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -308,22 +303,6 @@ def load_potential_json(path) -> VectorPotential:
 
 
 @dataclass(frozen=True)
-class GaugeElement:
-    """Unimodular gauge g(x) = exp(i*(winding*theta(x) + L(x)))."""
-
-    winding: int
-    l_field: ScalarMixture = ScalarMixture()
-
-    def __post_init__(self):
-        object.__setattr__(self, "winding", errors.integer(self.winding, "winding"))
-        errors.real(self.winding, "winding")     # winding * theta is a float product
-
-    def __call__(self, x) -> np.ndarray:
-        p = errors.points(x)
-        return np.exp(1j * (self.winding * np.arctan2(p[:, 1], p[:, 0]) + self.l_field(p)))
-
-
-@dataclass(frozen=True)
 class FluxResult:
     estimate: float
     sequence: tuple[float, ...]
@@ -358,15 +337,6 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
         warnings.warn(f"flux values at the top radii differ by {abs(circ[-1] - circ[-2]):.2e}",
                       FluxConvergenceWarning)
     return FluxResult(estimate=float(seq[-1]), sequence=tuple(seq.tolist()))
-
-
-def gauge_transform(pot: VectorPotential, g: GaugeElement) -> VectorPotential:
-    """A -> A - i g^-1 dg: flux gains the winding, A' gains grad(L); V unchanged."""
-    return VectorPotential(alpha=pot.alpha + g.winding,
-                           bumps=pot.bumps,
-                           grad_l=pot.grad_l + g.l_field,
-                           v=pot.v,
-                           obstacle_radius=pot.obstacle_radius)
 
 
 @dataclass(frozen=True)
@@ -407,8 +377,10 @@ def _phases(phase: EikonalPhase, rows: np.ndarray, xi: np.ndarray) -> np.ndarray
             raise DomainError(f"(x, xi) in the backward cone: sign*cos = {cos:.4f} < "
                               f"{-1 + DELTA_REGION}")
         angles.append(math.atan2(x[0] * d[1] - x[1] * d[0], dot))    # swept from x to d
-    # Phi_s = -s * int_0^inf A(x + s*t*xi) . xi dt = -int_0^inf A(x + t*d) . d dt
-    return -_flux_term(pot.alpha, angles) - _segment_integrals(_aprime_parts(pot), rows, d, lo=0.0)
+    # Phi_s = -s * int_0^inf A(x + s*t*xi) . xi dt = -int_0^inf A(x + t*d) . d dt, the
+    # integral of A along the ray run backwards
+    return _path_integral(pot.alpha, -np.array(angles),
+                          -_segment_integrals(_aprime_parts(pot), rows, d, lo=0.0))
 
 
 def eikonal_phase(phase: EikonalPhase, x, xi) -> float:

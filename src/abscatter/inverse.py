@@ -30,7 +30,6 @@ from . import errors
 from .errors import DataInconsistencyError, DomainError, IntegerFluxError, TooSingularError
 from .smatrix import (
     KernelGrid,
-    PartialWaveSMatrix,
     StripDomain,
     _gauge_phase,
     _row_blocks,
@@ -76,21 +75,18 @@ class ConjugationReport:
     equivalent: bool
 
 
-def recover_flux_from_modes(s) -> FluxEstimate:
+def recover_flux_from_modes(s: KernelGrid) -> FluxEstimate:
     """Exact flux from the eigenvalue flip index and the limiting phase.
 
-    Works on clean partial-wave data (1e-9 round trips), read on its whole
-    window [-m_max, m_max], and on kernel grids, whose eigenvalues are extracted
-    by quadrature on [-8, 8], doubled up to [-n // 16, n // 16] while the flip
-    lies outside it.  Raises IntegerFluxError when all eigenvalues coincide and
+    The kernel grid's eigenvalues are extracted by quadrature on [-8, 8], doubled
+    up to [-n // 16, n // 16] while the flip lies outside it, and read by
+    _flux_from_eigenvalues.  Raises IntegerFluxError when all eigenvalues coincide and
     DataInconsistencyError when they are not two-valued: both name the window,
     since a flip ceil(alpha) outside it gives such data as well as an integer
     flux does.
     """
-    if isinstance(s, PartialWaveSMatrix):
-        return _flux_from_eigenvalues(s.eigenvalues, s.m_max)
     if not isinstance(s, KernelGrid):
-        raise DomainError("expected a PartialWaveSMatrix or KernelGrid")
+        raise DomainError("expected a KernelGrid")
     spectrum, m = _spectrum(s), _START_WINDOW
     while True:
         try:
@@ -102,7 +98,8 @@ def recover_flux_from_modes(s) -> FluxEstimate:
 
 
 def _flux_from_eigenvalues(eig: np.ndarray, m: int) -> FluxEstimate:
-    """recover_flux_from_modes on the eigenvalues of the modes [-m, m]."""
+    """recover_flux_from_modes on the eigenvalues of the modes [-m, m]; exact two-valued
+    data gives alpha back to rounding."""
     modes = np.arange(-m, m + 1)
     outside = (f"a flux whose flip ceil(alpha) lies outside the mode window "
                f"[-{m}, {m}] gives the same data as an integer flux")

@@ -34,10 +34,8 @@ from .errors import DomainError, ResolutionError
 from .io import grid_columns, read_table, write_table
 
 __all__ = [
-    "PartialWaveSMatrix",
     "KernelGrid",
     "StripDomain",
-    "build_partial_wave",
     "sample_kernel",
     "strip_integral",
     "compose_with_amplitude",
@@ -83,35 +81,6 @@ def _gauge_phase(n: int, winding: int) -> np.ndarray:
     winding = errors.integer(winding, "winding")
     u = _roots(n)[winding % n * np.arange(n) % n]
     return _circulant(-u if winding % 2 else u)
-
-
-@dataclass(frozen=True)
-class PartialWaveSMatrix:
-    """Diagonal unitary action on angular modes m in [-m_max, m_max]."""
-
-    alpha: float
-    m_max: int
-    eigenvalues: np.ndarray
-
-    def eigenvalue(self, m: int) -> complex:
-        if abs(m := errors.integer(m, "mode m")) > self.m_max:
-            raise DomainError(f"mode {m} outside [-{self.m_max}, {self.m_max}]")
-        return complex(self.eigenvalues[m + self.m_max])
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.m_max, self.m_max + 1)
-
-
-def build_partial_wave(alpha: float, m_max: int) -> PartialWaveSMatrix:
-    """Exact eigenvalues: exp(i*pi*alpha) for m >= alpha, exp(-i*pi*alpha) below."""
-    m_max, alpha = errors.integer(m_max, "m_max", 1), errors.real(alpha, "flux alpha")
-    phase = errors.real(math.pi * alpha, "the phase pi * flux alpha")
-    errors.allocatable(2 * m_max + 1, f"a window of 2 m_max + 1 = {2 * m_max + 1} modes")
-    m = np.arange(-m_max, m_max + 1)
-    up = np.exp(1j * phase)
-    eig = np.where(m >= alpha, up, np.conj(up))
-    return PartialWaveSMatrix(alpha=alpha, m_max=m_max, eigenvalues=eig)
 
 
 @dataclass

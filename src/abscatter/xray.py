@@ -35,7 +35,7 @@ from .errors import (
     SchemaError,
     UndersampledSinogramWarning,
 )
-from .gaugefield import VectorPotential, _aprime_parts, _flux_term, _segment_integrals
+from .gaugefield import VectorPotential, _aprime_parts, _path_integral, _segment_integrals
 from .io import grid_columns, read_table, write_table
 
 __all__ = [
@@ -54,7 +54,8 @@ __all__ = [
 
 @dataclass
 class Sinogram:
-    """Line-integral samples values[i, j] at (offsets[i], angles[j])."""
+    """Line-integral samples values[i, j] at (offsets[i], angles[j]), all finite: a NaN or
+    infinite value is refused, naming the first."""
 
     offsets: np.ndarray
     angles: np.ndarray
@@ -66,6 +67,11 @@ class Sinogram:
         self.values = np.asarray(self.values)
         if self.values.shape != (self.offsets.size, self.angles.size):
             raise DomainError("sinogram dimensions are inconsistent")
+        bad = np.argwhere(~np.isfinite(self.values))
+        if len(bad):
+            i, j = bad[0].tolist()
+            raise DomainError(f"sinogram values must be finite, got {self.values[i, j]} "
+                              f"at entry ({i}, {j})")
 
     @property
     def p_max(self) -> float:
@@ -90,17 +96,19 @@ def line_integrals(pot: VectorPotential, offsets, angles, quantity: str) -> np.n
         raise DomainError("line offsets and angles must be finite")
     if quantity == "V":
         parts = [(c, c.value) for c in pot.v.components]
-        values = np.zeros((offsets.size, angles.size))
     else:
         if np.any(np.abs(offsets) < 1e-12):
             raise DomainError("line passes through the origin (flux part singular)")
         parts = _aprime_parts(pot)
-        values = np.tile(-_flux_term(pot.alpha, math.pi * np.sign(offsets))[:, None], angles.size)
+    values = np.zeros((offsets.size, angles.size))
     for j, phi in enumerate(angles):
         normal = np.array([-math.sin(phi), math.cos(phi)])
         omega = np.array([math.cos(phi), math.sin(phi)])
-        values[:, j] += _segment_integrals(parts, offsets[:, None] * normal, omega)
-    return values
+        values[:, j] = _segment_integrals(parts, offsets[:, None] * normal, omega)
+    if quantity == "V":
+        return values
+    # a line clear of the origin sweeps half a turn about it, clockwise where p > 0
+    return _path_integral(pot.alpha, -math.pi * np.sign(offsets)[:, None], values)
 
 
 def sinogram_axes(n_p: int, n_phi: int, p_max: float) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from abscatter import smatrix
 from abscatter.abwave import ABWaveSpec, eval_ab_wave_grid, load_wave_csv
 from abscatter.cli import main
 from abscatter.gaugefield import (
+    GaussianBump,
     GaussianScalar,
     ScalarMixture,
     VectorPotential,
@@ -96,6 +98,22 @@ def test_a_sinogram_of_a_huge_flux_exits_three(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert "flux alpha = 1e+308" in captured.err and not out.exists()
+
+
+def test_a_sinogram_whose_flux_and_aprime_sum_overflows_exits_three(tmp_path, capsys):
+    # each line's flux part and A' integral are finite, their sum is not: no file, no
+    # warning, one line naming the flux and A'
+    cfg, out = tmp_path / "sum.json", tmp_path / "a.csv"
+    save_potential_json(VectorPotential(alpha=5.7e307,
+                                        bumps=(GaussianBump((0.0, 0.0), 8e307, 1.0),)), cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["radon", "--config", str(cfg), "--quantity", "A", "--n-p", "8", "--n-phi",
+                     "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and not caught and not out.exists()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "flux alpha = 5.7e+307" in captured.err and "A'" in captured.err
 
 
 @pytest.mark.parametrize("config", [

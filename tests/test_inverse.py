@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from test_smatrix_properties import two_valued
 
 from abscatter import inverse
 from abscatter.errors import (
@@ -13,6 +14,7 @@ from abscatter.errors import (
     TooSingularError,
 )
 from abscatter.inverse import (
+    _flux_from_eigenvalues,
     default_strips,
     detect_conjugation,
     recover_flux,
@@ -21,10 +23,8 @@ from abscatter.inverse import (
 )
 from abscatter.smatrix import (
     KernelGrid,
-    PartialWaveSMatrix,
     StripDomain,
     _spectrum,
-    build_partial_wave,
     conjugate_kernel,
     perturb_kernel,
     sample_kernel,
@@ -47,43 +47,41 @@ def perturbed_kernel(alpha, n, sup, seed=0):
     return perturb_kernel(sample_kernel(alpha, n), sup, seed)
 
 
+def exact_modes(alpha, m):
+    """The mode side's reading of the exact flux-alpha eigenvalues on the modes [-m, m]."""
+    return _flux_from_eigenvalues(two_valued(alpha, m), m)
+
+
 def grid_window(grid, m):
-    """The eigenvalues a kernel grid gives by quadrature on the modes [-m, m]."""
-    return PartialWaveSMatrix(alpha=math.nan, m_max=m,
-                              eigenvalues=_spectrum(grid)[np.arange(-m, m + 1)])
+    """The mode side's reading of a kernel grid's eigenvalues on the modes [-m, m] alone."""
+    return _flux_from_eigenvalues(_spectrum(grid)[np.arange(-m, m + 1)], m)
 
 
 class TestModeRecovery:
     def test_half_flux(self):
-        est = recover_flux_from_modes(build_partial_wave(0.5, 8))
+        est = exact_modes(0.5, 8)
         assert abs(est.alpha - 0.5) <= 1e-9
 
     def test_one_point_seven(self):
-        est = recover_flux_from_modes(build_partial_wave(1.7, 8))
+        est = exact_modes(1.7, 8)
         assert est.ceil_alpha == 2
         assert abs(est.alpha - 1.7) <= 1e-9
 
     def test_integer_flux_degenerate(self):
         with pytest.raises(IntegerFluxError):
-            recover_flux_from_modes(build_partial_wave(0.0, 8))
+            exact_modes(0.0, 8)
         with pytest.raises(IntegerFluxError):
-            recover_flux_from_modes(build_partial_wave(2.0, 8))
-
-    def test_empty_mode_window(self):
-        # partial-wave data is read on its whole window, which cannot be empty; a
-        # kernel grid's window comes from its data
-        with pytest.raises(DomainError, match="m_max must be >= 1"):
-            build_partial_wave(0.3, 0)
+            exact_modes(2.0, 8)
 
     def test_flip_outside_mode_window(self):
         # exact data: every eigenvalue in [-8, 8] is e^{-i pi 8.5}
         with pytest.raises(IntegerFluxError, match=r"outside the mode window \[-8, 8\]"):
-            recover_flux_from_modes(build_partial_wave(8.5, 8))
+            exact_modes(8.5, 8)
         # grid quadrature leaves 1e-4 of noise on those equal eigenvalues,
         # which no two-valued spectrum fits
         grid = sample_kernel(9.3, 256)
         with pytest.raises(DataInconsistencyError, match=r"outside the mode window \[-8, 8\]"):
-            recover_flux_from_modes(grid_window(grid, 8))
+            grid_window(grid, 8)
         # on the grid itself the window doubles to [-16, 16], which holds the flip
         est = recover_flux_from_modes(grid)
         assert est.ceil_alpha == 10 and abs(est.alpha - 9.3) <= 1e-4
@@ -98,27 +96,25 @@ class TestModeRecovery:
 
     def test_no_flip_visible(self):
         # a first mode already holding the limit value: the flip is below the window
-        s = build_partial_wave(0.5, 8)
-        eig = s.eigenvalues.copy()
+        eig = two_valued(0.5, 8)
         eig[0] = eig[-1]
         with pytest.raises(DataInconsistencyError,
                            match=r"no flip visible: .*outside the mode window \[-8, 8\]"):
-            recover_flux_from_modes(dataclasses.replace(s, eigenvalues=eig))
+            _flux_from_eigenvalues(eig, 8)
 
     def test_limit_phase_must_match_the_flip(self):
         # two-valued, flipping at 1, but the limit phase -pi/2 puts alpha at 1.5, not in (0, 1]
-        modes = np.arange(-8, 9)
-        s = PartialWaveSMatrix(alpha=math.nan, m_max=8, eigenvalues=np.where(modes >= 1, -1j, 1j))
+        eig = np.where(np.arange(-8, 9) >= 1, -1j, 1j)
         with pytest.raises(DataInconsistencyError, match=r"limit phase -0.500000\*pi .* index 1"):
-            recover_flux_from_modes(s)
+            _flux_from_eigenvalues(eig, 8)
 
     def test_input_must_be_mode_data_or_a_kernel_grid(self):
-        with pytest.raises(DomainError, match="expected a PartialWaveSMatrix or KernelGrid"):
+        with pytest.raises(DomainError, match="expected a KernelGrid"):
             recover_flux_from_modes(np.eye(4))
 
     def test_round_trip_twenty_random_fluxes(self, rng):
         for a in random_noninteger_fluxes(rng, 20):
-            est = recover_flux_from_modes(build_partial_wave(a, 8))
+            est = exact_modes(a, 8)
             assert abs(est.alpha - a) <= 1e-9
             assert est.ceil_alpha == math.ceil(a)
 
@@ -128,7 +124,7 @@ class TestModeRecovery:
             assert abs(est.alpha - a) <= 1e-4
 
     def test_estimate_consistency_fields(self):
-        est = recover_flux_from_modes(build_partial_wave(-1.3, 8))
+        est = exact_modes(-1.3, 8)
         assert math.ceil(est.alpha) == est.ceil_alpha
         assert abs(math.sin(math.pi * est.alpha) - est.sin_pi_alpha) <= 1e-12
 
@@ -419,11 +415,11 @@ class TestPipeline:
         grid = sample_kernel(alpha, n)
         verdict = recover_flux(grid, obstacle_convex=True)
         assert verdict.ceil_alpha == math.ceil(alpha) and abs(verdict.alpha - alpha) <= 1e-6
-        assert verdict.alpha == recover_flux_from_modes(grid_window(grid, window)).alpha
+        assert verdict.alpha == grid_window(grid, window).alpha
         assert verdict.alpha == recover_flux_from_modes(grid).alpha and verdict.witness
         with pytest.raises((DataInconsistencyError, IntegerFluxError),
                            match=rf"mode window \[-{window // 2}, {window // 2}\]"):
-            recover_flux_from_modes(grid_window(grid, window // 2))
+            grid_window(grid, window // 2)
 
     def test_verdict_json_fields(self):
         verdict = recover_flux(sample_kernel(0.5, 1024), obstacle_convex=True)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from test_smatrix_properties import two_valued
 
 from abscatter.errors import DomainError, ResolutionError
 from abscatter.inverse import detect_conjugation
@@ -10,7 +11,6 @@ from abscatter.smatrix import (
     StripDomain,
     _pv_rows,
     _spectrum,
-    build_partial_wave,
     compose_with_amplitude,
     conjugate_kernel,
     extract_mode,
@@ -22,40 +22,6 @@ from abscatter.smatrix import (
 )
 
 LOG2 = math.log(2.0)
-
-
-class TestPartialWave:
-    def test_half_flux_eigenvalues(self):
-        s = build_partial_wave(0.5, 8)
-        assert abs(s.eigenvalue(1) - 1j) < 1e-15
-        assert abs(s.eigenvalue(0) - (-1j)) < 1e-15
-
-    def test_zero_flux_identity(self):
-        s = build_partial_wave(0.0, 6)
-        assert np.array_equal(s.eigenvalues, np.ones(13, dtype=complex))
-
-    def test_unitarity_at_machine_precision(self, rng):
-        # |e^{i pi a}| = 1 identically; float evaluation leaves at most an ulp
-        for alpha in rng.uniform(-3, 3, 20):
-            s = build_partial_wave(alpha, 8)
-            assert float(np.max(np.abs(np.abs(s.eigenvalues) - 1.0))) <= 4e-16
-            u = np.diag(s.eigenvalues)
-            assert float(np.max(np.abs(u @ u.conj().T - np.eye(17)))) <= 1e-15
-
-    def test_flip_index_is_ceiling(self, rng):
-        for alpha in rng.uniform(-7.9, 7.9, 50):
-            if abs(alpha - round(alpha)) < 1e-9:
-                continue
-            s = build_partial_wave(alpha, 10)
-            up = np.exp(1j * math.pi * alpha)
-            flipped = np.abs(s.eigenvalues - up) < 1e-12
-            first = int(s.modes[np.argmax(flipped)])
-            assert first == math.ceil(alpha)
-
-    def test_adjoint_inverts(self):
-        s = build_partial_wave(1.3, 6)
-        u = np.diag(s.eigenvalues)
-        assert float(np.max(np.abs(u.conj().T @ u - np.eye(13)))) <= 1e-15
 
 
 class TestModeQuadrature:
@@ -76,10 +42,8 @@ class TestModeQuadrature:
             alpha = 0.1 * k
             if abs(alpha - 1.0) < 1e-12:
                 continue
-            s = build_partial_wave(alpha, 8)
             vals = _spectrum(sample_kernel(alpha, 1024))[modes]
-            for m, v in zip(modes, vals):
-                assert abs(v - s.eigenvalue(m)) <= 1e-6
+            assert np.max(np.abs(vals - two_valued(alpha, 8))) <= 1e-6
 
 
 class TestKernelGrid:
@@ -241,7 +205,7 @@ class TestCompose:
         # -2*pi*i * (kernel action on the first mode)
         g = sample_kernel(0.5, 512)
         out = compose_with_amplitude(g, lambda t, w: np.exp(1j * t))
-        target = -2j * math.pi * build_partial_wave(0.5, 1).eigenvalue(1)
+        target = -2j * math.pi * two_valued(0.5, 1)[2]     # the eigenvalue on mode 1
         diff = out.values[0, 1:] - g.values[0, 1:]
         assert np.max(np.abs(diff - target)) <= 1e-6
 
@@ -324,15 +288,15 @@ class TestPerturb:
 class TestModeExtraction:
     def test_grid_eigenvalues(self):
         g = sample_kernel(0.5, 1024)
-        s = build_partial_wave(0.5, 8)
+        exact = two_valued(0.5, 8)
         for m in range(-8, 9):
-            assert abs(extract_mode(g, m) - s.eigenvalue(m)) <= 1e-6
+            assert abs(extract_mode(g, m) - exact[m + 8]) <= 1e-6
 
     def test_composed_delta_respected(self):
         g = sample_kernel(1.3, 1024)
-        s = build_partial_wave(1.3, 4)
+        exact = two_valued(1.3, 4)
         for m in (-4, 0, 2, 4):
-            assert abs(extract_mode(g, m) - s.eigenvalue(m)) <= 1e-6
+            assert abs(extract_mode(g, m) - exact[m + 4]) <= 1e-6
 
 
 class TestConjugation:
@@ -383,9 +347,9 @@ class TestConjugation:
         # eigenvalue identity e^{i pi (a - n)} = e^{i pi (a + n)} for integer n
         for n in range(-2, 3):
             g = conjugate_kernel(sample_kernel(0.7, 512), n)
-            s = build_partial_wave(0.7 + n, 6)
+            exact = two_valued(0.7 + n, 6)
             for m in (-4, -1, 0, 1, 4):
-                assert abs(extract_mode(g, m) - s.eigenvalue(m)) <= 1e-6
+                assert abs(extract_mode(g, m) - exact[m + 6]) <= 1e-6
 
 
 def test_kernel_grid_path_takes_no_complex_exp(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,10 @@ from abscatter.errors import (
     UndersampledSinogramWarning,
 )
 from abscatter.gaugefield import (
-    GaugeElement,
     GaussianBump,
     GaussianScalar,
     ScalarMixture,
     VectorPotential,
-    gauge_transform,
 )
 from abscatter.xray import (
     Sinogram,
@@ -97,9 +96,9 @@ class TestLineIntegralA:
 
     def test_gauge_pair_even_winding(self, rng):
         base = VectorPotential(alpha=0.4, bumps=(GaussianBump((1.0, 0.0), 0.9, 0.8),))
-        g = GaugeElement(winding=2,
-                         l_field=ScalarMixture((GaussianScalar((0.5, 0.5), 0.6, 0.9),)))
-        other = gauge_transform(base, g)
+        # the gauge e^{i (2 theta + L)}: flux alpha + 2, and grad L added to A'
+        other = replace(base, alpha=base.alpha + 2,
+                        grad_l=ScalarMixture((GaussianScalar((0.5, 0.5), 0.6, 0.9),)))
         ps, phis = line_grid(rng, 50)
         for p, phi in zip(ps, phis):
             r1 = line_integrals(base, [p], [phi], "A")[0, 0]
@@ -110,7 +109,7 @@ class TestLineIntegralA:
 
     def test_odd_winding_flips_phase(self, rng):
         base = VectorPotential(alpha=0.4)
-        other = gauge_transform(base, GaugeElement(winding=1))
+        other = replace(base, alpha=base.alpha + 1)
         ps, phis = line_grid(rng, 10)
         for p, phi in zip(ps, phis):
             ph1 = np.exp(1j * line_integrals(base, [p], [phi], "A")[0, 0])
@@ -177,7 +176,7 @@ class TestRadonForward:
     def test_linearity(self):
         p1 = gaussian_v((2.0, 1.0), 0.8, 0.6)
         p2 = gaussian_v((-1.0, -2.0), 1.1, 0.5)
-        both = VectorPotential(alpha=0.0, v=p1.v + p2.v)
+        both = VectorPotential(alpha=0.0, v=ScalarMixture(p1.v.components + p2.v.components))
         s1 = radon_forward(p1, 64, 64, 8.0)
         s2 = radon_forward(p2, 64, 64, 8.0)
         s12 = radon_forward(both, 64, 64, 8.0)
@@ -233,8 +232,8 @@ class TestRadonInvert:
         inner1 = gaussian_v((0.5, 0.0), 1.0, 0.35)
         inner2 = gaussian_v((-0.4, 0.3), -0.7, 0.3)
         outer = GaussianScalar((3.5, 1.0), 1.0, 0.5)
-        pot1 = VectorPotential(alpha=0.0, v=inner1.v + ScalarMixture((outer,)))
-        pot2 = VectorPotential(alpha=0.0, v=inner2.v + ScalarMixture((outer,)))
+        pot1 = VectorPotential(alpha=0.0, v=ScalarMixture((*inner1.v.components, outer)))
+        pot2 = VectorPotential(alpha=0.0, v=ScalarMixture((*inner2.v.components, outer)))
         s1 = radon_forward(pot1, 128, 180, 8.0)
         s2 = radon_forward(pot2, 128, 180, 8.0)
         i1 = radon_invert(s1, 128)
@@ -326,6 +325,36 @@ class TestALineSinogram:
         with pytest.raises(DomainError, match=r"flux alpha = 1e\+308 times the angle"):
             a_line_sinogram(VectorPotential(alpha=1e308), *sinogram_axes(4, 4, 8.0))
 
+    def test_flux_part_plus_aprime_past_the_floats_is_refused_naming_both(self):
+        # each line's flux part, 5.7e307 pi, and its A' integral, near 2e308 e^-1/2, are
+        # finite, but their sum overflows on both sides of the origin, with no warning (an
+        # error under this suite)
+        pot = VectorPotential(alpha=5.7e307, bumps=(GaussianBump((0.0, 0.0), 8e307, 1.0),))
+        for offsets in ([-1.0, 1.0], [-1.0], [1.0]):
+            with pytest.raises(DomainError, match=r"flux alpha = 5.7e\+307 times the angle its "
+                                                  r"path sweeps, plus the integral of A'"):
+                line_integrals(pot, offsets, [0.0], "A")
+        assert np.all(np.isfinite(line_integrals(pot, [-1.0, 1.0], [0.0], "V")))
+
+
+class TestSinogram:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused_naming_the_first(self, bad):
+        values = np.zeros((3, 2))
+        values[1, 0] = values[2, 1] = bad
+        with pytest.raises(DomainError, match=rf"sinogram values must be finite, got {bad} at "
+                                              r"entry \(1, 0\)"):
+            Sinogram(offsets=[-2.0, 1.0, 2.0], angles=[0.0, 1.0], values=values)
+
+    def test_parity_data_with_a_nan_is_refused_as_data(self):
+        # a NaN would pass the phase comparison (nan > 1e-6 is false) and be blamed on the
+        # certificate, "differs across lines"
+        offsets, angles = np.array([-3.0, 3.0]), np.array([0.0, 1.0])
+        values = line_integrals(VectorPotential(alpha=0.4), offsets, angles, "A")
+        values[0, 1] = math.nan
+        with pytest.raises(DomainError, match=r"got nan at entry \(0, 1\)"):
+            flux_parity_test(Sinogram(offsets, angles, values), Sinogram(offsets, angles, values))
+
 
 class TestParity:
     def setup_method(self):
@@ -341,7 +370,7 @@ class TestParity:
 
     def test_flux_plus_two(self):
         base = VectorPotential(alpha=0.4, bumps=(GaussianBump((1.0, 0.0), 0.9, 0.8),))
-        other = gauge_transform(base, GaugeElement(winding=2))
+        other = replace(base, alpha=base.alpha + 2)
         s1 = a_line_sinogram(base, self.offsets, self.angles)
         s2 = a_line_sinogram(other, self.offsets, self.angles)
         rep = flux_parity_test(s1, s2)
