@@ -1,5 +1,6 @@
 """Exception and warning types shared across the package, and the one check of every integer,
-real, point array, 2-vector and array size input; loading this module loads no numpy."""
+real, value array, point array, 2-vector and array size input; loading this module loads no
+numpy."""
 
 import math
 import operator
@@ -41,17 +42,36 @@ class UndersampledSinogramWarning(UserWarning):
     """Sinogram resolution is low for the requested reconstruction grid."""
 
 
-def points(x, name: str = "points"):
-    """x as a finite (n, 2) float array; DomainError naming `name` otherwise."""
+def array(x, name: str, ndim: int, dtype=float):
+    """x as a finite array of rank ndim and dtype (None: complex for complex numbers, else
+    float); DomainError naming `name` if it is not numbers, has another rank (the message
+    gives its shape) or holds a NaN or infinite entry (the message gives the first one's index
+    and value)."""
     import numpy as np
     try:
-        p = np.asarray(x, dtype=float)
+        a = np.asarray(x, dtype=dtype)
+        if a.dtype.kind not in "fc":    # dtype None, and x holds no floats or complex numbers
+            a = a.astype(float)
     except (TypeError, ValueError, OverflowError):     # not numbers, ragged, or past the floats
-        raise DomainError(f"{name} must be an (n, 2) array of numbers, got {x!r:.80}") from None
-    if p.ndim != 2 or p.shape[1] != 2:
+        raise DomainError(f"{name} must be a number or an array of numbers, "
+                          f"got {x!r:.80}") from None
+    if a.ndim != ndim:
+        raise DomainError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    with np.errstate(all="ignore"):     # the sum is finite if every entry is
+        total = a.sum()
+    bad = () if np.isfinite(total) else np.argwhere(~np.isfinite(a))
+    if len(bad):
+        at = tuple(bad[0].tolist())
+        raise DomainError(f"{name} must be finite, got {a[at]}"
+                          + (f" at entry ({', '.join(map(str, at))})" if at else ""))
+    return a
+
+
+def points(x, name: str = "points"):
+    """x as a finite (n, 2) float array; DomainError naming `name` otherwise."""
+    p = array(x, name, 2)
+    if p.shape[1] != 2:
         raise DomainError(f"{name} must be an (n, 2) array, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise DomainError(f"{name} must be finite")
     return p
 
 

@@ -315,12 +315,9 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
     The estimate is the largest-radius value; a FluxConvergenceWarning fires when
     the A' circulations at the top two radii still differ by more than 1e-3.
     """
-    try:
-        radii = np.array([errors.real(r, "radius") for r in radii])
-    except TypeError:       # not iterable
-        raise DomainError(f"radii must be a sequence of numbers, got {radii!r:.80}") from None
+    radii = errors.array(radii, "radii", 1)
     if radii.size == 0 or np.any(np.diff(radii) <= 0.0):
-        raise DomainError("radii must be a nonempty ascending sequence of finite numbers")
+        raise DomainError("radii must be a nonempty ascending sequence")
     if radii[0] <= pot.obstacle_radius:
         raise DomainError("radii must exceed the obstacle radius")
     th = 2.0 * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES

@@ -22,7 +22,6 @@ the spectrum both use these weights; the spectrum takes its mode phases from one
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,18 +101,11 @@ class KernelGrid:
     alpha_hint: float | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = errors.array(self.values, "kernel values", 2, complex)
         if self.values.shape != (self.n, self.n):
-            raise DomainError(f"values must be ({self.n}, {self.n})")
-        if not cmath.isfinite(self.delta_coeff):
-            raise DomainError(f"delta_coeff must be finite, got {self.delta_coeff}")
-        with np.errstate(all="ignore"):     # the sum is finite if every entry is
-            total = self.values.sum()
-        bad = () if cmath.isfinite(total) else np.argwhere(~np.isfinite(self.values))
-        if len(bad):
-            j, k = bad[0].tolist()
-            raise DomainError(f"kernel values must be finite, got {self.values[j, k]} "
-                              f"at entry ({j}, {k})")
+            raise DomainError(f"kernel values must be ({self.n}, {self.n}), "
+                              f"got shape {self.values.shape}")
+        self.delta_coeff = complex(errors.array(self.delta_coeff, "delta_coeff", 0, complex))
 
     @property
     def theta(self) -> np.ndarray:
@@ -244,12 +236,10 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
     theta, omega = grid.theta[:, None], grid.theta[None, :]
     try:
         fmat = np.broadcast_to(np.asarray(amplitude(theta, omega), dtype=complex), (n, n))
-        if not np.isfinite(fmat).all():
-            raise ValueError("it holds NaN or infinite values")
     except (TypeError, ValueError) as exc:     # ValueError: the result does not broadcast
-        raise DomainError(f"amplitude must be finite and broadcast to {n} x {n} on open grids: "
-                          f"{exc}") from exc
-    fmat = np.ascontiguousarray(fmat)
+        raise DomainError(f"amplitude must give numbers that broadcast to {n} x {n} on open "
+                          f"grids: {exc}") from exc
+    fmat = np.ascontiguousarray(errors.array(fmat, "amplitude", 2, complex))
 
     new_vals = np.empty((n, n), dtype=complex)
     for rows in _row_blocks(n):

@@ -104,11 +104,7 @@ def bessel_j_ladder(mu: float, count: int, x) -> np.ndarray:
         raise errors.DomainError(f"the orders mu .. mu + count - 1 (count = {count}) must lie in "
                                  f"[0, {ORDER_MAX:g}]: J_nu underflows past it at x <= {X_MAX:g}")
     scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
-    try:
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-    except (TypeError, ValueError, OverflowError):     # not numbers, ragged, or past the floats
-        raise errors.DomainError(f"x must be a number or an array of numbers, "
-                                 f"got {x!r:.80}") from None
+    xa = np.atleast_1d(errors.array(x, "x", 0 if scalar else 1))
     if not np.all((xa >= 0.0) & (xa <= X_MAX)):
         raise errors.DomainError(f"arguments x must lie in [0, {X_MAX:g}]")
     tiny = xa < _TINY_X

@@ -62,16 +62,11 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=float)
-        self.angles = np.asarray(self.angles, dtype=float)
-        self.values = np.asarray(self.values)
+        self.offsets = errors.array(self.offsets, "sinogram offsets", 1)
+        self.angles = errors.array(self.angles, "sinogram angles", 1)
+        self.values = errors.array(self.values, "sinogram values", 2, None)   # i,j,re,im: complex
         if self.values.shape != (self.offsets.size, self.angles.size):
             raise DomainError("sinogram dimensions are inconsistent")
-        bad = np.argwhere(~np.isfinite(self.values))
-        if len(bad):
-            i, j = bad[0].tolist()
-            raise DomainError(f"sinogram values must be finite, got {self.values[i, j]} "
-                              f"at entry ({i}, {j})")
 
     @property
     def p_max(self) -> float:
@@ -89,11 +84,8 @@ def line_integrals(pot: VectorPotential, offsets, angles, quantity: str) -> np.n
     """
     if quantity not in ("V", "A"):
         raise DomainError(f"quantity must be 'V' or 'A', got {quantity!r}")
-    offsets, angles = np.asarray(offsets, dtype=float), np.asarray(angles, dtype=float)
-    if offsets.ndim != 1 or angles.ndim != 1:
-        raise DomainError("line offsets and angles must be 1-D sequences")
-    if not (np.all(np.isfinite(offsets)) and np.all(np.isfinite(angles))):
-        raise DomainError("line offsets and angles must be finite")
+    offsets = errors.array(offsets, "line offsets", 1)
+    angles = errors.array(angles, "line angles", 1)
     if quantity == "V":
         parts = [(c, c.value) for c in pot.v.components]
     else:

@@ -366,6 +366,6 @@ def test_wave_csv_round_trip(tmp_path, rng):
 def test_wave_csv_refuses_a_one_dimensional_point(tmp_path):
     # one point is a (1, 2) array, as for the evaluators: a bare 2-vector writes nothing
     path = tmp_path / "wave.csv"
-    with pytest.raises(DomainError, match=r"\(n, 2\) array"):
+    with pytest.raises(DomainError, match=r"points must be 2-D, got shape \(2,\)"):
         save_wave_csv(path, [1.0, 2.0], [0.5 + 0.5j])
     assert not path.exists()
