@@ -106,9 +106,13 @@ def _segment_integrals(parts, x0, d, lo: float = -math.inf) -> np.ndarray:
         center, radius = 0.5 * (a + b), 0.5 * (b - a)
         t = center[:, None] + radius[:, None] * gx
         vals = np.asarray(field((x0[idx][:, None, :] + t[:, :, None] * d).reshape(-1, 2)))
-        if vals.ndim == 2:
-            vals = vals @ d
-        out[idx] += (vals.reshape(t.shape) @ gw) * radius
+        with np.errstate(over="ignore", invalid="ignore"):     # refused below by name
+            if vals.ndim == 2:
+                vals = vals @ d
+            out[idx] += (vals.reshape(t.shape) @ gw) * radius
+        if not np.isfinite(out[idx]).all():
+            raise DomainError(f"the integral along a line through the component of strength "
+                              f"{comp.strength:g} and width {comp.width:g} overflows")
     return out
 
 
@@ -205,11 +209,27 @@ def _components(cls, entries) -> tuple:
                  for e in entries)
 
 
+def _parts(parts, cls, name: str) -> tuple:
+    """parts as a tuple of cls instances; DomainError naming `name` otherwise."""
+    try:
+        out = tuple(parts)
+        ok = all(isinstance(p, cls) for p in out)
+    except TypeError:       # not iterable
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be a sequence of {cls.__name__}, got {parts!r:.80}")
+    return out
+
+
 @dataclass(frozen=True)
 class ScalarMixture:
     """Finite sum of Gaussian scalars with analytic gradient."""
 
     components: tuple[GaussianScalar, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "components",
+                           _parts(self.components, GaussianScalar, "components"))
 
     def __call__(self, x) -> np.ndarray:
         p = errors.points(x)
@@ -233,6 +253,10 @@ class VectorPotential:
     def __post_init__(self):
         object.__setattr__(self, "alpha", errors.real(self.alpha, "flux alpha"))
         object.__setattr__(self, "obstacle_radius", errors.real(self.obstacle_radius, "R0"))
+        object.__setattr__(self, "bumps", _parts(self.bumps, GaussianBump, "bumps"))
+        for name, part in (("grad_l", self.grad_l), ("v", self.v)):
+            if not isinstance(part, ScalarMixture):
+                raise DomainError(f"{name} must be a ScalarMixture, got {part!r:.80}")
         # a sum of components stays below the sum of their bounds: A' sums the bumps
         # and grad(L) (so its check covers B, the bumps alone), V its own
         for name, comps in (("bumps and gradL", (*self.bumps, *self.grad_l.components)),
@@ -347,6 +371,8 @@ class EikonalPhase:
         object.__setattr__(self, "sign", errors.integer(self.sign, "sign"))
         if self.sign not in (-1, 1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign!r}")
+        if not isinstance(self.potential, VectorPotential):
+            raise DomainError(f"potential must be a VectorPotential, got {self.potential!r:.80}")
 
 
 def _ray_args(x, xi) -> tuple[np.ndarray, np.ndarray]:

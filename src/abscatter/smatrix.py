@@ -101,6 +101,7 @@ class KernelGrid:
     alpha_hint: float | None = None
 
     def __post_init__(self):
+        self.n = errors.integer(self.n, "grid size n", 1)
         self.values = errors.array(self.values, "kernel values", 2, complex)
         if self.values.shape != (self.n, self.n):
             raise DomainError(f"kernel values must be ({self.n}, {self.n}), "
@@ -223,8 +224,8 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
 
     amplitude(theta, omega) is the smooth kernel F, called once on the open
     grids theta[:, None], omega[None, :]; an amplitude that fails there with
-    TypeError or ValueError, or whose result does not broadcast to n x n or is
-    not finite, is refused with DomainError.  The composition is
+    TypeError, ValueError or OverflowError, or whose result does not broadcast to
+    n x n or is not finite, is refused with DomainError.  The composition is
         S(theta, omega) = s(theta - omega)
                           - 2*pi*i * [ delta_coeff * F(theta, omega)
                                        + p.v. int s_reg(theta - t) F(t, omega) dt ].
@@ -236,7 +237,7 @@ def compose_with_amplitude(grid: KernelGrid, amplitude) -> KernelGrid:
     theta, omega = grid.theta[:, None], grid.theta[None, :]
     try:
         fmat = np.broadcast_to(np.asarray(amplitude(theta, omega), dtype=complex), (n, n))
-    except (TypeError, ValueError) as exc:     # ValueError: the result does not broadcast
+    except (TypeError, ValueError, OverflowError) as exc:   # ValueError: it does not broadcast
         raise DomainError(f"amplitude must give numbers that broadcast to {n} x {n} on open "
                           f"grids: {exc}") from exc
     fmat = np.ascontiguousarray(errors.array(fmat, "amplitude", 2, complex))

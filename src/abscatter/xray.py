@@ -65,6 +65,9 @@ class Sinogram:
         self.offsets = errors.array(self.offsets, "sinogram offsets", 1)
         self.angles = errors.array(self.angles, "sinogram angles", 1)
         self.values = errors.array(self.values, "sinogram values", 2, None)   # i,j,re,im: complex
+        if not (self.offsets.size and self.angles.size):
+            raise DomainError(f"sinogram offsets and angles must be nonempty, got "
+                              f"{self.offsets.size} and {self.angles.size}")
         if self.values.shape != (self.offsets.size, self.angles.size):
             raise DomainError("sinogram dimensions are inconsistent")
 
@@ -86,6 +89,9 @@ def line_integrals(pot: VectorPotential, offsets, angles, quantity: str) -> np.n
         raise DomainError(f"quantity must be 'V' or 'A', got {quantity!r}")
     offsets = errors.array(offsets, "line offsets", 1)
     angles = errors.array(angles, "line angles", 1)
+    if not (offsets.size and angles.size):
+        raise DomainError(f"line offsets and angles must be nonempty, got {offsets.size} and "
+                          f"{angles.size}")
     if quantity == "V":
         parts = [(c, c.value) for c in pot.v.components]
     else:

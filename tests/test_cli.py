@@ -116,6 +116,21 @@ def test_a_sinogram_whose_flux_and_aprime_sum_overflows_exits_three(tmp_path, ca
     assert "flux alpha = 5.7e+307" in captured.err and "A'" in captured.err
 
 
+def test_a_sinogram_whose_line_integral_overflows_exits_three(tmp_path, capsys):
+    # one wide, strong V component: each line's segment-rule sum overflows; no file, no
+    # warning, one line naming the component
+    cfg, out = tmp_path / "wide.json", tmp_path / "v.csv"
+    save_potential_json(VectorPotential(
+        alpha=0.0, v=ScalarMixture((GaussianScalar((0.0, 0.0), 1.7e308, 1e10),))), cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["radon", "--config", str(cfg), "--p-max", "1e10", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and not caught and not out.exists()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "component of strength 1.7e+308 and width 1e+10" in captured.err
+
+
 @pytest.mark.parametrize("config", [
     "[1, 2]",
     '{"alpha": 0.5, "bumps": [{"center": [1], "strength": 1.0, "width": 0.5}]}',

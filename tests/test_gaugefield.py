@@ -182,6 +182,31 @@ class TestPotentialFields:
             assert float(np.hypot(*a)) * (1 + r) ** 1.5 <= 10.0
 
 
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: VectorPotential(0.3, bumps=None),
+                 r"bumps must be a sequence of GaussianBump, got None", id="bumps-none"),
+    pytest.param(lambda: VectorPotential(0.3, bumps=GaussianBump((0, 0), 1, 1)),
+                 r"bumps must be a sequence of GaussianBump, got GaussianBump", id="bare-bump"),
+    pytest.param(lambda: VectorPotential(0.3, grad_l=()),
+                 r"grad_l must be a ScalarMixture, got \(\)", id="grad-l-tuple"),
+    pytest.param(lambda: VectorPotential(0.3, bumps=(GaussianScalar((0, 0), 1, 1),)),
+                 r"bumps must be a sequence of GaussianBump, got \(GaussianScalar",
+                 id="bumps-of-scalars"),
+    pytest.param(lambda: ScalarMixture((GaussianBump((0, 0), 1, 1),)),
+                 r"components must be a sequence of GaussianScalar", id="mixture-of-bumps"),
+    pytest.param(lambda: EikonalPhase(1, None),
+                 r"potential must be a VectorPotential, got None", id="phase-without-potential"),
+])
+def test_containers_refuse_a_wrong_part_by_name(build, match):
+    with pytest.raises(DomainError, match=match):
+        build()
+
+
+def test_a_list_of_bumps_is_kept_as_a_tuple():
+    bump = GaussianBump((1.0, 0.0), 0.5, 0.8)
+    assert VectorPotential(0.3, bumps=[bump]) == VectorPotential(0.3, bumps=(bump,))
+
+
 class TestEikonal:
     def test_zero_potential(self):
         ph = EikonalPhase(sign=1, potential=VectorPotential(alpha=0.0))
@@ -203,6 +228,15 @@ class TestEikonal:
             with pytest.raises(DomainError, match=r"flux alpha = 5.7e\+307 times the angle its "
                                                   r"path sweeps, plus the integral of A'"):
                 fn(ph, (-0.5, 1.0), (1.0, 0.0))
+
+    def test_a_wide_strong_bump_whose_ray_integral_overflows_is_refused_naming_it(self):
+        # the ray's A' integral overflows before any flux part is added, with no warning
+        pot = VectorPotential(alpha=0.0, bumps=(GaussianBump((0.0, 0.0), 1.7e308, 1e10),))
+        ph = EikonalPhase(sign=1, potential=pot)
+        for fn in (eikonal_phase, phase_gradient):
+            with pytest.raises(DomainError, match=r"component of strength 1.7e\+308 and width "
+                                                  r"1e\+10 overflows"):
+                fn(ph, (-1e10, 1e10), (1.0, 0.0))
 
     def test_backward_cone_rejected(self):
         ph = EikonalPhase(sign=1, potential=VectorPotential(alpha=1.0))

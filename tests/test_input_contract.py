@@ -39,7 +39,9 @@ from abscatter.gaugefield import (
 )
 from abscatter.inverse import default_strips, detect_conjugation
 from abscatter.smatrix import (
+    KernelGrid,
     StripDomain,
+    compose_with_amplitude,
     conjugate_kernel,
     extract_mode,
     perturb_kernel,
@@ -47,13 +49,14 @@ from abscatter.smatrix import (
     strip_integral,
 )
 from abscatter.specfun import bessel_j_ladder
-from abscatter.xray import radon_forward, radon_invert, sinogram_axes
+from abscatter.xray import Sinogram, line_integrals, radon_forward, radon_invert, sinogram_axes
 
 SPEC = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0))
 BUMP = GaussianBump(center=(1.5, -0.5), strength=1.0, width=0.9)
 SCALAR = GaussianScalar(center=(0.0, 1.0), strength=0.6, width=1.1)
 MIXTURE = ScalarMixture((SCALAR,))
 POT = VectorPotential(alpha=0.8, bumps=(BUMP,), grad_l=MIXTURE, v=MIXTURE)
+K64 = sample_kernel(0.3, 64)
 
 # one coordinate in two is ordinary; the rest are the edge values every check must meet
 coord = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
@@ -146,13 +149,49 @@ def test_ray_functions_meet_the_contract(name, x, xi, sign):
     assert out is None or out.shape == shape
 
 
+def spoiled(valid) -> list:
+    """valid with its last entry NaN, +inf or -inf, and with one axis too many."""
+    out = []
+    for bad in (math.nan, math.inf, -math.inf):
+        v = np.array(valid)
+        v.flat[-1] = bad
+        out.append(v)
+    return [*out, np.array(valid)[None]]
+
+
+# values that are no array of numbers: absent, text, ragged, mixed, past the floats
+NOT_ARRAYS = [None, "abc", [[1.0], [2.0, 3.0]], [1.0, "y"], [1.0, 10**400]]
+EMPTY = [np.empty(0)]
+GRID4 = np.zeros((4, 4))
+AXES = ([-1.0, 1.0], [0.0, 1.0])
+
 # (call with the value in the array argument's place, a pattern naming the argument,
 # values that are no array of numbers the call takes)
 ARRAY_ARGUMENTS = {
     "flux radii": (lambda v: flux(POT, v), r"\bradi(i|us)\b",
                    [5.0, None, "abc", [[10.0], [20.0, 30.0]], [10.0, 10**400]]),
     "bessel_j_ladder x": (lambda v: bessel_j_ladder(0.5, 3, v), r"\bx\b",
-                          ["abc", None, [[1.0], [2.0, 3.0]], [1.0, "y"], [1.0, 10**400]]),
+                          ["abc", None, [[1.0], [2.0, 3.0]], [1.0, "y"], [1.0, 10**400],
+                           *spoiled([1.0, 2.0])]),
+    "KernelGrid values": (lambda v: KernelGrid(4, v, 1.0), r"\bkernel values\b",
+                          ["ab", *NOT_ARRAYS, *spoiled(GRID4), *EMPTY]),
+    "KernelGrid delta_coeff": (lambda v: KernelGrid(4, GRID4, v), r"\bdelta_coeff\b",
+                               ["x", *NOT_ARRAYS, *spoiled(1.0), *EMPTY]),
+    "Sinogram offsets": (lambda v: Sinogram(v, AXES[1], np.zeros((2, 2))), r"\boffsets\b",
+                         [*NOT_ARRAYS, *spoiled(AXES[0]), *EMPTY]),
+    "Sinogram angles": (lambda v: Sinogram(AXES[0], v, np.zeros((2, 2))), r"\bangles\b",
+                        [*NOT_ARRAYS, *spoiled(AXES[1]), *EMPTY]),
+    "Sinogram values": (lambda v: Sinogram(*AXES, v), r"\bsinogram values\b",
+                        [*NOT_ARRAYS, *spoiled(np.zeros((2, 2))), *EMPTY]),
+    "line_integrals offsets": (lambda v: line_integrals(POT, v, [0.0], "V"),
+                               r"\bline offsets\b", [*NOT_ARRAYS, *spoiled(AXES[0]), *EMPTY]),
+    "line_integrals angles": (lambda v: line_integrals(POT, [1.0], v, "V"), r"\bangles\b",
+                              [*NOT_ARRAYS, *spoiled(AXES[1]), *EMPTY]),
+    "compose_with_amplitude amplitude": (lambda v: compose_with_amplitude(K64, lambda t, o: v),
+                                         r"\bamplitude\b",
+                                         [*NOT_ARRAYS, *spoiled(np.ones((64, 64))), *EMPTY]),
+    "ScalarMixture points": (MIXTURE, r"\bpoints\b",
+                             [*NOT_ARRAYS, *spoiled([[1.0, 2.0]]), *EMPTY]),
 }
 
 
@@ -167,7 +206,6 @@ def test_array_arguments_are_refused_by_name(name, value):
 # the edge values every scalar check must meet; each parameter adds one small valid value
 EDGES = [0, -1, 2.5, True, math.nan, math.inf, -math.inf, 1e308, 1e-200, 10**400, "3", None]
 PTS = np.array([[2.0, 1.0], [-1.5, 0.5]])
-K64 = sample_kernel(0.3, 64)
 
 
 @functools.cache

@@ -104,6 +104,11 @@ class TestKernelGrid:
         with pytest.raises(DomainError, match=f"grid size n must be an integer, got {n!r}"):
             sample_kernel(0.5, n)
 
+    @pytest.mark.parametrize("n", [True, 2.0, 0])
+    def test_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(DomainError, match=r"grid size n must be (an integer|>= 1), got"):
+            KernelGrid(n=n, values=np.zeros((1, 1)), delta_coeff=1)
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_entry_is_named(self, entry):
         vals = np.array(sample_kernel(0.3, 64).values)

@@ -268,16 +268,16 @@ class TestRadonInvert:
 
     @pytest.mark.parametrize("n_p, grid_n, match", [
         (128, 0, "grid_n >= 1"), (128, -5, "grid_n >= 1"), (1, 64, "at least 2 offsets"),
-        (0, 64, "at least 2 offsets"), (128, 10**21, "more than can be allocated"),
+        (0, 64, "offsets and angles must be nonempty"), (128, 10**21, "more than can be allocated"),
         (128, 10.5, "grid_n must be an integer, got 10.5"),
     ])
     def test_bad_image_or_offsets_rejected(self, n_p, grid_n, match):
         # refused before the filter runs: 10**21 pixels a side exceeds numpy's
-        # maximum array size, so nothing is allocated
-        sino = Sinogram(offsets=np.linspace(-8, 8, n_p), angles=np.arange(64) * math.pi / 64,
-                        values=np.zeros((n_p, 64)))
+        # maximum array size, so nothing is allocated; no offsets, when the sinogram is built
         with pytest.raises(DomainError, match=match):
-            radon_invert(sino, grid_n)
+            radon_invert(Sinogram(offsets=np.linspace(-8, 8, n_p),
+                                  angles=np.arange(64) * math.pi / 64,
+                                  values=np.zeros((n_p, 64))), grid_n)
 
     def test_undersampling_warning(self):
         sino = Sinogram(offsets=np.linspace(-8, 8, 128),
@@ -336,8 +336,26 @@ class TestALineSinogram:
                 line_integrals(pot, offsets, [0.0], "A")
         assert np.all(np.isfinite(line_integrals(pot, [-1.0, 1.0], [0.0], "V")))
 
+    @pytest.mark.parametrize("pot, quantity", [
+        (VectorPotential(alpha=0.0, v=ScalarMixture((GaussianScalar((0, 0), 1.7e308, 1e10),))),
+         "V"),
+        (VectorPotential(alpha=0.0, bumps=(GaussianBump((0, 0), 1.7e308, 1e10),)), "A"),
+    ])
+    def test_a_wide_strong_component_whose_integral_overflows_is_refused_naming_it(self, pot,
+                                                                                  quantity):
+        # each field value is finite, but the segment rule's sum times the chord's half
+        # length, 8.5e10, is not; no warning (an error under this suite)
+        with pytest.raises(DomainError, match=r"component of strength 1.7e\+308 and width "
+                                              r"1e\+10 overflows"):
+            line_integrals(pot, [-1e10, 1e10], [0.0], quantity)
+
 
 class TestSinogram:
+    def test_empty_axes_are_refused(self):
+        # the grid's p_max, its reconstruction axes and its CSV form all need a line
+        with pytest.raises(DomainError, match="sinogram offsets and angles must be nonempty"):
+            Sinogram(offsets=[], angles=[], values=np.zeros((0, 0)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_are_refused_naming_the_first(self, bad):
         values = np.zeros((3, 2))
