@@ -44,17 +44,18 @@ class UndersampledSinogramWarning(UserWarning):
 
 def array(x, name: str, ndim: int, dtype=float):
     """x as a finite array of rank ndim and dtype (None: complex for complex numbers, else
-    float); DomainError naming `name` if it is not numbers, has another rank (the message
-    gives its shape) or holds a NaN or infinite entry (the message gives the first one's index
-    and value)."""
+    float); DomainError naming `name` if it is not numbers, is complex where dtype is float,
+    has another rank (the message gives its shape) or holds a NaN or infinite entry (the
+    message gives the first one's index and value)."""
     import numpy as np
     try:
-        a = np.asarray(x, dtype=dtype)
-        if a.dtype.kind not in "fc":    # dtype None, and x holds no floats or complex numbers
-            a = a.astype(float)
+        a = np.asarray(x)
+        a = a.astype(complex if a.dtype.kind == "c" or dtype is complex else float, copy=False)
     except (TypeError, ValueError, OverflowError):     # not numbers, ragged, or past the floats
         raise DomainError(f"{name} must be a number or an array of numbers, "
                           f"got {x!r:.80}") from None
+    if dtype is float and a.dtype.kind == "c":
+        raise DomainError(f"{name} must be real, got {x!r:.80}")
     if a.ndim != ndim:
         raise DomainError(f"{name} must be {ndim}-D, got shape {a.shape}")
     with np.errstate(all="ignore"):     # the sum is finite if every entry is

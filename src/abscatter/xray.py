@@ -54,8 +54,8 @@ __all__ = [
 
 @dataclass
 class Sinogram:
-    """Line-integral samples values[i, j] at (offsets[i], angles[j]), all finite: a NaN or
-    infinite value is refused, naming the first."""
+    """Line-integral samples values[i, j] at (offsets[i], angles[j]) on nonempty axes, all
+    finite: a NaN or infinite value is refused, naming the first."""
 
     offsets: np.ndarray
     angles: np.ndarray
@@ -78,7 +78,7 @@ class Sinogram:
 
 def line_integrals(pot: VectorPotential, offsets, angles, quantity: str) -> np.ndarray:
     """Full-line integrals of V or A . omega (quantity "V" or "A") on the
-    (offsets x angles) grid of two 1-D sequences.
+    (offsets x angles) grid of two nonempty 1-D sequences.
 
     Line (p, phi) is p*(-sin phi, cos phi) + s*(cos phi, sin phi); the
     smooth parts go through gaugefield's segment rule, one angle's offsets

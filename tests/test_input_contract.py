@@ -161,7 +161,6 @@ def spoiled(valid) -> list:
 
 # values that are no array of numbers: absent, text, ragged, mixed, past the floats
 NOT_ARRAYS = [None, "abc", [[1.0], [2.0, 3.0]], [1.0, "y"], [1.0, 10**400]]
-EMPTY = [np.empty(0)]
 GRID4 = np.zeros((4, 4))
 AXES = ([-1.0, 1.0], [0.0, 1.0])
 
@@ -174,24 +173,26 @@ ARRAY_ARGUMENTS = {
                           ["abc", None, [[1.0], [2.0, 3.0]], [1.0, "y"], [1.0, 10**400],
                            *spoiled([1.0, 2.0])]),
     "KernelGrid values": (lambda v: KernelGrid(4, v, 1.0), r"\bkernel values\b",
-                          ["ab", *NOT_ARRAYS, *spoiled(GRID4), *EMPTY]),
+                          [*NOT_ARRAYS, *spoiled(GRID4), np.empty(0)]),
     "KernelGrid delta_coeff": (lambda v: KernelGrid(4, GRID4, v), r"\bdelta_coeff\b",
-                               ["x", *NOT_ARRAYS, *spoiled(1.0), *EMPTY]),
+                               [*NOT_ARRAYS, *spoiled(1.0), np.empty(0)]),
     "Sinogram offsets": (lambda v: Sinogram(v, AXES[1], np.zeros((2, 2))), r"\boffsets\b",
-                         [*NOT_ARRAYS, *spoiled(AXES[0]), *EMPTY]),
+                         [*NOT_ARRAYS, *spoiled(AXES[0]), np.empty(0)]),
     "Sinogram angles": (lambda v: Sinogram(AXES[0], v, np.zeros((2, 2))), r"\bangles\b",
-                        [*NOT_ARRAYS, *spoiled(AXES[1]), *EMPTY]),
+                        [*NOT_ARRAYS, *spoiled(AXES[1]), np.empty(0)]),
     "Sinogram values": (lambda v: Sinogram(*AXES, v), r"\bsinogram values\b",
-                        [*NOT_ARRAYS, *spoiled(np.zeros((2, 2))), *EMPTY]),
+                        [*NOT_ARRAYS, *spoiled(np.zeros((2, 2))), np.empty(0)]),
     "line_integrals offsets": (lambda v: line_integrals(POT, v, [0.0], "V"),
-                               r"\bline offsets\b", [*NOT_ARRAYS, *spoiled(AXES[0]), *EMPTY]),
+                               r"\bline offsets\b",
+                               [*NOT_ARRAYS, *spoiled(AXES[0]), np.empty(0), np.array([1j])]),
     "line_integrals angles": (lambda v: line_integrals(POT, [1.0], v, "V"), r"\bangles\b",
-                              [*NOT_ARRAYS, *spoiled(AXES[1]), *EMPTY]),
+                              [*NOT_ARRAYS, *spoiled(AXES[1]), np.empty(0)]),
     "compose_with_amplitude amplitude": (lambda v: compose_with_amplitude(K64, lambda t, o: v),
                                          r"\bamplitude\b",
-                                         [*NOT_ARRAYS, *spoiled(np.ones((64, 64))), *EMPTY]),
+                                         [*NOT_ARRAYS, *spoiled(np.ones((64, 64))), np.empty(0)]),
     "ScalarMixture points": (MIXTURE, r"\bpoints\b",
-                             [*NOT_ARRAYS, *spoiled([[1.0, 2.0]]), *EMPTY]),
+                             [*NOT_ARRAYS, *spoiled([[1.0, 2.0]]), np.empty(0),
+                              np.array([[1.0 + 1.0j, 2.0]])]),
 }
 
 
