@@ -159,7 +159,7 @@ def eval_ab_wave_grid(spec: ABWaveSpec, points) -> np.ndarray:
 def save_wave_csv(path, points, values) -> None:
     """Grid dump with columns x1,x2,re,im."""
     points = errors.points(points)
-    values = np.asarray(values, dtype=complex)
+    values = errors.array(values, "wave values", 1, complex)
     write_table(path, "x1,x2,re,im", [points[:, 0], points[:, 1], values.real, values.imag])
 
 

@@ -86,6 +86,12 @@ def saved(points):
         return load_wave_csv(path)[0]
 
 
+def wave_saved(values):
+    """save_wave_csv of the one point (1, 2) with values, in a directory removed after."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_wave_csv(Path(tmp) / "w.csv", [[1.0, 2.0]], values)
+
+
 # (evaluator of an (n, 2) point array, trailing shape of its result)
 POINT_EVALUATORS = {
     "GaussianBump.vector": (BUMP.vector, (2,)),
@@ -190,6 +196,8 @@ ARRAY_ARGUMENTS = {
     "compose_with_amplitude amplitude": (lambda v: compose_with_amplitude(K64, lambda t, o: v),
                                          r"\bamplitude\b",
                                          [*NOT_ARRAYS, *spoiled(np.ones((64, 64))), np.empty(0)]),
+    "save_wave_csv values": (wave_saved, r"\bwave values\b",
+                             [*NOT_ARRAYS, *spoiled([1.0 + 0.5j])]),
     "ScalarMixture points": (MIXTURE, r"\bpoints\b",
                              [*NOT_ARRAYS, *spoiled([[1.0, 2.0]]), np.empty(0),
                               np.array([[1.0 + 1.0j, 2.0]])]),
