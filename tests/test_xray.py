@@ -268,7 +268,9 @@ class TestRadonInvert:
 
     @pytest.mark.parametrize("n_p, grid_n, match", [
         (128, 0, "grid_n >= 1"), (128, -5, "grid_n >= 1"), (1, 64, "at least 2 offsets"),
-        (0, 64, "offsets and angles must be nonempty"), (128, 10**21, "more than can be allocated"),
+        # no offsets at all falls short of FBP's 2 as well; the Sinogram refuses it first
+        pytest.param(0, 64, "offsets and angles must be nonempty", id="0-64-at least 2 offsets"),
+        (128, 10**21, "more than can be allocated"),
         (128, 10.5, "grid_n must be an integer, got 10.5"),
     ])
     def test_bad_image_or_offsets_rejected(self, n_p, grid_n, match):
