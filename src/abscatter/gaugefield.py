@@ -41,7 +41,6 @@ from .errors import DomainError, FluxConvergenceWarning, SchemaError
 __all__ = [
     "GaussianBump",
     "GaussianScalar",
-    "ScalarMixture",
     "VectorPotential",
     "FluxResult",
     "flux",
@@ -131,8 +130,7 @@ def _path_integral(alpha: float, angle, aprime):
 
 def _aprime_parts(pot) -> list:
     """A' as (component, field) parts: swirl vectors and grad(L) gradients."""
-    return ([(b, b.vector) for b in pot.bumps]
-            + [(c, c.gradient) for c in pot.grad_l.components])
+    return [(b, b.vector) for b in pot.bumps] + [(c, c.gradient) for c in pot.grad_l]
 
 
 @dataclass(frozen=True)
@@ -199,16 +197,6 @@ class GaussianScalar(_Gaussian):
         return -d * (env / self.width ** 2)[:, None]
 
 
-def _component_configs(components) -> list[dict]:
-    return [{"center": list(c.center), "strength": c.strength, "width": c.width}
-            for c in components]
-
-
-def _components(cls, entries) -> tuple:
-    return tuple(cls(center=e["center"], strength=e["strength"], width=e["width"])
-                 for e in entries)
-
-
 def _parts(parts, cls, name: str) -> tuple:
     """parts as a tuple of cls instances; DomainError naming `name` otherwise."""
     try:
@@ -221,23 +209,9 @@ def _parts(parts, cls, name: str) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class ScalarMixture:
-    """Finite sum of Gaussian scalars with analytic gradient."""
-
-    components: tuple[GaussianScalar, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           _parts(self.components, GaussianScalar, "components"))
-
-    def __call__(self, x) -> np.ndarray:
-        p = errors.points(x)
-        return sum((c.value(p) for c in self.components), np.zeros(len(p)))
-
-    def gradient(self, x) -> np.ndarray:
-        p = errors.points(x)
-        return sum((c.gradient(p) for c in self.components), np.zeros_like(p))
+# a potential's smooth parts: (config key, field, component class)
+_PARTS = (("bumps", "bumps", GaussianBump), ("gradL", "grad_l", GaussianScalar),
+          ("V", "v", GaussianScalar))
 
 
 @dataclass(frozen=True)
@@ -246,21 +220,18 @@ class VectorPotential:
 
     alpha: float
     bumps: tuple[GaussianBump, ...] = ()
-    grad_l: ScalarMixture = ScalarMixture()
-    v: ScalarMixture = ScalarMixture()
+    grad_l: tuple[GaussianScalar, ...] = ()
+    v: tuple[GaussianScalar, ...] = ()
     obstacle_radius: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", errors.real(self.alpha, "flux alpha"))
         object.__setattr__(self, "obstacle_radius", errors.real(self.obstacle_radius, "R0"))
-        object.__setattr__(self, "bumps", _parts(self.bumps, GaussianBump, "bumps"))
-        for name, part in (("grad_l", self.grad_l), ("v", self.v)):
-            if not isinstance(part, ScalarMixture):
-                raise DomainError(f"{name} must be a ScalarMixture, got {part!r:.80}")
+        for _, field, part in _PARTS:
+            object.__setattr__(self, field, _parts(getattr(self, field), part, field))
         # a sum of components stays below the sum of their bounds: A' sums the bumps
         # and grad(L) (so its check covers B, the bumps alone), V its own
-        for name, comps in (("bumps and gradL", (*self.bumps, *self.grad_l.components)),
-                            ("V", self.v.components)):
+        for name, comps in (("bumps and gradL", (*self.bumps, *self.grad_l)), ("V", self.v)):
             if not math.isfinite(sum(c.bound for c in comps)):
                 raise DomainError(f"the summed bound max(|strength|, 2 |strength| / width^2) "
                                   f"of the {name} components overflows")
@@ -282,19 +253,16 @@ class VectorPotential:
 
     def aprime(self, x) -> np.ndarray:
         p = errors.points(x)
-        return sum((b.vector(p) for b in self.bumps), np.zeros_like(p)) + self.grad_l.gradient(p)
+        return (sum((b.vector(p) for b in self.bumps), np.zeros_like(p))
+                + sum((c.gradient(p) for c in self.grad_l), np.zeros_like(p)))
 
     def a_total(self, x) -> np.ndarray:
         return self.flux_part(x) + self.aprime(x)
 
     def to_config(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "bumps": _component_configs(self.bumps),
-            "gradL": _component_configs(self.grad_l.components),
-            "V": _component_configs(self.v.components),
-            "R0": self.obstacle_radius,
-        }
+        parts = {key: [{"center": list(c.center), "strength": c.strength, "width": c.width}
+                       for c in getattr(self, field)] for key, field, _ in _PARTS}
+        return {"alpha": self.alpha, **parts, "R0": self.obstacle_radius}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "VectorPotential":
@@ -302,11 +270,9 @@ class VectorPotential:
             raise SchemaError(f"bad potential config: expected a JSON object, "
                               f"got {type(cfg).__name__}")
         try:
-            return cls(alpha=cfg["alpha"],
-                       bumps=_components(GaussianBump, cfg.get("bumps", [])),
-                       grad_l=ScalarMixture(_components(GaussianScalar, cfg.get("gradL", []))),
-                       v=ScalarMixture(_components(GaussianScalar, cfg.get("V", []))),
-                       obstacle_radius=cfg.get("R0", 0.0))
+            return cls(alpha=cfg["alpha"], obstacle_radius=cfg.get("R0", 0.0),
+                       **{field: tuple(part(e["center"], e["strength"], e["width"])
+                                       for e in cfg.get(key, [])) for key, field, part in _PARTS})
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad potential config: {exc}") from exc
 

@@ -93,7 +93,7 @@ def line_integrals(pot: VectorPotential, offsets, angles, quantity: str) -> np.n
         raise DomainError(f"line offsets and angles must be nonempty, got {offsets.size} and "
                           f"{angles.size}")
     if quantity == "V":
-        parts = [(c, c.value) for c in pot.v.components]
+        parts = [(c, c.value) for c in pot.v]
     else:
         if np.any(np.abs(offsets) < 1e-12):
             raise DomainError("line passes through the origin (flux part singular)")

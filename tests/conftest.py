@@ -6,7 +6,6 @@ import pytest
 from abscatter.gaugefield import (
     GaussianBump,
     GaussianScalar,
-    ScalarMixture,
     VectorPotential,
 )
 
@@ -17,8 +16,8 @@ def generic_potential() -> VectorPotential:
     return VectorPotential(
         alpha=0.8,
         bumps=(GaussianBump(center=(1.5, -0.5), strength=1.0, width=0.9),),
-        grad_l=ScalarMixture((GaussianScalar(center=(0.0, 1.0), strength=0.6, width=1.1),)),
-        v=ScalarMixture((GaussianScalar(center=(0.5, 0.5), strength=0.7, width=0.8),)),
+        grad_l=(GaussianScalar(center=(0.0, 1.0), strength=0.6, width=1.1),),
+        v=(GaussianScalar(center=(0.5, 0.5), strength=0.7, width=0.8),),
         obstacle_radius=0.5,
     )
 
@@ -29,7 +28,7 @@ def smooth_potential() -> VectorPotential:
     return VectorPotential(
         alpha=0.0,
         bumps=(GaussianBump(center=(1.0, 0.5), strength=1.3, width=0.8),),
-        grad_l=ScalarMixture((GaussianScalar(center=(-0.5, 0.5), strength=0.4, width=1.0),)),
+        grad_l=(GaussianScalar(center=(-0.5, 0.5), strength=0.4, width=1.0),),
     )
 
 

@@ -20,7 +20,6 @@ from abscatter.gaugefield import (
     EikonalPhase,
     GaussianBump,
     GaussianScalar,
-    ScalarMixture,
     VectorPotential,
     gradient_formula,
     phase_gradient,
@@ -154,7 +153,7 @@ def test_criterion_08_xray_phase_gauge_invariance():
     base = VectorPotential(alpha=0.4, bumps=(GaussianBump((1.0, 0.3), 0.9, 0.6),))
     # the gauge e^{i (2 theta + L)}: flux alpha + 2, and grad L added to A'
     other = replace(base, alpha=base.alpha + 2,
-                    grad_l=ScalarMixture((GaussianScalar((0.4, -0.2), 0.5, 0.8),)))
+                    grad_l=(GaussianScalar((0.4, -0.2), 0.5, 0.8),))
     worst_phase, worst_int = 0.0, 0.0
     for _ in range(50):
         p = float(rng.uniform(2.0, 9.0) * rng.choice([-1.0, 1.0]))
@@ -175,7 +174,7 @@ def test_criterion_08_xray_phase_gauge_invariance():
 
 def test_criterion_09_radon_reconstruction():
     pot = VectorPotential(alpha=0.0,
-                          v=ScalarMixture((GaussianScalar((3.0, 0.0), 1.0, 0.5),)))
+                          v=(GaussianScalar((3.0, 0.0), 1.0, 0.5),))
     t0 = time.perf_counter()
     sino = radon_forward(pot, 128, 180, 8.0)
     image = radon_invert(sino, 128)
@@ -194,7 +193,7 @@ def test_criterion_10_eikonal_identities():
     rng = np.random.default_rng(110)
     pot = VectorPotential(alpha=0.8,
                           bumps=(GaussianBump((1.5, -0.5), 1.0, 0.9),),
-                          grad_l=ScalarMixture((GaussianScalar((0.0, 1.0), 0.6, 1.1),)))
+                          grad_l=(GaussianScalar((0.0, 1.0), 0.6, 1.1),))
     worst_orth, worst_form = 0.0, 0.0
     checked = 0
     while checked < 100:

@@ -23,7 +23,6 @@ from abscatter.cli import main
 from abscatter.gaugefield import (
     GaussianBump,
     GaussianScalar,
-    ScalarMixture,
     VectorPotential,
     save_potential_json,
 )
@@ -121,7 +120,7 @@ def test_a_sinogram_whose_line_integral_overflows_exits_three(tmp_path, capsys):
     # warning, one line naming the component
     cfg, out = tmp_path / "wide.json", tmp_path / "v.csv"
     save_potential_json(VectorPotential(
-        alpha=0.0, v=ScalarMixture((GaussianScalar((0.0, 0.0), 1.7e308, 1e10),))), cfg)
+        alpha=0.0, v=(GaussianScalar((0.0, 0.0), 1.7e308, 1e10),)), cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["radon", "--config", str(cfg), "--p-max", "1e10", "--out", str(out)])
@@ -372,7 +371,7 @@ def test_wave_sign_minus_matches_library(tmp_path):
 def test_radon_command(tmp_path):
     cfg = tmp_path / "ph.json"
     save_potential_json(VectorPotential(
-        alpha=0.0, v=ScalarMixture((GaussianScalar((3.0, 0.0), 1.0, 0.5),))), cfg)
+        alpha=0.0, v=(GaussianScalar((3.0, 0.0), 1.0, 0.5),)), cfg)
     sino_path = tmp_path / "s.csv"
     recon_path = tmp_path / "r.csv"
     rc = main(["radon", "--config", str(cfg), "--n-p", "64", "--n-phi", "90",
@@ -403,7 +402,7 @@ def test_radon_reconstruction_flags(invert, recon, quantity):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out, rec = Path(tmp, "p.json"), Path(tmp, "s.csv"), Path(tmp, "r.csv")
         save_potential_json(VectorPotential(
-            alpha=0.5, v=ScalarMixture((GaussianScalar((3.0, 0.0), 1.0, 0.5),))), cfg)
+            alpha=0.5, v=(GaussianScalar((3.0, 0.0), 1.0, 0.5),)), cfg)
         argv = ["radon", "--config", str(cfg), "--quantity", quantity, "--n-p", "64",
                 "--n-phi", "64", "--out", str(out)]
         argv += [] if invert is None else ["--invert", str(invert)]
@@ -452,7 +451,7 @@ def test_strip_is_checked_before_the_kernel_is_read(tmp_path, capsys):
 def test_radon_bad_grid_exit_three(tmp_path):
     cfg = tmp_path / "pa.json"
     save_potential_json(VectorPotential(
-        alpha=0.5, v=ScalarMixture((GaussianScalar((3.0, 0.0), 1.0, 0.5),))), cfg)
+        alpha=0.5, v=(GaussianScalar((3.0, 0.0), 1.0, 0.5),)), cfg)
     out = tmp_path / "s.csv"
     assert main(["radon", "--config", str(cfg), "--p-max", "0", "--out", str(out)]) == 3
     # an odd offset count puts a line through the origin

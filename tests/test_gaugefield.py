@@ -12,7 +12,6 @@ from abscatter.gaugefield import (
     EikonalPhase,
     GaussianBump,
     GaussianScalar,
-    ScalarMixture,
     VectorPotential,
     eikonal_phase,
     flux,
@@ -45,7 +44,7 @@ def decomposition_terms(pot, sign, x, xi):
     component's center and past x (the Gaussian fields are below 1e-31 there)."""
     from scipy import integrate
     x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
-    comps = (*pot.bumps, *pot.grad_l.components)
+    comps = (*pot.bumps, *pot.grad_l)
     t_max = (max(math.hypot(*c.center) + 12.0 * c.width for c in comps)
              + math.hypot(*x)) / math.hypot(*xi)
 
@@ -72,7 +71,7 @@ class TestFlux:
 
     def test_exact_gradient_has_zero_circulation(self):
         pot = VectorPotential(alpha=0.0,
-                              grad_l=ScalarMixture((GaussianScalar((1.0, 0.5), 2.0, 1.0),)))
+                              grad_l=(GaussianScalar((1.0, 0.5), 2.0, 1.0),))
         assert abs(flux(pot, [8.0, 12.0]).estimate) <= 1e-9
 
     def test_bump_circulation_decays(self):
@@ -153,7 +152,7 @@ class TestGaugeTransform:
         l_field = (GaussianScalar((1.0, 0.0), 0.5, 0.7),)
         for n in range(-2, 3):
             out = replace(generic_potential, alpha=generic_potential.alpha + n,
-                          grad_l=ScalarMixture(generic_potential.grad_l.components + l_field))
+                          grad_l=generic_potential.grad_l + l_field)
             assert abs(flux(out, [30.0, 40.0]).estimate - base - n) <= 1e-6
 
 
@@ -187,13 +186,15 @@ class TestPotentialFields:
                  r"bumps must be a sequence of GaussianBump, got None", id="bumps-none"),
     pytest.param(lambda: VectorPotential(0.3, bumps=GaussianBump((0, 0), 1, 1)),
                  r"bumps must be a sequence of GaussianBump, got GaussianBump", id="bare-bump"),
-    pytest.param(lambda: VectorPotential(0.3, grad_l=()),
-                 r"grad_l must be a ScalarMixture, got \(\)", id="grad-l-tuple"),
+    pytest.param(lambda: VectorPotential(0.3, grad_l=(GaussianBump((0, 0), 1, 1),)),
+                 r"grad_l must be a sequence of GaussianScalar, got \(GaussianBump",
+                 id="grad-l-tuple"),
     pytest.param(lambda: VectorPotential(0.3, bumps=(GaussianScalar((0, 0), 1, 1),)),
                  r"bumps must be a sequence of GaussianBump, got \(GaussianScalar",
                  id="bumps-of-scalars"),
-    pytest.param(lambda: ScalarMixture((GaussianBump((0, 0), 1, 1),)),
-                 r"components must be a sequence of GaussianScalar", id="mixture-of-bumps"),
+    pytest.param(lambda: VectorPotential(0.3, v=[GaussianBump((0, 0), 1, 1)]),
+                 r"v must be a sequence of GaussianScalar, got \[GaussianBump",
+                 id="mixture-of-bumps"),
     pytest.param(lambda: EikonalPhase(1, None),
                  r"potential must be a VectorPotential, got None", id="phase-without-potential"),
 ])
@@ -340,7 +341,7 @@ class TestEikonal:
         # widths of 2 keep the smooth tails measurable over radii 5..16
         return VectorPotential(alpha=0.8,
                                bumps=(GaussianBump((2.0, 0.0), 1.0, 2.0),),
-                               grad_l=ScalarMixture((GaussianScalar((0.0, 1.0), 0.6, 2.0),)))
+                               grad_l=(GaussianScalar((0.0, 1.0), 0.6, 2.0),))
 
     def test_flux_part_is_homogeneous_and_bumps_fade(self, wide_potential):
         # the flux part of the phase is exactly degree-0 homogeneous, so the
@@ -440,7 +441,7 @@ def test_far_centre_fields_are_zero(center):
     scalar = GaussianScalar(center, 2.0, 1.0)
     for got in (bump.vector(pts), bump.curl(pts), scalar.value(pts), scalar.gradient(pts)):
         assert np.array_equal(got, np.zeros_like(got))
-    pot = VectorPotential(alpha=0.3, bumps=(bump,), grad_l=ScalarMixture((scalar,)))
+    pot = VectorPotential(alpha=0.3, bumps=(bump,), grad_l=(scalar,))
     assert np.array_equal(pot.aprime(pts[:2]), np.zeros((2, 2)))
 
 
@@ -501,10 +502,10 @@ def test_summed_component_bounds_must_be_finite():
     # sum the bumps, A' also grad(L), and V its own components
     w, s = 1.5e-154, 2.0224047767201054
     bump, scalar = GaussianBump((0.0, 0.0), s, w), GaussianScalar((0.0, 0.0), s, w)
-    VectorPotential(alpha=0.3, bumps=(bump,), v=ScalarMixture((scalar,)))
+    VectorPotential(alpha=0.3, bumps=(bump,), v=(scalar,))
     assert abs(bump.curl(np.zeros((1, 2)))[0]) > 1.79e308
     for fields in ({"bumps": (bump, bump)},
-                   {"bumps": (bump,), "grad_l": ScalarMixture((scalar,))},
-                   {"v": ScalarMixture((scalar, scalar))}):
+                   {"bumps": (bump,), "grad_l": (scalar,)},
+                   {"v": (scalar, scalar)}):
         with pytest.raises(DomainError, match="summed bound"):
             VectorPotential(alpha=0.3, **fields)

@@ -16,7 +16,6 @@ from abscatter.gaugefield import (
     EikonalPhase,
     GaussianBump,
     GaussianScalar,
-    ScalarMixture,
     VectorPotential,
     eikonal_phase,
     flux,
@@ -51,7 +50,7 @@ def region_points(draw, sign):
 def cases(draw):
     sign = draw(signs)
     pot = VectorPotential(alpha=draw(st.floats(-2.0, 2.0)), bumps=tuple(draw(bumps)),
-                          grad_l=ScalarMixture(tuple(draw(scalars))))
+                          grad_l=tuple(draw(scalars)))
     x, xi = draw(region_points(sign))
     return EikonalPhase(sign=sign, potential=pot), x, xi
 
@@ -85,7 +84,7 @@ def closed_form_phase(ph: EikonalPhase, x, xi) -> float:
         val -= (b.strength / b.width ** 2) * q * math.exp(-rho2 / (2.0 * b.width ** 2)) \
             * (b.width / nd) * math.sqrt(0.5 * math.pi) \
             * math.erfc(along / (math.sqrt(2.0) * b.width))
-    for c in pot.grad_l.components:
+    for c in pot.grad_l:
         y = x - np.asarray(c.center)
         val += c.strength * math.exp(-float(y @ y) / (2.0 * c.width ** 2))
     return val

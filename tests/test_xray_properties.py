@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from abscatter.gaugefield import (
     GaussianBump,
     GaussianScalar,
-    ScalarMixture,
     VectorPotential,
     flux,
 )
@@ -68,7 +67,7 @@ def a_exact(alpha, bs, p, phi):
 @PROPERTY
 @given(scalars, st.floats(1.0, 60.0))
 def test_v_sinogram_closed_form(comps, p_max):
-    pot = VectorPotential(alpha=0.0, v=ScalarMixture(tuple(comps)))
+    pot = VectorPotential(alpha=0.0, v=tuple(comps))
     sino = radon_forward(pot, 64, 64, p_max)
     assert float(np.max(np.abs(sino.values - v_exact(comps, sino.offsets, sino.angles)))) <= 1e-8
 
@@ -76,7 +75,7 @@ def test_v_sinogram_closed_form(comps, p_max):
 @PROPERTY
 @given(st.floats(-3.0, 3.0), bumps, scalars, offsets, angles)
 def test_a_sinogram_closed_form(alpha, bs, ls, p, phi):
-    pot = VectorPotential(alpha=alpha, bumps=tuple(bs), grad_l=ScalarMixture(tuple(ls)))
+    pot = VectorPotential(alpha=alpha, bumps=tuple(bs), grad_l=tuple(ls))
     sino = a_line_sinogram(pot, p, phi)
     assert float(np.max(np.abs(sino.values - a_exact(alpha, bs, p, phi)))) <= 1e-8
 
@@ -97,8 +96,8 @@ def test_far_narrow_component_closed_form(radius, theta, a, w, beta):
     bs = BENCH_BUMPS + (GaussianBump(c, a, w),)
     vs = BENCH_V + (GaussianScalar(c, a, w),)
     pot = VectorPotential(alpha=0.37, bumps=bs,
-                          grad_l=ScalarMixture(BENCH_GRAD_L + (GaussianScalar(c, a, w),)),
-                          v=ScalarMixture(vs))
+                          grad_l=BENCH_GRAD_L + (GaussianScalar(c, a, w),),
+                          v=vs)
     sino = radon_forward(pot, 64, 64, 25.0)
     assert float(np.max(np.abs(sino.values - v_exact(vs, sino.offsets, sino.angles)))) <= 1e-8
     phi = theta + beta
@@ -116,7 +115,7 @@ PARITY_ANGLES = np.linspace(0.0, math.pi, 6, endpoint=False)
 def gauged(pot, winding, l_field):
     """pot in the gauge e^{i (winding theta + L)}: flux alpha + winding, grad L added to A'."""
     return replace(pot, alpha=pot.alpha + winding,
-                   grad_l=ScalarMixture(pot.grad_l.components + tuple(l_field)))
+                   grad_l=pot.grad_l + tuple(l_field))
 
 
 def parity(alpha, bs, l_field, winding):
@@ -181,7 +180,7 @@ def test_magnetic_field_and_flux_from_phase_data(alpha, bs, grad_l, winding, l_f
     # -d/dp of the phase data is the line integral of B, a gauge invariant:
     # the potential and its gauge transform give the same values; the phase
     # jump across p = 0 is e^{2 pi i alpha}, the flux mod 1
-    pot = VectorPotential(alpha=alpha, bumps=tuple(bs), grad_l=ScalarMixture(tuple(grad_l)))
+    pot = VectorPotential(alpha=alpha, bumps=tuple(bs), grad_l=tuple(grad_l))
     other = gauged(pot, winding, l_field)
     h = 1e-4
     got = phase_dp(pot, p, phi, h)
