@@ -160,6 +160,8 @@ def save_wave_csv(path, points, values) -> None:
     """Grid dump with columns x1,x2,re,im."""
     points = errors.points(points)
     values = errors.array(values, "wave values", 1, complex)
+    if len(values) != len(points):
+        raise DomainError(f"points and wave values differ in length: {len(points)}, {len(values)}")
     write_table(path, "x1,x2,re,im", [points[:, 0], points[:, 1], values.real, values.imag])
 
 

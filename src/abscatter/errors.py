@@ -1,6 +1,6 @@
 """Exception and warning types shared across the package, and the one check of every integer,
-real, value array, point array, 2-vector and array size input; loading this module loads no
-numpy."""
+real, value array, point array, 2-vector, object and array size input; loading this module
+loads no numpy."""
 
 import math
 import operator
@@ -107,6 +107,13 @@ def real(value, name: str) -> float:
     if not math.isfinite(x):
         raise DomainError(f"{name} must be a finite float, got {value!r}")
     return x
+
+
+def instance(value, cls, name: str):
+    """value if it is a cls; DomainError naming `name` otherwise."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {value!r:.80}")
+    return value
 
 
 def allocatable(shape, what: str, dtype=float) -> None:

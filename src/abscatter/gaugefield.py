@@ -212,6 +212,21 @@ def _parts(parts, cls, name: str) -> tuple:
 # a potential's smooth parts: (config key, field, component class)
 _PARTS = (("bumps", "bumps", GaussianBump), ("gradL", "grad_l", GaussianScalar),
           ("V", "v", GaussianScalar))
+_COMPONENT_KEYS = ("center", "strength", "width")
+
+
+def _json_object(entry, keys, required) -> dict:
+    """entry, a JSON object holding every key of `required` and none outside `keys`; SchemaError
+    naming the first key that is unknown or missing otherwise."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"expected a JSON object, got {entry!r:.40}")
+    for k in entry:
+        if k not in keys:
+            raise SchemaError(f"unknown key {k!r} (known: {', '.join(keys)})")
+    for k in required:
+        if k not in entry:
+            raise SchemaError(f"missing key {k!r}")
+    return entry
 
 
 @dataclass(frozen=True)
@@ -266,20 +281,28 @@ class VectorPotential:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "VectorPotential":
-        if not isinstance(cfg, dict):
-            raise SchemaError(f"bad potential config: expected a JSON object, "
-                              f"got {type(cfg).__name__}")
+        """The potential of a config; SchemaError naming the key at fault if it is not one."""
         try:
-            return cls(alpha=cfg["alpha"], obstacle_radius=cfg.get("R0", 0.0),
-                       **{field: tuple(part(e["center"], e["strength"], e["width"])
-                                       for e in cfg.get(key, [])) for key, field, part in _PARTS})
-        except (KeyError, TypeError, ValueError) as exc:
+            _json_object(cfg, ("alpha", *(key for key, _, _ in _PARTS), "R0"), ("alpha",))
+        except SchemaError as exc:
+            raise SchemaError(f"bad potential config: {exc}") from None
+        parts = {}
+        for key, field, part in _PARTS:
+            try:
+                parts[field] = tuple(part(**_json_object(e, _COMPONENT_KEYS, _COMPONENT_KEYS))
+                                     for e in cfg.get(key, []))
+            except (TypeError, ValueError) as exc:  # no list of components, or a bad value
+                raise SchemaError(f"bad potential config: {key}: {exc}") from exc
+        try:
+            return cls(alpha=cfg["alpha"], obstacle_radius=cfg.get("R0", 0.0), **parts)
+        except ValueError as exc:       # DomainError
             raise SchemaError(f"bad potential config: {exc}") from exc
 
 
 def save_potential_json(pot: VectorPotential, path) -> None:
+    config = errors.instance(pot, VectorPotential, "potential").to_config()
     with open(path, "w", encoding="ascii") as f:
-        json.dump(pot.to_config(), f, indent=2)
+        json.dump(config, f, indent=2)
         f.write("\n")
 
 
@@ -305,7 +328,7 @@ def flux(pot: VectorPotential, radii) -> FluxResult:
     The estimate is the largest-radius value; a FluxConvergenceWarning fires when
     the A' circulations at the top two radii still differ by more than 1e-3.
     """
-    radii = errors.array(radii, "radii", 1)
+    pot, radii = errors.instance(pot, VectorPotential, "potential"), errors.array(radii, "radii", 1)
     if radii.size == 0 or np.any(np.diff(radii) <= 0.0):
         raise DomainError("radii must be a nonempty ascending sequence")
     if radii[0] <= pot.obstacle_radius:
@@ -337,8 +360,7 @@ class EikonalPhase:
         object.__setattr__(self, "sign", errors.integer(self.sign, "sign"))
         if self.sign not in (-1, 1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not isinstance(self.potential, VectorPotential):
-            raise DomainError(f"potential must be a VectorPotential, got {self.potential!r:.80}")
+        errors.instance(self.potential, VectorPotential, "potential")
 
 
 def _ray_args(x, xi) -> tuple[np.ndarray, np.ndarray]:

@@ -85,6 +85,7 @@ def line_integrals(pot: VectorPotential, offsets, angles, quantity: str) -> np.n
     per batch.  The flux part of A . omega adds -alpha*pi*sgn(p) in closed
     form, so lines through the origin are rejected.
     """
+    pot = errors.instance(pot, VectorPotential, "potential")
     if quantity not in ("V", "A"):
         raise DomainError(f"quantity must be 'V' or 'A', got {quantity!r}")
     offsets = errors.array(offsets, "line offsets", 1)

@@ -369,3 +369,12 @@ def test_wave_csv_refuses_a_one_dimensional_point(tmp_path):
     with pytest.raises(DomainError, match=r"points must be 2-D, got shape \(2,\)"):
         save_wave_csv(path, [1.0, 2.0], [0.5 + 0.5j])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("n_values", [0, 2])
+def test_wave_csv_refuses_points_and_values_of_other_lengths(tmp_path, n_values):
+    # a library caller's mismatch is a domain error naming both arguments, before any file
+    path = tmp_path / "wave.csv"
+    with pytest.raises(DomainError, match=rf"points and wave values differ in length: 1, {n_values}"):
+        save_wave_csv(path, [[1.0, 2.0]], np.ones(n_values, dtype=complex))
+    assert not path.exists()

@@ -424,6 +424,28 @@ def test_gauge_transform_past_the_float_range_is_refused():
         replace(pot, alpha=pot.alpha + 10**308)
 
 
+# each refusal names the key at fault: a part that is no list of components, a component
+# missing a key, and an unknown key at either level, which was dropped before
+@pytest.mark.parametrize("config, says", [
+    ({"alpha": 0.3, "bumps": 5}, r"^bad potential config: bumps: 'int' object is not iterable$"),
+    ({"alpha": 0.3, "V": {"center": [1, 0]}},
+     r"^bad potential config: V: expected a JSON object, got 'center'$"),
+    ({"alpha": 0.3, "gradL": [{"center": [1, 0], "strength": 0.5}]},
+     r"^bad potential config: gradL: missing key 'width'$"),
+    ({"alpha": 0.3, "bump": [{"center": [1, 0], "strength": 0.5, "width": 0.8}]},
+     r"^bad potential config: unknown key 'bump' \(known: alpha, bumps, gradL, V, R0\)$"),
+    ({"alpha": 0.3, "V": [{"center": [1, 0], "strength": 0.5, "width": 0.8, "sigma": 1.0}]},
+     r"^bad potential config: V: unknown key 'sigma' \(known: center, strength, width\)$"),
+    ({"bumps": []}, r"^bad potential config: missing key 'alpha'$"),
+    ({"alpha": 0.3, "V": [{"center": [1, 0], "strength": 0.5, "width": -1.0}]},
+     r"^bad potential config: V: width must be positive"),
+], ids=["part-not-a-list", "part-an-object", "missing-width", "unknown-part", "unknown-field",
+        "missing-alpha", "bad-width"])
+def test_config_refusals_name_the_key(config, says):
+    with pytest.raises(SchemaError, match=says):
+        VectorPotential.from_config(config)
+
+
 def test_potential_schema_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bumps": []}))

@@ -35,6 +35,7 @@ from abscatter.gaugefield import (
     phase_gradient,
     phase_gradient_check,
     ray_field_integral,
+    save_potential_json,
 )
 from abscatter.inverse import default_strips, detect_conjugation
 from abscatter.smatrix import (
@@ -48,7 +49,14 @@ from abscatter.smatrix import (
     strip_integral,
 )
 from abscatter.specfun import bessel_j_ladder
-from abscatter.xray import Sinogram, line_integrals, radon_forward, radon_invert, sinogram_axes
+from abscatter.xray import (
+    Sinogram,
+    a_line_sinogram,
+    line_integrals,
+    radon_forward,
+    radon_invert,
+    sinogram_axes,
+)
 
 SPEC = ABWaveSpec(alpha=0.5, lam=1.0, omega=(1.0, 0.0))
 BUMP = GaussianBump(center=(1.5, -0.5), strength=1.0, width=0.9)
@@ -82,6 +90,17 @@ def saved(points):
         rows = np.asarray(points, dtype=object).shape[:1]    # () for a non-array
         save_wave_csv(path, points, np.ones(rows, dtype=complex))
         return load_wave_csv(path)[0]
+
+
+def potential_saved(pot):
+    """save_potential_json of pot in a directory removed after; a refusal writes no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        try:
+            save_potential_json(pot, path)
+        except DomainError:
+            assert not path.exists()
+            raise
 
 
 def wave_saved(values):
@@ -166,8 +185,8 @@ NOT_ARRAYS = [None, "abc", [[1.0], [2.0, 3.0]], [1.0, "y"], [1.0, 10**400]]
 GRID4 = np.zeros((4, 4))
 AXES = ([-1.0, 1.0], [0.0, 1.0])
 
-# (call with the value in the array argument's place, a pattern naming the argument,
-# values that are no array of numbers the call takes)
+# (call with the value in the argument's place, a pattern naming the argument, values
+# of a form the call refuses: no array of numbers, or a config dict for a potential)
 ARRAY_ARGUMENTS = {
     "flux radii": (lambda v: flux(POT, v), r"\bradi(i|us)\b",
                    [5.0, None, "abc", [[10.0], [20.0, 30.0]], [10.0, 10**400]]),
@@ -198,6 +217,16 @@ ARRAY_ARGUMENTS = {
     "ScalarMixture points": (SCALAR.value, r"\bpoints\b",
                              [*NOT_ARRAYS, *spoiled([[1.0, 2.0]]), np.empty(0),
                               np.array([[1.0 + 1.0j, 2.0]])]),
+    "flux potential": (lambda v: flux(v, [10.0, 20.0]), r"\bpotential\b", [POT.to_config()]),
+    "line_integrals potential": (lambda v: line_integrals(v, [1.0], [0.0], "V"),
+                                 r"\bpotential\b", [POT.to_config()]),
+    "radon_forward potential": (lambda v: radon_forward(v, 64, 64, 8.0), r"\bpotential\b",
+                                [POT.to_config()]),
+    "a_line_sinogram potential": (lambda v: a_line_sinogram(v, [1.0], [0.0]),
+                                  r"\bpotential\b", [POT.to_config()]),
+    "save_potential_json potential": (potential_saved, r"\bpotential\b", [POT.to_config()]),
+    "EikonalPhase potential": (lambda v: EikonalPhase(1, v), r"\bpotential\b",
+                               [POT.to_config()]),
 }
 
 
