@@ -141,8 +141,8 @@ def test_a_sinogram_whose_line_integral_overflows_exits_three(tmp_path, capsys):
     '{"alpha": 0.3, "bumps": [{"center": [0, 0], "strength": 2.0224047767201054, '
     '"width": 1.5e-154}, {"center": [0, 0], "strength": 2.0224047767201054, '
     '"width": 1.5e-154}]}',
-    # a misspelled or unknown key, dropped before (the run read flux 0.3 with exit 0), and
-    # a part that is no list
+    # a misspelled or unknown key, which must not be read as absent, and a part that is
+    # no list
     '{"alpha": 0.3, "bump": [{"center": [1, 0], "strength": 0.5, "width": 0.8}]}',
     '{"alpha": 0.3, "V": [{"center": [1, 0], "strength": 0.5, "width": 0.8, "sigma": 1}]}',
     '{"alpha": 0.3, "bumps": 5}',

@@ -425,7 +425,7 @@ def test_gauge_transform_past_the_float_range_is_refused():
 
 
 # each refusal names the key at fault: a part that is no list of components, a component
-# missing a key, and an unknown key at either level, which was dropped before
+# missing a key, an unknown key at either level and a bad value
 @pytest.mark.parametrize("config, says", [
     ({"alpha": 0.3, "bumps": 5}, r"^bad potential config: bumps: 'int' object is not iterable$"),
     ({"alpha": 0.3, "V": {"center": [1, 0]}},
